@@ -360,7 +360,7 @@ class MachineInstance:
         """A poll/probe/time variable fired; returns True if handled."""
         tr = self._tracer
         if tr is not None and tr.enabled:
-            return self._fire_trigger_var_traced(var, data)
+            return self._traced_fire_var(var, data)
         if self._code is not None:
             return _get_codegen().fire_var(self, var, data)
 
@@ -369,7 +369,7 @@ class MachineInstance:
 
         return self._dispatch(matches, {"__data__": data})
 
-    def _fire_trigger_var_traced(self, var: str, data: Any) -> bool:
+    def _traced_fire_var(self, var: str, data: Any) -> bool:
         if self._code is not None:
             handled = _get_codegen().fire_var(self, var, data)
         else:

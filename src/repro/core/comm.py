@@ -277,12 +277,12 @@ class ControlBus:
                                track="bus", cat="bus",
                                args=_trace_args(message))
         for extra_delay in deliveries:
-            self.sim.schedule(latency + extra_delay, self._deliver, message,
+            self.sim.schedule(latency + extra_delay, self._on_arrival, message,
                               label=f"bus {src}->{dst}",
                               cost_key=self._deliver_cost_key)
         return message
 
-    def _deliver(self, message: BusMessage) -> None:
+    def _on_arrival(self, message: BusMessage) -> None:
         handler = self._handlers.get(message.dst)
         if handler is None:
             # endpoint vanished (seed undeployed mid-flight)

@@ -81,20 +81,33 @@ class _PollPlan:
     cost_key: Optional[tuple] = None
 
 
-@dataclass
 class _PollGroup:
     """Seeds sharing one fused poll timer.
 
     Seeds whose plans agree on kind/interval/subjects *and* that were
     armed at the same instant fire in perfect sync forever, so the soil
     services them all from a single timer event: one heap entry, one
-    callback, and a batch of deliveries that the vector dispatcher can
-    run as one kernel invocation.
+    callback, one poll and one charge pass, and a batch of deliveries
+    that the vector dispatcher can run as one kernel invocation.  Scalar
+    mode arms every trigger as a private group of one.
     """
 
-    key: Any
-    members: List[Tuple[str, str]]  # (seed_id, var), join order
-    timer: Optional[PeriodicTimer] = None
+    __slots__ = ("key", "members", "instances", "timer")
+
+    def __init__(self, key: Any) -> None:
+        self.key = key
+        #: ``(deployment, var)`` in join order, and each member's machine
+        #: instance alongside (a crash restart re-arms, hence re-joins).
+        self.members: List[Tuple["SeedDeployment", str]] = []
+        self.instances: List[MachineInstance] = []
+        self.timer: Optional[PeriodicTimer] = None
+
+    def leave(self, deployment: "SeedDeployment", var: str) -> None:
+        for index, (member, name) in enumerate(self.members):
+            if member is deployment and name == var:
+                del self.members[index]
+                del self.instances[index]
+                return
 
 
 def scalar_poll_forced() -> bool:
@@ -209,13 +222,23 @@ class Soil:
         self.driver = driver
         self.bus = bus
         self.config = config or SoilCommConfig()
-        #: Fused poll groups (the batched hot path).  ``None`` defers to
-        #: the REPRO_SCALAR_POLL escape hatch; an explicit bool wins.
+        #: Grouping policy: fuse same-plan triggers into shared poll
+        #: groups, or (False) arm each as a group of one.  ``None`` defers
+        #: to the REPRO_SCALAR_POLL escape hatch; an explicit bool wins.
         if batching is None:
             batching = not scalar_poll_forced()
         self.batching = bool(batching)
         self._poll_groups: Dict[Any, _PollGroup] = {}
         self._memberships: Dict[Tuple[str, str], _PollGroup] = {}
+        #: Bumped whenever a seed leaves ``deployments`` or gets a fresh
+        #: instance; a delivery fired under an older value re-resolves
+        #: its members instead of trusting the group's lists.
+        self._roster_epoch = 0
+        #: One (subjects, ports, rule patterns) triple per distinct
+        #: subject set: plans of different seeds share the objects, so
+        #: poll-cache and group-key lookups compare by identity.
+        self._subject_pool: Dict[frozenset, Tuple[frozenset, tuple,
+                                                  tuple]] = {}
         # Incremental resource-accounting state (avoids full O(seeds)
         # recomputation on every deploy/undeploy/interval change).
         self._cpu_load_seeds: set = set()
@@ -378,6 +401,7 @@ class Soil:
         self._cpu_load_seeds.discard(seed_id)
         self.bus.unregister(self._seed_endpoint(seed_id))
         del self.deployments[seed_id]
+        self._roster_epoch += 1
         self._refresh_pcie_demand(removed_seed_id=seed_id)
         self._m_undeploys.inc()
         self._g_seeds.set(len(self.deployments))
@@ -436,10 +460,14 @@ class Soil:
             rule_patterns: Tuple[Any, ...] = ()
             if info.kind != "time":
                 subjects = encode_polling_subjects(info.what, num_ports)
-                ports = tuple(sorted(
-                    p for kind, p in subjects if kind == "port"))
-                rule_patterns = tuple(
-                    c for kind, c in subjects if kind == "tcam")
+                pooled = self._subject_pool.get(subjects)
+                if pooled is None:
+                    pooled = self._subject_pool[subjects] = (
+                        subjects,
+                        tuple(sorted(
+                            p for kind, p in subjects if kind == "port")),
+                        tuple(c for kind, c in subjects if kind == "tcam"))
+                subjects, ports, rule_patterns = pooled
             plans[name] = _PollPlan(
                 info=info, kind=info.kind, interval=interval,
                 subjects=subjects, ports=ports, rule_patterns=rule_patterns,
@@ -450,14 +478,9 @@ class Soil:
     def _disarm_triggers(self, deployment: SeedDeployment) -> None:
         """Detach a seed from its timers (shared group timers survive as
         long as any other member remains)."""
-        for name, timer in deployment.timers.items():
-            member = (deployment.seed_id, name)
-            group = self._memberships.pop(member, None)
-            if group is None:
-                timer.stop()  # private per-seed timer
-                continue
-            if member in group.members:
-                group.members.remove(member)
+        for name in deployment.timers:
+            group = self._memberships.pop((deployment.seed_id, name))
+            group.leave(deployment, name)
             if not group.members:
                 group.timer.stop()
                 self._poll_groups.pop(group.key, None)
@@ -471,12 +494,8 @@ class Soil:
                 continue  # no resources allocated for this poll yet
             if self.batching:
                 self._join_group(deployment, name, plan)
-                continue
-            timer = self.sim.every(
-                plan.interval, self._fire_trigger, deployment.seed_id, name,
-                label=f"{deployment.seed_id}.{name}",
-                cost_key=plan.cost_key)
-            deployment.timers[name] = timer
+            else:
+                self._arm_private(deployment, name, plan.interval)
 
     def _join_group(self, deployment: SeedDeployment, name: str,
                     plan: _PollPlan) -> None:
@@ -488,17 +507,34 @@ class Soil:
                plan.rule_patterns, deployment.event_cpu_s, self.sim.now)
         group = self._poll_groups.get(key)
         if group is None:
-            group = _PollGroup(key=key, members=[])
+            group = _PollGroup(key)
             group.timer = self.sim.every(
                 plan.interval, self._fire_group, group,
                 label=f"poll-group {self.switch.switch_id}:{name}",
                 cost_key=("soil", self.switch.switch_id, None,
                           f"poll-group {name}"))
             self._poll_groups[key] = group
-        member = (deployment.seed_id, name)
-        group.members.append(member)
-        self._memberships[member] = group
-        deployment.timers[name] = group.timer
+        self._enrol(group, deployment, name)
+
+    def _arm_private(self, deployment: SeedDeployment, var: str,
+                     interval: float) -> None:
+        """Arm a trigger on a timer of its own: a group of one that no
+        later deploy can join (timing, event label and cost key are those
+        of a per-seed timer)."""
+        group = _PollGroup(("priv", (deployment.seed_id, var), self.sim.now))
+        group.timer = self.sim.every(
+            interval, self._fire_group, group,
+            label=f"{deployment.seed_id}.{var}",
+            cost_key=("soil", self.switch.switch_id, deployment.seed_id,
+                      var))
+        self._enrol(group, deployment, var)
+
+    def _enrol(self, group: _PollGroup, deployment: SeedDeployment,
+               var: str) -> None:
+        group.members.append((deployment, var))
+        group.instances.append(deployment.instance)
+        self._memberships[(deployment.seed_id, var)] = group
+        deployment.timers[var] = group.timer
 
     def set_trigger_interval(self, deployment: SeedDeployment, var: str,
                              interval: float) -> None:
@@ -506,46 +542,18 @@ class Soil:
         interval = max(float(interval), MIN_POLL_INTERVAL_S)
         member = (deployment.seed_id, var)
         group = self._memberships.get(member)
-        if group is not None:
-            if len(group.members) == 1:
-                # Sole member: retime the group in place.  Retire its key
-                # so later deploys don't phase-join the retimed timer.
-                self._poll_groups.pop(group.key, None)
-                group.key = ("priv", member, self.sim.now)
-                group.timer.reschedule(interval)
-            else:
-                # Leave the shared group and fire on a private schedule
-                # (timing-identical to a reschedule of an own timer).
-                group.members.remove(member)
-                private = _PollGroup(key=("priv", member, self.sim.now),
-                                     members=[member])
-                private.timer = self.sim.every(
-                    interval, self._fire_group, private,
-                    label=f"{deployment.seed_id}.{var}",
-                    cost_key=("soil", self.switch.switch_id,
-                              deployment.seed_id, var))
-                self._memberships[member] = private
-                deployment.timers[var] = private.timer
-        elif self.batching:
-            private = _PollGroup(key=("priv", member, self.sim.now),
-                                 members=[member])
-            private.timer = self.sim.every(
-                interval, self._fire_group, private,
-                label=f"{deployment.seed_id}.{var}",
-                cost_key=("soil", self.switch.switch_id,
-                          deployment.seed_id, var))
-            self._memberships[member] = private
-            deployment.timers[var] = private.timer
+        if group is not None and len(group.members) == 1:
+            # Sole member: retime the group in place.  Retire its key
+            # so later deploys don't phase-join the retimed timer.
+            self._poll_groups.pop(group.key, None)
+            group.key = ("priv", member, self.sim.now)
+            group.timer.reschedule(interval)
         else:
-            timer = deployment.timers.get(var)
-            if timer is not None:
-                timer.reschedule(interval)
-            else:
-                deployment.timers[var] = self.sim.every(
-                    interval, self._fire_trigger, deployment.seed_id, var,
-                    label=f"{deployment.seed_id}.{var}",
-                    cost_key=("soil", self.switch.switch_id,
-                              deployment.seed_id, var))
+            # Leave the shared group (if any) and fire on a private
+            # schedule (timing-identical to a reschedule of an own timer).
+            if group is not None:
+                group.leave(deployment, var)
+            self._arm_private(deployment, var, interval)
         # Interval now diverges from the static analysis: pin it.
         info = deployment.poll_vars.get(var)
         if info is not None:
@@ -557,22 +565,6 @@ class Soil:
         self._rebuild_poll_plans(deployment)
         self._refresh_cpu_load(deployment)
         self._refresh_pcie_demand(deployment)
-
-    def _fire_trigger(self, seed_id: str, var: str) -> None:
-        deployment = self.deployments.get(seed_id)
-        if deployment is None:
-            return
-        plan = deployment.poll_plans[var]
-        if plan.kind == "time":
-            self._deliver(deployment, var, None, extra_latency=0.0)
-            return
-        if plan.kind == "probe":
-            packets, latency = self.driver.sample_packets(
-                plan.info.what, max_packets=PROBE_BATCH_SIZE)
-            self._deliver(deployment, var, packets, extra_latency=latency)
-            return
-        data, latency = self._poll(deployment, plan)
-        self._deliver(deployment, var, data, extra_latency=latency)
 
     def _poll(self, deployment: SeedDeployment,
               plan: _PollPlan) -> Tuple[Any, float]:
@@ -607,51 +599,34 @@ class Soil:
             self.switch.cpu.charge_work(cpu, context_switches=ctx)
         return stats, latency
 
-    def _deliver(self, deployment: SeedDeployment, var: str, data: Any,
-                 extra_latency: float) -> None:
-        comm_latency = seed_soil_latency(self.config, len(self.deployments))
-        cpu_cost, ctx = seed_soil_cpu_cost(self.config)
-        handler_delay = self.switch.cpu.charge_work(
-            deployment.event_cpu_s + cpu_cost, context_switches=ctx)
-        total = extra_latency + comm_latency + handler_delay
-        tracer = self.tracer
-        if tracer.enabled:
-            # The cost model fixes the delivery latency up front, so the
-            # whole poll->handler interval is one complete span.
-            tracer.complete(f"{deployment.seed_id}.{var}", track=self._track,
-                            start=self.sim.now, duration=total, cat="poll",
-                            args={"trace_id": deployment.seed_id})
-        plan = deployment.poll_plans.get(var)
-        self.sim.schedule(total, self._run_handler, deployment.seed_id, var,
-                          data, label=f"deliver {deployment.seed_id}.{var}",
-                          cost_key=plan.cost_key if plan else None)
-
     def _fire_group(self, group: _PollGroup) -> None:
-        """Service every member of a fused poll group from one timer event.
+        """Service every member of a poll group from one timer event.
 
-        Each member runs the exact per-seed poll/charge/trace sequence of
-        the scalar path (in join = deploy order, matching the scalar heap
-        order), so counters, CPU accounting, and latencies are identical;
-        only the event-heap traffic shrinks.  Deliveries that land at the
-        same instant are bucketed so the handler batch can be dispatched
-        through one vector kernel.
+        The loop runs the poll/charge/trace sequence per member in join
+        (= deploy) order.  Where the members share the poll's outcome —
+        the group key makes their plans agree, and the soil aggregates —
+        only the first (the leader) takes the loop: the others are cache
+        hits on what it just polled or found cached, so their counters,
+        CPU charges and latencies are applied in bulk, in the float-add
+        order the loop would have produced.  Deliveries landing at the
+        same instant share a bucket, so that the handler batch can be
+        dispatched through one vector kernel.
         """
-        live = []
-        for seed_id, var in list(group.members):
-            deployment = self.deployments.get(seed_id)
-            if deployment is None:
-                continue
-            plan = deployment.poll_plans.get(var)
-            if plan is None:
-                continue
-            live.append((deployment, var, plan))
-        if not live:
-            return
-        if len(live) > 1:
+        members, instances = group.members, group.instances
+        count = served = len(members)
+        config, cpu = self.config, self.switch.cpu
+        tracing = self.tracer.enabled
+        if count > 1:
             self._m_batched_polls.inc()
-        deliveries: Dict[float, List[Tuple[str, str, Any]]] = {}
-        delivery_keys: Dict[float, Optional[tuple]] = {}
-        for deployment, var, plan in live:
+            kind = members[0][0].poll_plans[members[0][1]].kind
+            if kind == "time" or (kind != "probe" and config.aggregation):
+                served = 1
+        # total latency -> (members, data values, instances); first-seen
+        # order is the order the scalar heap would deliver in.
+        deliveries: Dict[float, Tuple[list, list, list]] = {}
+        for member, instance in zip(members[:served], instances):
+            deployment, var = member
+            plan = deployment.poll_plans[var]
             if plan.kind == "time":
                 data, extra = None, 0.0
             elif plan.kind == "probe":
@@ -659,33 +634,55 @@ class Soil:
                     plan.info.what, max_packets=PROBE_BATCH_SIZE)
             else:
                 data, extra = self._poll(deployment, plan)
-            comm_latency = seed_soil_latency(self.config,
-                                             len(self.deployments))
-            cpu_cost, ctx = seed_soil_cpu_cost(self.config)
-            handler_delay = self.switch.cpu.charge_work(
+            comm_latency = seed_soil_latency(config, len(self.deployments))
+            cpu_cost, ctx = seed_soil_cpu_cost(config)
+            handler_delay = cpu.charge_work(
                 deployment.event_cpu_s + cpu_cost, context_switches=ctx)
             total = extra + comm_latency + handler_delay
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.complete(f"{deployment.seed_id}.{var}",
-                                track=self._track, start=self.sim.now,
-                                duration=total, cat="poll",
-                                args={"trace_id": deployment.seed_id})
-            bucket = deliveries.setdefault(total, [])
-            if not bucket:
-                # First member's key serves if the bucket stays single.
-                delivery_keys[total] = plan.cost_key
-            bucket.append((deployment.seed_id, var, data))
-        for total, batch in deliveries.items():
+            if tracing:
+                self._trace_polls([member], total)
+            bucket = deliveries.setdefault(total, ([], [], []))
+            bucket[0].append(member)
+            bucket[1].append(data)
+            bucket[2].append(instance)
+        if served < count:
+            # The loop served the leader.  Followers cross no PCIe (extra
+            # = 0.0: adds exactly), see its data and replay its charges.
+            followers = members[1:]
+            charges = ((deployment.event_cpu_s + cpu_cost, ctx),)
+            if kind != "time":
+                self._m_cache_hits.inc(count - 1)
+                charges = ((cpu_cost, ctx),) + charges
+            cpu.charge_work_repeated(charges, count - 1)
+            total = comm_latency + handler_delay
+            if tracing:
+                self._trace_polls(followers, total)
+            bucket = deliveries.setdefault(total, ([], [], []))
+            bucket[0].extend(followers)
+            bucket[1].extend([data] * (count - 1))
+            bucket[2].extend(instances[1:])
+        for total, (batch, datas, batch_instances) in deliveries.items():
             if len(batch) == 1:
-                seed_id, var, data = batch[0]
+                deployment, var = batch[0]
+                seed_id = deployment.seed_id
                 self.sim.schedule(total, self._run_handler, seed_id, var,
-                                  data, label=f"deliver {seed_id}.{var}",
-                                  cost_key=delivery_keys[total])
+                                  datas[0], label=f"deliver {seed_id}.{var}",
+                                  cost_key=deployment.poll_plans[var].cost_key)
             else:
                 self.sim.schedule(total, self._run_handler_batch, batch,
+                                  datas, batch_instances, self._roster_epoch,
                                   label=f"deliver batch x{len(batch)}",
                                   cost_key=self._batch_cost_key)
+
+    def _trace_polls(self, members: List[Tuple[SeedDeployment, str]],
+                     total: float) -> None:
+        # The cost model fixes the delivery latency up front, so the whole
+        # poll->handler interval is one complete span.
+        for deployment, var in members:
+            self.tracer.complete(f"{deployment.seed_id}.{var}",
+                                 track=self._track, start=self.sim.now,
+                                 duration=total, cat="poll",
+                                 args={"trace_id": deployment.seed_id})
 
     def _run_handler(self, seed_id: str, var: str, data: Any) -> None:
         deployment = self.deployments.get(seed_id)
@@ -699,17 +696,22 @@ class Soil:
             if not self._contain_crash(deployment):
                 raise
 
-    def _run_handler_batch(
-            self, batch: List[Tuple[str, str, Any]]) -> None:
-        live = []
-        for seed_id, var, data in batch:
-            deployment = self.deployments.get(seed_id)
-            if deployment is None:
-                continue  # undeployed while the event was in flight
-            live.append((deployment, var, data))
-        if len(live) > 1 and self._try_vector_fire(live):
+    def _run_handler_batch(self, batch: List[Tuple[SeedDeployment, str]],
+                           datas: List[Any],
+                           instances: List[MachineInstance],
+                           epoch: int) -> None:
+        if epoch != self._roster_epoch:
+            # A seed went away or restarted while the event was in flight:
+            # re-resolve every member by id, dropping the undeployed.
+            live = [(current, var, data)
+                    for (deployment, var), data in zip(batch, datas)
+                    if (current := self.deployments.get(deployment.seed_id))]
+            batch = [(deployment, var) for deployment, var, _ in live]
+            datas = [data for _, _, data in live]
+            instances = [deployment.instance for deployment, _ in batch]
+        if len(batch) > 1 and self._try_vector_fire(batch, datas, instances):
             return
-        for deployment, var, data in live:
+        for (deployment, var), data in zip(batch, datas):
             deployment.events_delivered += 1
             self._m_events.inc()
             try:
@@ -718,8 +720,9 @@ class Soil:
                 if not self._contain_crash(deployment):
                     raise
 
-    def _try_vector_fire(
-            self, items: List[Tuple[SeedDeployment, str, Any]]) -> bool:
+    def _try_vector_fire(self, batch: List[Tuple[SeedDeployment, str]],
+                         datas: List[Any],
+                         instances: List[MachineInstance]) -> bool:
         """Dispatch a same-instant handler batch through a vector kernel.
 
         Requires every member to share one CompiledMachine (identity —
@@ -730,23 +733,18 @@ class Soil:
         """
         if self.tracer.enabled:
             return False
-        first, var, _ = items[0]
-        compiled = first.instance.compiled
-        state = first.instance.current_state
-        instances = []
-        data_values = []
-        for deployment, v, data in items:
-            inst = deployment.instance
+        var = batch[0][1]
+        compiled = instances[0].compiled
+        state = instances[0].current_state
+        for (_, v), inst in zip(batch, instances):
             if (v != var or inst.compiled is not compiled
                     or inst.current_state != state):
                 return False
-            instances.append(inst)
-            data_values.append(data)
         kernel = codegen.vector_kernel(compiled, state, var)
-        if kernel is None or not kernel.fire(instances, data_values):
+        if kernel is None or not kernel.fire(instances, datas):
             return False
-        count = len(items)
-        for deployment, _v, _d in items:
+        count = len(batch)
+        for deployment, _ in batch:
             deployment.events_delivered += 1
         self._m_events.inc(count)
         self._m_vector_events.inc(count)
@@ -777,6 +775,7 @@ class Soil:
                                 extra_builtins=self.extra_builtins,
                                 tracer=self.tracer)
         deployment.instance = fresh
+        self._roster_epoch += 1
         fresh.start()
         self._arm_triggers(deployment)
         self.logs.append((self.sim.now, seed_id,
@@ -1048,6 +1047,7 @@ class Soil:
             self._disarm_triggers(deployment)
             self.bus.unregister(self._seed_endpoint(deployment.seed_id))
         self.deployments.clear()
+        self._roster_epoch += 1
         self._poll_groups.clear()
         self._memberships.clear()
         self._cpu_load_seeds.clear()

@@ -1157,10 +1157,11 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
                 postmortem_path: Optional[str] = None) -> ProfilePoint:
     """Profile a deliberately *skewed* Fig. 6-style polling fleet.
 
-    Switch ``i`` (1-based) hosts ``base_seeds * i`` seeds, so the
-    imbalance report has a known shape: cost shares should rise roughly
-    linearly with the switch id and the top-k table must name the
-    highest-id switches.  The optional paths write the flame-graph HTML,
+    Switch ``i`` (1-based) hosts ``base_seeds * i`` seeds, each polling a
+    port of its own, so the imbalance report has a known shape: cost
+    shares should rise roughly linearly with the switch id and the top-k
+    table must name the highest-id switches.  The optional paths write
+    the flame-graph HTML,
     the collapsed-stack export, and a flight-recorder postmortem bundle
     (artifacts for CI).
 
@@ -1189,9 +1190,14 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
         switch = Switch(sim, index)
         soil = Soil(sim, switch, driver_for(switch), bus)
         for s in range(base_seeds * index):
-            _deploy_polling_seed(soil, f"sw{index}-hh{s}",
-                                 interval_s=accuracy_ms / 1000.0,
-                                 event_cpu_s=10e-6)
+            # Distinct subjects share no poll (Fig. 8's regime), so cost
+            # grows with the seed count; same-subject seeds would fuse
+            # into one group firing of near-constant cost.
+            _deploy_polling_seed(
+                soil, f"sw{index}-hh{s}", interval_s=accuracy_ms / 1000.0,
+                event_cpu_s=10e-6,
+                source=_SCALING_SEED_SOURCE.replace(
+                    "port ANY", f"port {s % switch.asic.num_ports}"))
             seeds_total += 1
     if bundle is not None:
         bundle.reanchor()

@@ -27,7 +27,17 @@ Design notes
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 LabelValues = Tuple[Tuple[str, str], ...]
 
@@ -114,6 +124,25 @@ class Counter:
         w = self._window
         if w is not None:
             w.record(self._clock() if self._clock is not None else 0.0, amount)
+
+    def inc_repeated(self, amounts: Sequence[float], repeats: int) -> None:
+        """``repeats`` rounds of ``inc(a) for a in amounts`` in one call.
+
+        The value (and the rate window) advance through the identical
+        float-add sequence, so a counter mirroring an integral add for add
+        keeps its bits when the caller batches its increments.
+        """
+        value = self._value
+        for _ in range(repeats):
+            for amount in amounts:
+                value += amount
+        self._value = value
+        w = self._window
+        if w is not None:
+            t = self._clock() if self._clock is not None else 0.0
+            for _ in range(repeats):
+                for amount in amounts:
+                    w.record(t, amount)
 
     @property
     def value(self) -> float:

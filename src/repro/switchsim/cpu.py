@@ -17,7 +17,7 @@ baseline agents run here.  The model accounts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SwitchError
 from repro.obs.metrics import MetricsRegistry
@@ -47,6 +47,10 @@ class ManagementCpu:
         self.num_cores = num_cores
         self.name = name
         self._standing: Dict[str, float] = {}  # key -> fraction of one core
+        # sum() of _standing, refreshed on every mutation: charge_work
+        # reads it once per charge, and re-summing there is O(seeds) per
+        # event.
+        self._standing_sum = self._sum_standing()
         self._work_integral = 0.0  # cpu-seconds of one-off work
         self._last_accumulate = sim.now
         self._standing_integral = 0.0  # integral of standing load (core*s)
@@ -79,12 +83,14 @@ class ManagementCpu:
             raise SwitchError(f"load must be non-negative: {core_fraction}")
         self._accumulate()
         self._standing[key] = core_fraction
+        self._standing_sum = self._sum_standing()
         self._g_standing.set(self.standing_load_cores)
         self._history.append(LoadSample(self.sim.now, self.load_percent))
 
     def clear_standing_load(self, key: str) -> None:
         self._accumulate()
         self._standing.pop(key, None)
+        self._standing_sum = self._sum_standing()
         self._g_standing.set(self.standing_load_cores)
 
     def clear_all_standing(self) -> None:
@@ -92,12 +98,19 @@ class ManagementCpu:
         nothing survives on the management CPU)."""
         self._accumulate()
         self._standing.clear()
+        self._standing_sum = self._sum_standing()
         self._g_standing.set(0.0)
         self._history.append(LoadSample(self.sim.now, self.load_percent))
 
+    def _sum_standing(self) -> float:
+        # A fresh sum() every time (never the old sum adjusted by a
+        # delta): the cached value keeps the rounding, and for an empty
+        # dict the int 0, that summing on every read used to give.
+        return sum(self._standing.values())
+
     @property
     def standing_load_cores(self) -> float:
-        return sum(self._standing.values())
+        return self._standing_sum
 
     # ------------------------------------------------------------------
     # One-off work
@@ -116,8 +129,38 @@ class ManagementCpu:
         self._m_work.inc(total)
         if context_switches:
             self._m_ctx.inc(context_switches)
-        slowdown = max(1.0, self.standing_load_cores / self.num_cores)
+        slowdown = max(1.0, self._standing_sum / self.num_cores)
         return total * slowdown
+
+    def charge_work_repeated(self, charges: Sequence[Tuple[float, int]],
+                             repeats: int) -> None:
+        """Charge the cycle ``charges`` — ``(cpu_seconds, context_switches)``
+        pairs — ``repeats`` times over, as that many :meth:`charge_work`
+        calls in that order would.
+
+        The work integral and its registry mirror advance through the same
+        float-add sequence (``n * x`` rounds differently from ``x`` added
+        ``n`` times), so load recomputed from the registry still matches
+        :meth:`mean_demand_percent` bit for bit.  Completion times are
+        those of the single charges: the slowdown only moves with the
+        standing load.
+        """
+        totals = []
+        switches = 0
+        for cpu_seconds, context_switches in charges:
+            if cpu_seconds < 0:
+                raise SwitchError(f"work must be non-negative: {cpu_seconds}")
+            totals.append(cpu_seconds
+                          + context_switches * CONTEXT_SWITCH_COST_S)
+            switches += context_switches
+        work = self._work_integral
+        for _ in range(repeats):
+            for total in totals:
+                work += total
+        self._work_integral = work
+        self._m_work.inc_repeated(totals, repeats)
+        if switches:
+            self._m_ctx.inc(switches * repeats)
 
     # ------------------------------------------------------------------
     # Reporting

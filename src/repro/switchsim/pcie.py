@@ -12,8 +12,9 @@ capacity and transfers stall once the bus saturates.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from repro.errors import SwitchError
 from repro.obs.metrics import MetricsRegistry
@@ -36,10 +37,17 @@ BYTES_PER_SAMPLE = 256
 #: Fixed per-transaction setup latency (doorbell + DMA setup).
 TRANSACTION_OVERHEAD_S = 10e-6
 
+#: Most recent transactions kept for :meth:`PcieBus.transfers`.  Every
+#: ASIC poll, packet sample and table write is one transaction, so an
+#: unbounded log grows for the life of the run; the ``farm_pcie_*``
+#: counters and :meth:`PcieBus.mean_transfer_latency` cover all of them.
+TRANSFER_LOG_LIMIT = 4096
+
 
 @dataclass
 class TransferRecord:
-    """One completed bus transaction (kept for diagnostics/benchmarks)."""
+    """One completed bus transaction (the most recent
+    :data:`TRANSFER_LOG_LIMIT` are kept for diagnostics/benchmarks)."""
 
     time: float
     nbytes: int
@@ -68,7 +76,10 @@ class PcieBus:
         self.name = name
         self.meter = CapacityMeter(sim, poll_capacity_bps,
                                    name=f"{name}.poll")
-        self._transfers: List[TransferRecord] = []
+        self._transfers: Deque[TransferRecord] = deque(
+            maxlen=TRANSFER_LOG_LIMIT)
+        self._latency_sum = 0.0
+        self._latency_count = 0
         self._standing: Dict[str, float] = {}
         self.metrics = registry or MetricsRegistry(clock=lambda: sim.now)
         self._m_bytes = self.metrics.counter(
@@ -146,6 +157,8 @@ class PcieBus:
         latency = self.transfer_latency(nbytes)
         self._m_bytes.inc(nbytes)
         self._m_transfers.inc()
+        self._latency_sum += latency
+        self._latency_count += 1
         self._transfers.append(
             TransferRecord(self.sim.now, nbytes, latency, kind))
         return latency
@@ -162,9 +175,12 @@ class PcieBus:
     # Diagnostics
     # ------------------------------------------------------------------
     def transfers(self) -> List[TransferRecord]:
+        """The most recent :data:`TRANSFER_LOG_LIMIT` transactions."""
         return list(self._transfers)
 
     def mean_transfer_latency(self) -> float:
-        if not self._transfers:
+        """Mean latency over every transaction so far (not just those
+        still in :meth:`transfers`)."""
+        if not self._latency_count:
             return 0.0
-        return sum(t.latency for t in self._transfers) / len(self._transfers)
+        return self._latency_sum / self._latency_count

@@ -287,3 +287,205 @@ class TestFullDeploymentParity:
         scalar = trace(scalar=True)
         assert batched, "workload produced no detections"
         assert batched == scalar
+
+
+# ---------------------------------------------------------------------------
+# Group-level firing: one poll, one bulk charge pass and at most two
+# delivery buckets per fused group.  Everything below compares it with
+# groups of one (``batching=False``) and, for the arithmetic, with ``==``:
+# registry and integral must keep their bits.
+# ---------------------------------------------------------------------------
+
+TIMER_SEED = """
+machine Ticker {
+  place all;
+  time tick = 0.01;
+  long ticks = 0;
+  state s {
+    when (tick) do {
+      ticks = ticks + 1;
+      send ticks to harvester;
+    }
+  }
+}
+"""
+
+
+def _make_world(batching, config=None, trace=False):
+    from repro.obs import Observability
+    sim = Simulator()
+    obs = Observability(sim, trace=trace)
+    switch = Switch(sim, 1, registry=obs.registry)
+    bus = ControlBus(sim, registry=obs.registry, tracer=obs.tracer)
+    soil = Soil(sim, switch, driver_for(switch), bus, config=config,
+                batching=batching)
+    return sim, switch, bus, soil, obs
+
+
+def _deploy_timed(sim, soil, bus, source, n, arrivals, prefix="s"):
+    """``_deploy_n`` with a harvester that also records arrival times, so
+    delivery *times* are compared, not only their order."""
+    if not bus.is_registered("harvester/task"):
+        bus.register("harvester/task", lambda m: arrivals.append(
+            (sim.now, m.payload["seed_id"], m.payload["value"])))
+    _deploy_n(soil, bus, source, n, None, prefix=prefix)
+
+
+def _observe_exact(sim, switch, soil, obs, arrivals):
+    total = obs.registry.sum_values
+    return {
+        "arrivals": list(arrivals),
+        "snapshots": {sid: soil.deployments[sid].instance.snapshot()
+                      for sid in sorted(soil.deployments)},
+        "delivered": {sid: d.events_delivered
+                      for sid, d in soil.deployments.items()},
+        "polls": total("farm_soil_polls_total"),
+        "cache_hits": total("farm_soil_poll_cache_hits_total"),
+        "events": total("farm_soil_events_total"),
+        "pcie_bytes": total("farm_pcie_bytes_total"),
+        "pcie_transfers": total("farm_pcie_transfers_total"),
+        "cpu_work_s": total("farm_cpu_work_seconds_total"),
+        "cpu_ctx": total("farm_cpu_context_switches_total"),
+        "cpu_demand": switch.cpu.mean_demand_percent(),
+        "spans": list(obs.tracer.events),
+    }
+
+
+def _run_counting(batching, config=None, trace=False, seeds=8, until=0.2,
+                  source=COUNTING_SEED, script=None):
+    sim, switch, bus, soil, obs = _make_world(batching, config, trace)
+    _attach_flow(switch, rate=5e6)
+    arrivals = []
+    _deploy_timed(sim, soil, bus, source, seeds, arrivals)
+    if script is not None:
+        script(sim, soil)
+    sim.run(until=until)
+    return _observe_exact(sim, switch, soil, obs, arrivals), soil
+
+
+class TestGroupLevelFiringParity:
+    def _assert_parity(self, **kwargs):
+        batched, bsoil = _run_counting(True, **kwargs)
+        scalar, ssoil = _run_counting(False, **kwargs)
+        assert batched == scalar
+        assert batched["arrivals"], "nothing was delivered"
+        assert bsoil._m_batched_polls.value > 0
+        assert ssoil._m_batched_polls.value == 0
+        return batched
+
+    def test_process_seeds_charge_context_switches(self):
+        from repro.core.comm import CommScheme, ExecutionMode, SoilCommConfig
+        obs = self._assert_parity(config=SoilCommConfig(
+            execution_mode=ExecutionMode.PROCESS,
+            comm_scheme=CommScheme.GRPC))
+        # Two switches for the fan-out and two for the handler, per seed
+        # per round, whoever polled.
+        assert obs["cpu_ctx"] == 4 * obs["events"]
+
+    def test_grpc_latency_depends_on_deployment_count(self):
+        from repro.core.comm import CommScheme, SoilCommConfig
+
+        def grow(sim, soil):
+            # A later, differently-phased deploy changes len(deployments)
+            # and with it every group's gRPC latency from then on.
+            sim.schedule_at(0.105, _deploy_timed, sim, soil, soil.bus,
+                            COUNTING_SEED, 3, [], "late")
+
+        self._assert_parity(config=SoilCommConfig(
+            comm_scheme=CommScheme.GRPC), script=grow)
+
+    def test_aggregation_off_every_member_polls(self):
+        from repro.core.comm import SoilCommConfig
+        obs = self._assert_parity(config=SoilCommConfig(aggregation=False))
+        assert obs["cache_hits"] == 0
+        assert obs["polls"] == obs["events"]
+
+    def test_traced_runs_emit_identical_span_lists(self):
+        obs = self._assert_parity(trace=True)
+        polls = [e for e in obs["spans"] if e.get("cat") == "poll"]
+        assert len(polls) == obs["events"]  # one span per member per round
+
+    def test_time_triggers_fuse_too(self):
+        obs = self._assert_parity(source=TIMER_SEED)
+        assert obs["polls"] == obs["cache_hits"] == 0
+
+    def test_member_undeployed_between_firing_and_delivery(self):
+        def script(sim, soil):
+            # Followers are delivered ~13 us after the tick, the leader
+            # later still (its poll crossed PCIe): 5 us after a tick both
+            # deliveries are in flight.
+            sim.schedule_at(0.03 + 5e-6, soil.undeploy, "s2")
+            sim.schedule_at(0.06 + 5e-6, soil.undeploy, "s0")  # the leader
+
+        obs = self._assert_parity(script=script)
+        assert obs["delivered"]["s1"] == 19
+        # s2 saw ticks 1-2, s0 ticks 1-5: their in-flight events were
+        # dropped, everyone else's were not.
+        counts = {}
+        for _t, seed_id, value in obs["arrivals"]:
+            counts[seed_id] = max(counts.get(seed_id, 0), value)
+        assert counts["s2"] == 2 and counts["s0"] == 5
+        assert counts["s1"] == 19
+
+    def test_group_shrinks_to_two_then_one(self):
+        def script(sim, soil):
+            sim.schedule_at(0.045, soil.undeploy, "s3")
+            sim.schedule_at(0.085, soil.undeploy, "s0")   # two left
+            sim.schedule_at(0.125, soil.undeploy, "s2")   # one left
+            sim.schedule_at(0.165, soil.undeploy, "s1")   # none
+
+        batched, bsoil = _run_counting(True, seeds=4, script=script)
+        scalar, _ = _run_counting(False, seeds=4, script=script)
+        assert batched == scalar
+        # Fused while >= 2 members remained (ticks 1-12), not after.
+        assert bsoil._m_batched_polls.value == 12
+        assert not bsoil._poll_groups and not bsoil._memberships
+        assert batched["events"] == 4 * 4 + 3 * 4 + 2 * 4 + 1 * 4
+
+    def test_fifty_seeds_keep_every_bit_of_the_cpu_account(self):
+        batched, bsoil = _run_counting(True, seeds=50, until=0.5)
+        scalar, _ = _run_counting(False, seeds=50, until=0.5)
+        # == on floats, deliberately: Fig. 4/5 recompute load from the
+        # registry and compare with the integral exactly.
+        assert batched["cpu_demand"] == scalar["cpu_demand"]
+        assert batched["cpu_work_s"] == scalar["cpu_work_s"]
+        assert batched == scalar
+        assert bsoil._m_vector_events.value > 0
+
+
+class TestStaleRoundCacheHit:
+    """Characterisation, not endorsement (ISSUE 12, "stale-round cache hit").
+
+    The aggregation cache serves a poll when ``now - cached.time <
+    interval``.  Timers advance by ``now + interval``, and in floats
+    ``(t + 0.01) - t < 0.01`` holds for some ``t``: on those rounds the
+    whole group — or a lone seed — is served the *previous* round's
+    counters and sees a zero delta.  It predates group-level firing, is
+    identical with and without batching, and fixing it moves every
+    ``sim_digest``; so it is pinned here and listed as a fidelity gap
+    ("polling aggregation never changes what a seed sees") in
+    docs/performance.md.  A fix should flip these numbers to 40 / 0.
+    """
+
+    STALE_ROUNDS = [3, 8, 10, 12, 25]  # of 40 at 10 ms from t = 0
+
+    def test_float_arithmetic_predicts_the_stale_rounds(self):
+        now, cached_at, stale = 0.0, None, []
+        for round_no in range(1, 41):
+            now = now + 0.01
+            if cached_at is not None and now - cached_at < 0.01:
+                stale.append(round_no)
+            else:
+                cached_at = now
+        assert stale == self.STALE_ROUNDS
+
+    @pytest.mark.parametrize("batching", [True, False])
+    @pytest.mark.parametrize("seeds", [1, 10])
+    def test_todays_poll_counts(self, batching, seeds):
+        obs, soil = _run_counting(batching, seeds=seeds, until=0.405)
+        rounds, stale = 40, len(self.STALE_ROUNDS)
+        assert obs["events"] == seeds * rounds
+        assert obs["polls"] == rounds - stale          # 35 ASIC polls
+        assert obs["cache_hits"] == seeds * rounds - (rounds - stale)
+        if batching and seeds > 1:
+            assert soil._m_batched_polls.value == rounds  # 40 firings
