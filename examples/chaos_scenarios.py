@@ -37,7 +37,7 @@ machine Sentinel {
 
 def sentinel_beats(farm, seed):
     deployment = farm.seeder.soils[seed.switch].deployments[seed.seed_id]
-    return deployment.instance.machine_scope.vars["beats"]
+    return deployment.instance.snapshot()["machine_vars"]["beats"]
 
 
 def main() -> None:

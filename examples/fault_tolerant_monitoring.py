@@ -38,7 +38,7 @@ machine FlowLedger {
 def ledger_state(farm, seed):
     instance = farm.seeder.soils[seed.switch].deployments[
         seed.seed_id].instance
-    return instance.machine_scope.vars["polls"]
+    return instance.snapshot()["machine_vars"]["polls"]
 
 
 def main() -> None:

@@ -11,11 +11,9 @@ from repro.almanac.analysis import (
     resolve_placements,
 )
 from repro.almanac.codegen import (
-    BACKEND_COMPILED,
-    BACKEND_INTERPRET,
     MachineCode,
+    MachineInstance,
     compile_closures,
-    default_backend,
     vector_kernel,
 )
 from repro.almanac.vector import VectorKernel, compile_vector_kernels
@@ -24,10 +22,9 @@ from repro.almanac.compiler import (
     compile_machine,
     compile_source,
 )
-from repro.almanac.interpreter import (
+from repro.almanac.machine import (
     CompiledMachine,
     CompiledState,
-    MachineInstance,
     flatten_machine,
 )
 from repro.almanac.parser import parse, parse_machine
@@ -60,8 +57,7 @@ __all__ = [
     "ConstEnv", "PollVarInfo", "ResolvedSeedSite", "analyze_poll_var",
     "analyze_util", "const_eval", "encode_polling_subjects",
     "resolve_placements",
-    "BACKEND_COMPILED", "BACKEND_INTERPRET", "MachineCode",
-    "compile_closures", "default_backend", "vector_kernel",
+    "MachineCode", "compile_closures", "vector_kernel",
     "VectorKernel", "compile_vector_kernels",
     "MachineBlueprint", "compile_machine", "compile_source",
     "CompiledMachine", "CompiledState", "MachineInstance", "flatten_machine",

@@ -1,16 +1,14 @@
-"""Closure-compilation backend for Almanac (the seed fast path).
+"""Almanac's production executor: closure compilation and the seed runtime.
 
-The tree-walking interpreter in :mod:`repro.almanac.interpreter` sits in the
-innermost simulation loop: every trigger firing re-walks the AST, resolves
-variables through a scope chain, and re-dispatches on node types.  This
-module lowers a :class:`~repro.almanac.interpreter.CompiledMachine` once,
-at deployment, into pre-bound Python closures:
+:func:`compile_closures` lowers a
+:class:`~repro.almanac.machine.CompiledMachine` once, at deployment, into
+pre-bound Python closures, and a :class:`MachineInstance` runs them:
 
 * **constant folding** — literal subtrees collapse to constants at compile
-  time (with the interpreter's exact arithmetic semantics);
+  time (with the language's exact arithmetic semantics);
 * **pre-resolved variable slots** — event/function locals live in a flat
   Python list indexed by compile-time slot numbers; state and machine
-  variables compile to a single dict access on the instance's pinned
+  variables compile to a single dict access on the instance's
   ``_svars``/``_mvars`` dicts instead of a scope-chain walk;
 * **pre-compiled trigger dispatch tables** — each state carries its
   handlers keyed by ``(state, trigger_signature)``: enter/exit/realloc
@@ -18,52 +16,39 @@ at deployment, into pre-bound Python closures:
   ordered recv table, so firing a trigger is a dict lookup, not a predicate
   scan over every event.
 
-The interpreter remains the reference implementation: both backends are
-driven through the same :class:`MachineInstance` entry points, selected by
-the ``backend`` constructor argument or the ``REPRO_INTERPRET=1``
-environment escape hatch, and a differential test asserts byte-identical
-traces.  Machine and state variables stay in the interpreter's dict-backed
-scopes so snapshot/restore (migration) and crash-restart introspection are
-backend-agnostic.
+Every deployment runs on this executor.  The tree-walker in
+:mod:`repro.almanac.interpreter` is the executable specification: it
+subclasses :class:`MachineInstance`, replaces every evaluation step with an
+AST walk, and ``tests/almanac/test_codegen.py`` asserts byte-identical
+traces between the two.  Machine and state variables are plain dicts on
+both, so snapshots (migration, crash restart) move freely between them.
 """
 
 from __future__ import annotations
 
 import operator
-import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.almanac import astnodes as ast
-from repro.almanac.interpreter import (
+from repro.almanac.machine import (
     MAX_LOOP_ITERATIONS,
     MAX_TRANSIT_CHAIN,
     CompiledMachine,
     _default_value,
     _field,
     _ReturnSignal,
-    _Scope,
     _truthy,
     _value_matches_type,
 )
+from repro.almanac.stdlib import HostInterface, host_builtins, pure_builtins
 from repro.errors import AlmanacRuntimeError
 from repro.net import filters as flt
 from repro.net.addresses import Prefix
-
-BACKEND_COMPILED = "compiled"
-BACKEND_INTERPRET = "interpret"
 
 #: Frame shared by code regions that declare no locals.
 _EMPTY_FRAME: List[Any] = []
 
 _NOT_CONST = object()
-
-
-def default_backend() -> str:
-    """Backend selection: compiled unless ``REPRO_INTERPRET`` is truthy."""
-    flag = os.environ.get("REPRO_INTERPRET", "").strip().lower()
-    if flag and flag not in ("0", "false", "no", "off"):
-        return BACKEND_INTERPRET
-    return BACKEND_COMPILED
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +113,14 @@ class _StateCode:
 class MachineCode:
     """A fully lowered machine, shared by every instance of it."""
 
-    __slots__ = ("machine_name", "trigger_names", "functions", "states")
+    __slots__ = ("machine_name", "trigger_names", "functions",
+                 "machine_inits", "states")
 
     def __init__(self, machine_name: str) -> None:
         self.machine_name = machine_name
         self.trigger_names: frozenset = frozenset()
         self.functions: Dict[str, _Function] = {}
+        self.machine_inits: Dict[str, Callable] = {}
         self.states: Dict[str, _StateCode] = {}
 
 
@@ -352,8 +339,16 @@ def _compile_unary(expr: ast.UnaryOp, ctx: _Ctx) -> Callable:
             except Exception:
                 pass
 
+        line = expr.line
+
         def neg(rt, frame):
-            return -operand_fn(rt, frame)
+            operand = operand_fn(rt, frame)
+            try:
+                return -operand
+            except TypeError as exc:
+                raise AlmanacRuntimeError(
+                    f"type error in unary '-' (line {line}): {exc}"
+                ) from None
         return neg
 
     def bad_unary(rt, frame):
@@ -722,6 +717,11 @@ def compile_closures(compiled: CompiledMachine) -> MachineCode:
         function.body = tuple(_compile_stmt(s, ctx) for s in fdecl.body)
         function.nslots = ctx.nslots
 
+    init_ctx = _Ctx(code, machine_vars, frozenset())
+    code.machine_inits = {
+        decl.name: _compile_expr(decl.init, init_ctx)
+        for decl in compiled.var_decls if decl.init is not None}
+
     for sname, state in compiled.states.items():
         state_code = _StateCode(sname)
         visible: set = set()
@@ -775,85 +775,236 @@ def compile_closures(compiled: CompiledMachine) -> MachineCode:
 
 
 # ---------------------------------------------------------------------------
-# Fast-path runtime (driven by MachineInstance)
+# Runtime
 # ---------------------------------------------------------------------------
 
 
-def _run_handlers(rt: Any, handlers: Tuple[_Handler, ...],
-                  data: Any) -> bool:
-    """Execute handlers with the interpreter's dispatch semantics: count
-    every executed event, swallow top-level returns, stop delivering once a
-    handler transits away from the dispatching state."""
-    handled = False
-    state_at_entry = rt.current_state
-    for handler in handlers:
-        handled = True
-        rt.events_handled += 1
-        nslots = handler.nslots
-        frame = [None] * nslots if nslots else _EMPTY_FRAME
-        bind_slot = handler.bind_slot
-        if bind_slot is not None:
-            frame[bind_slot] = data
+class MachineInstance:
+    """A running seed: one instantiated state machine on one host.
+
+    The soil drives it through the ``fire_*`` methods when triggers occur.
+    """
+
+    def __init__(self, compiled: CompiledMachine, host: HostInterface,
+                 externals: Optional[Mapping[str, Any]] = None,
+                 instance_id: str = "",
+                 extra_builtins: Optional[Mapping[str, Callable[..., Any]]]
+                 = None, tracer: Optional[Any] = None) -> None:
+        self.compiled = compiled
+        self.host = host
+        self.instance_id = instance_id or compiled.name
+        # Duck-typed repro.obs.trace.Tracer (no import: the executor stays
+        # observability-agnostic).  The dispatch fast path below costs
+        # exactly one attribute load + branch when this is None — the
+        # disabled-instrumentation bound gated by run_perf.py.
+        self._tracer = tracer
+        self.builtins: Dict[str, Callable[..., Any]] = {}
+        self.builtins.update(pure_builtins())
+        self.builtins.update(host_builtins(host))
+        if extra_builtins:
+            self.builtins.update(extra_builtins)
+        self._mvars: Dict[str, Any] = {}
+        self._svars: Dict[str, Any] = {}
+        self.current_state = compiled.initial_state
+        self.transitions = 0
+        self.events_handled = 0
+        self._transit_depth = 0
+        self._started = False
+        self._code = compile_closures(compiled)
+        self._init_machine_vars(dict(externals or {}))
+
+    # ------------------------------------------------------------------
+    # Initialization
+    # ------------------------------------------------------------------
+    def _init_machine_vars(self, externals: Dict[str, Any]) -> None:
+        mvars = self._mvars
+        # Externals first so later initializers may reference them
+        # regardless of declaration order (List. 2 declares the poll
+        # variable before the externals it parameterizes).
+        for decl in self.compiled.var_decls:
+            if not decl.external:
+                continue
+            if decl.name in externals:
+                mvars[decl.name] = externals.pop(decl.name)
+            elif decl.init is not None:
+                mvars[decl.name] = self._eval_init(decl)
+            else:
+                raise AlmanacRuntimeError(
+                    f"external variable {decl.name!r} has no value")
+        for decl in self.compiled.var_decls:
+            if decl.external:
+                continue
+            if decl.init is None:
+                value = _default_value(decl.typ)
+            else:
+                try:
+                    value = self._eval_init(decl)
+                except AlmanacRuntimeError:
+                    # Trigger initializers may divide by an allocated
+                    # resource (ival = 10/res().PCIe); with a zero
+                    # allocation the trigger is simply not armed yet, so
+                    # the runtime value stays undefined rather than failing
+                    # the whole deployment.
+                    if not decl.is_trigger:
+                        raise
+                    value = None
+            mvars[decl.name] = value
+        if externals:
+            raise AlmanacRuntimeError(
+                f"unknown external variables {sorted(externals)} for "
+                f"machine {self.compiled.name!r}")
+
+    def _eval_init(self, decl: ast.VarDecl) -> Any:
+        return self._code.machine_inits[decl.name](self, _EMPTY_FRAME)
+
+    def start(self) -> None:
+        """Enter the initial state (fires its ``enter`` events)."""
+        if self._started:
+            raise AlmanacRuntimeError("machine already started")
+        self._started = True
+        self._enter_state(self.current_state)
+
+    # ------------------------------------------------------------------
+    # State machinery
+    # ------------------------------------------------------------------
+    def _run_handlers(self, handlers: Any, data: Any) -> bool:
+        """Execute handlers with the language's dispatch semantics: count
+        every executed event, swallow top-level returns, stop delivering
+        once a handler transits away from the dispatching state."""
+        handled = False
+        state_at_entry = self.current_state
+        for handler in handlers:
+            handled = True
+            self.events_handled += 1
+            nslots = handler.nslots
+            frame = [None] * nslots if nslots else _EMPTY_FRAME
+            bind_slot = handler.bind_slot
+            if bind_slot is not None:
+                frame[bind_slot] = data
+            try:
+                for stmt in handler.body:
+                    stmt(self, frame)
+            except _ReturnSignal:
+                pass
+            if self.current_state != state_at_entry:
+                break
+        return handled
+
+    def _enter_state(self, name: str) -> None:
+        state_code = self._code.states[name]
+        svars: Dict[str, Any] = {}
+        self._svars = svars
+        for vname, init_fn in state_code.var_inits:
+            svars[vname] = init_fn(self, _EMPTY_FRAME)
+        self._run_handlers(state_code.enter, None)
+
+    def _fire_exit(self) -> None:
+        self._run_handlers(self._code.states[self.current_state].exit, None)
+
+    def _transit(self, new_state: str) -> None:
+        if new_state not in self.compiled.states:
+            raise AlmanacRuntimeError(
+                f"transit to unknown state {new_state!r}")
+        self._transit_depth += 1
+        if self._transit_depth > MAX_TRANSIT_CHAIN:
+            raise AlmanacRuntimeError(
+                f"transit chain exceeded {MAX_TRANSIT_CHAIN} hops "
+                f"(cycle between states?)")
         try:
-            for stmt in handler.body:
-                stmt(rt, frame)
-        except _ReturnSignal:
-            pass
-        if rt.current_state != state_at_entry:
-            break
-    return handled
+            old_state = self.current_state
+            self._fire_exit()
+            self.current_state = new_state
+            self.transitions += 1
+            self.host.transit_hook(old_state, new_state)
+            self._enter_state(new_state)
+        finally:
+            self._transit_depth -= 1
 
+    def _after_trigger_update(self, name: str, value: Any) -> None:
+        """Re-arm the timer when a trigger variable's ival changed."""
+        if name not in self._code.trigger_names:
+            return
+        interval = value.get("ival") if isinstance(value, dict) else value
+        if isinstance(interval, (int, float)) and interval > 0:
+            self.host.set_trigger_interval(name, float(interval))
 
-def enter_state(rt: Any, name: str) -> None:
-    """Compiled counterpart of ``MachineInstance._enter_state``."""
-    state_code = rt._code.states[name]
-    scope = _Scope(rt.machine_scope)
-    rt.state_scope = scope
-    svars = scope.vars
-    rt._svars = svars
-    for vname, init_fn in state_code.var_inits:
-        svars[vname] = init_fn(rt, _EMPTY_FRAME)
-    _run_handlers(rt, state_code.enter, None)
+    # ------------------------------------------------------------------
+    # External trigger entry points (called by the soil)
+    # ------------------------------------------------------------------
+    def fire_trigger_var(self, var: str, data: Any) -> bool:
+        """A poll/probe/time variable fired; returns True if handled."""
+        tr = self._tracer
+        if tr is not None and tr.enabled:
+            return self._traced_fire_var(var, data)
+        return self._fire_var(var, data)
 
+    def _traced_fire_var(self, var: str, data: Any) -> bool:
+        handled = self._fire_var(var, data)
+        self._tracer.instant(
+            f"fire {var}", track=f"seed/{self.instance_id}", cat="seed",
+            args={"trace_id": self.instance_id, "handled": handled,
+                  "state": self.current_state})
+        return handled
 
-def fire_exit(rt: Any) -> bool:
-    return _run_handlers(rt, rt._code.states[rt.current_state].exit, None)
+    def _fire_var(self, var: str, data: Any) -> bool:
+        handlers = self._code.states[self.current_state].var_handlers.get(var)
+        if not handlers:
+            return False
+        return self._run_handlers(handlers, data)
 
+    def fire_recv(self, value: Any, source_machine: str = "",
+                  source_host: Any = None) -> bool:
+        """A message arrived; pattern-match against recv events."""
+        tr = self._tracer
+        if tr is not None and tr.enabled:
+            tr.instant(f"recv {source_machine or 'msg'}",
+                       track=f"seed/{self.instance_id}", cat="seed",
+                       args={"trace_id": self.instance_id,
+                             "state": self.current_state})
+        return self._fire_recv(value, source_machine)
 
-def fire_realloc(rt: Any) -> bool:
-    return _run_handlers(rt, rt._code.states[rt.current_state].realloc, None)
+    def _fire_recv(self, value: Any, source_machine: str) -> bool:
+        # A generator, so each pattern is matched only if no earlier
+        # handler transited away (exactly when the tree-walker tests it).
+        recv_handlers = self._code.states[self.current_state].recv_handlers
+        return self._run_handlers(
+            (handler for source, pat_type, handler in recv_handlers
+             if source == source_machine
+             and _value_matches_type(value, pat_type)), value)
 
+    def fire_realloc(self) -> bool:
+        """The optimizer changed this seed's resources (SIII-A-c)."""
+        return self._run_handlers(
+            self._code.states[self.current_state].realloc, None)
 
-def fire_var(rt: Any, var: str, data: Any) -> bool:
-    handlers = rt._code.states[rt.current_state].var_handlers.get(var)
-    if not handlers:
-        return False
-    return _run_handlers(rt, handlers, data)
+    # ------------------------------------------------------------------
+    # Migration support (SIV: seed state is transferred between switches)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> Dict[str, Any]:
+        """Serializable inner state for migration."""
+        return {
+            "machine": self.compiled.name,
+            "state": self.current_state,
+            "machine_vars": dict(self._mvars),
+            "state_vars": dict(self._svars),
+            "transitions": self.transitions,
+        }
 
-
-def fire_recv(rt: Any, value: Any, source_machine: str) -> bool:
-    state_code = rt._code.states[rt.current_state]
-    handled = False
-    state_at_entry = rt.current_state
-    for source, pat_type, handler in state_code.recv_handlers:
-        if source != source_machine:
-            continue
-        if not _value_matches_type(value, pat_type):
-            continue
-        handled = True
-        rt.events_handled += 1
-        nslots = handler.nslots
-        frame = [None] * nslots if nslots else _EMPTY_FRAME
-        if handler.bind_slot is not None:
-            frame[handler.bind_slot] = value
-        try:
-            for stmt in handler.body:
-                stmt(rt, frame)
-        except _ReturnSignal:
-            pass
-        if rt.current_state != state_at_entry:
-            break
-    return handled
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Adopt a snapshot taken on another switch (no enter events fire:
+        the seed *resumes*, it does not restart)."""
+        if snapshot["machine"] != self.compiled.name:
+            raise AlmanacRuntimeError(
+                f"snapshot of {snapshot['machine']!r} cannot restore a "
+                f"{self.compiled.name!r} instance")
+        if snapshot["state"] not in self.compiled.states:
+            raise AlmanacRuntimeError(
+                f"snapshot references unknown state {snapshot['state']!r}")
+        self._mvars.update(snapshot["machine_vars"])
+        self.current_state = snapshot["state"]
+        self._svars = dict(snapshot["state_vars"])
+        self.transitions = snapshot.get("transitions", 0)
+        self._started = True
 
 
 def vector_kernel(compiled: CompiledMachine, state: str,
@@ -867,13 +1018,5 @@ def vector_kernel(compiled: CompiledMachine, state: str,
     return compile_vector_kernels(compiled).get((state, var))
 
 
-__all__ = [
-    "BACKEND_COMPILED", "BACKEND_INTERPRET", "MachineCode",
-    "compile_closures", "default_backend",
-    "enter_state", "fire_exit", "fire_realloc", "fire_recv", "fire_var",
-    "vector_kernel",
-]
-
-# MAX_TRANSIT_CHAIN is re-exported for callers that introspect limits of
-# the compiled runtime; transits themselves route through the instance.
-_ = MAX_TRANSIT_CHAIN
+__all__ = ["MachineCode", "MachineInstance", "compile_closures",
+           "vector_kernel"]

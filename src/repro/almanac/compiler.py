@@ -24,7 +24,7 @@ from repro.almanac.analysis import (
     analyze_util,
     resolve_placements,
 )
-from repro.almanac.interpreter import CompiledMachine, flatten_machine
+from repro.almanac.machine import CompiledMachine, flatten_machine
 from repro.almanac.parser import parse
 from repro.almanac.poly import PiecewiseUtility
 from repro.almanac.xmlcodec import encode_program

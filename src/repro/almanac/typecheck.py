@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.almanac import astnodes as ast
-from repro.almanac.interpreter import flatten_machine
+from repro.almanac.machine import flatten_machine
 from repro.almanac.stdlib import pure_builtins
 from repro.errors import AlmanacError, AlmanacTypeError
 

@@ -33,8 +33,7 @@ class FarmDeployment:
                  soil_config: Optional[SoilCommConfig] = None,
                  solver: str = "heuristic",
                  retry_policy: Optional[RetryPolicy] = None,
-                 trace: bool = False,
-                 incremental: bool = True) -> None:
+                 trace: bool = False) -> None:
         self.sim = Simulator()
         # One registry + tracer for the whole deployment: the fleet's
         # resource models, the control bus, and everything hanging off the
@@ -49,8 +48,7 @@ class FarmDeployment:
                               tracer=self.obs.tracer)
         self.seeder = Seeder(self.sim, self.controller, self.fleet, self.bus,
                              soil_config=soil_config, solver=solver,
-                             retry_policy=retry_policy,
-                             incremental=incremental)
+                             retry_policy=retry_policy)
         self.chaos: Optional[FaultInjector] = None
         self.scarecrow: Optional[Scarecrow] = None
         self.remediation = None

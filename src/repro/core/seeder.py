@@ -9,7 +9,6 @@ seed <-> seed and harvester <-> seed messages.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -20,7 +19,7 @@ from repro.almanac.poly import LinPoly
 from repro.errors import DeploymentError
 from repro.net.controller import SdnController
 from repro.placement.heuristic import solve_heuristic
-from repro.placement.incremental import FULL_RESOLVE_ENV, solve_incremental
+from repro.placement.incremental import solve_incremental
 from repro.placement.milp import solve_milp
 from repro.placement.model import (
     PlacementProblem,
@@ -90,8 +89,7 @@ class Seeder:
                  solver: str = "heuristic",
                  resource_types=RESOURCE_TYPES,
                  milp_time_limit_s: float = 10.0,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 incremental: bool = True) -> None:
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
         if solver not in ("heuristic", "milp"):
             raise DeploymentError(f"unknown solver {solver!r}")
         self.sim = sim
@@ -99,11 +97,6 @@ class Seeder:
         self.fleet = fleet
         self.bus = bus
         self.solver = solver
-        #: Scoped re-solves (`reoptimize(scope=)`) warm-start from the
-        #: live placement instead of re-solving from scratch; see
-        #: :mod:`repro.placement.incremental`.  ``REPRO_FULL_RESOLVE=1``
-        #: overrides this at runtime.
-        self.incremental_enabled = incremental
         self.milp_time_limit_s = milp_time_limit_s
         self.resource_types = tuple(resource_types)
         self.retry_policy = retry_policy or RetryPolicy()
@@ -358,13 +351,14 @@ class Seeder:
         a seed deployed fresh by this reconciliation resumes from its
         snapshot instead of restarting (fault-tolerance failover).
         ``scope`` limits which switches' seeds may move (targeted
-        re-solve; see :meth:`build_problem`).
+        re-solve; see :meth:`build_problem`) and warm-starts the solver
+        from the live placement (:mod:`repro.placement.incremental`, or
+        MILP with the out-of-scope seeds frozen); ``None`` is the full
+        solve.
         """
         problem = self.build_problem(scope=scope)
-        use_incremental = (scope is not None and self.incremental_enabled
-                           and os.environ.get(FULL_RESOLVE_ENV) != "1")
         if self.solver == "milp":
-            if use_incremental and problem.previous_placement:
+            if scope is not None and problem.previous_placement:
                 # No true HiGHS MIP-start: warm-start by freezing the
                 # out-of-scope seeds to their current switch.
                 incumbent = self._incumbent_solution(problem)
@@ -383,7 +377,7 @@ class Seeder:
                 solution = solve_milp(problem,
                                       time_limit_s=self.milp_time_limit_s,
                                       registry=self.metrics)
-        elif use_incremental:
+        elif scope is not None:
             solution = solve_incremental(
                 problem, self._incumbent_solution(problem),
                 scope=set(scope), registry=self.metrics)

@@ -13,18 +13,17 @@ the PCIe bus individually (the Fig. 8/9 comparison).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.almanac import codegen
+from repro.almanac.codegen import MachineInstance, vector_kernel
 from repro.almanac.analysis import (
     ConstEnv,
     PollVarInfo,
     analyze_poll_var,
     encode_polling_subjects,
 )
-from repro.almanac.interpreter import CompiledMachine, MachineInstance, flatten_machine
+from repro.almanac.machine import CompiledMachine, flatten_machine
 from repro.almanac.xmlcodec import decode_program
 from repro.errors import DeploymentError, FarmError
 from repro.net import filters as flt
@@ -108,13 +107,6 @@ class _PollGroup:
                 del self.members[index]
                 del self.instances[index]
                 return
-
-
-def scalar_poll_forced() -> bool:
-    """Per-seed reference polling when ``REPRO_SCALAR_POLL`` is truthy
-    (mirrors the ``REPRO_INTERPRET`` codegen escape hatch)."""
-    flag = os.environ.get("REPRO_SCALAR_POLL", "").strip().lower()
-    return bool(flag) and flag not in ("0", "false", "no", "off")
 
 
 #: Shared decode+flatten results; seeds of one task deploy the same XML on
@@ -216,18 +208,17 @@ class Soil:
                  config: Optional[SoilCommConfig] = None,
                  resource_types=RESOURCE_TYPES,
                  retry_policy: Optional[RetryPolicy] = None,
-                 batching: Optional[bool] = None) -> None:
+                 batching: bool = True) -> None:
         self.sim = sim
         self.switch = switch
         self.driver = driver
         self.bus = bus
         self.config = config or SoilCommConfig()
-        #: Grouping policy: fuse same-plan triggers into shared poll
-        #: groups, or (False) arm each as a group of one.  ``None`` defers
-        #: to the REPRO_SCALAR_POLL escape hatch; an explicit bool wins.
-        if batching is None:
-            batching = not scalar_poll_forced()
-        self.batching = bool(batching)
+        #: Grouping policy, read each time a trigger is armed: fuse
+        #: same-plan triggers into shared poll groups, or (False) arm each
+        #: as a group of one — the reference grouping that
+        #: tests/core/test_batched_polls.py compares fused groups against.
+        self.batching = batching
         self._poll_groups: Dict[Any, _PollGroup] = {}
         self._memberships: Dict[Tuple[str, str], _PollGroup] = {}
         #: Bumped whenever a seed leaves ``deployments`` or gets a fresh
@@ -740,7 +731,7 @@ class Soil:
             if (v != var or inst.compiled is not compiled
                     or inst.current_state != state):
                 return False
-        kernel = codegen.vector_kernel(compiled, state, var)
+        kernel = vector_kernel(compiled, state, var)
         if kernel is None or not kernel.fire(instances, datas):
             return False
         count = len(batch)
@@ -765,10 +756,10 @@ class Soil:
         if crashes > self.max_seed_crashes:
             return False
         compiled = deployment.instance.compiled
-        externals = {
-            name: deployment.instance.machine_scope.vars[name]
-            for name in compiled.external_names
-            if name in deployment.instance.machine_scope.vars}
+        machine_vars = deployment.instance.snapshot()["machine_vars"]
+        externals = {name: machine_vars[name]
+                     for name in compiled.external_names
+                     if name in machine_vars}
         host = _SeedHost(self, deployment)
         fresh = MachineInstance(compiled, host, externals=externals,
                                 instance_id=seed_id,

@@ -21,8 +21,10 @@ bottleneck.  This module adds the incremental mode:
 * Fallback: when the delta's blast radius exceeds ``fallback_ratio`` of
   the fleet (seeds or switches), a full :class:`HeuristicPlacementSolver`
   run is cheaper *and* better — the incremental solver detects this and
-  delegates, recording ``info["fallback"]``.  ``REPRO_FULL_RESOLVE=1``
-  forces the full path unconditionally (escape hatch).
+  delegates, recording ``info["fallback"]``.  The decision is taken from
+  the sizes the solver observes; a caller that wants the full solver
+  calls :func:`~repro.placement.heuristic.solve_heuristic` (or passes
+  ``fallback_ratio=0.0``).
 
 The differential churn-test harness (``tests/placement/test_incremental``
 and ``test_churn_properties``) pins this module to the reference
@@ -34,7 +36,6 @@ utility, and the whole pipeline must be bit-deterministic.
 from __future__ import annotations
 
 import copy
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -52,11 +53,6 @@ from repro.placement.model import (
     TaskSpec,
     compute_objective,
 )
-
-#: Setting this environment variable to ``1`` disables every incremental
-#: shortcut: ``solve_incremental`` (and the seeder's scoped re-solves)
-#: always run the full reference heuristic.
-FULL_RESOLVE_ENV = "REPRO_FULL_RESOLVE"
 
 #: Default blast-radius threshold: if more than this fraction of seeds or
 #: switches is dirty, fall back to a full re-solve.
@@ -525,8 +521,6 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
     # Fallback + entry point
     # ------------------------------------------------------------------
     def fallback_reason(self) -> Optional[str]:
-        if os.environ.get(FULL_RESOLVE_ENV) == "1":
-            return "env"
         total_seeds = self.problem.num_seeds
         total_switches = len(self.states)
         if not total_seeds or not total_switches:
@@ -597,9 +591,7 @@ def solve_incremental(problem: PlacementProblem,
     untouched — same placement, same allocations, zero migrations.
     ``registry`` records solve metrics exactly like the full solvers.
     """
-    forced_full = os.environ.get(FULL_RESOLVE_ENV) == "1"
-    if (delta is not None and delta.is_empty() and scope is None
-            and not forced_full):
+    if delta is not None and delta.is_empty() and scope is None:
         solution = PlacementSolution(
             placement=dict(incumbent.placement),
             allocations={sid: dict(alloc)

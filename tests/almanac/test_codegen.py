@@ -1,24 +1,19 @@
 """Differential tests: compiled closures vs the reference tree-walker.
 
-Every scenario runs the exact same machine and trigger script under both
-backends and asserts *identical* host traces, final variable snapshots,
-transition counts, and error behavior.  This is the contract that lets the
-soil use the compiled fast path by default while the interpreter stays the
+Every scenario runs the exact same machine and trigger script on both
+executors and asserts *identical* host traces, final variable snapshots,
+transition counts, and error behavior.  This is the contract that lets
+every deployment run on the closures while the interpreter stays the
 executable specification.
 """
 
 import copy
 
-import pytest
-
-from repro.almanac import codegen
-from repro.almanac.interpreter import MachineInstance, flatten_machine
+from repro.almanac import MachineInstance, codegen, flatten_machine
+from repro.almanac.interpreter import ReferenceInterpreter
 from repro.almanac.parser import parse
 from repro.errors import AlmanacRuntimeError
 from repro.tasks.heavy_hitter import ALMANAC_SOURCE as HH_SOURCE
-
-BACKENDS = (codegen.BACKEND_INTERPRET, codegen.BACKEND_COMPILED)
-
 
 class RecordingHost:
     """Deterministic host that journals every interaction.
@@ -71,14 +66,13 @@ class RecordingHost:
 
 
 def run_machine(source, script=(), machine=None, externals=None,
-                backend=codegen.BACKEND_COMPILED):
+                executor=MachineInstance):
     """Run a trigger script against a fresh instance; return its outcome."""
     program = parse(source)
     name = machine or program.machines[-1].name
     compiled = flatten_machine(program, name)
     host = RecordingHost()
-    instance = MachineInstance(compiled, host, externals=externals,
-                               backend=backend)
+    instance = executor(compiled, host, externals=externals)
     errors = []
     try:
         instance.start()
@@ -112,9 +106,9 @@ def run_machine(source, script=(), machine=None, externals=None,
 def assert_backends_identical(source, script=(), machine=None,
                               externals=None):
     interpreted = run_machine(source, script, machine, externals,
-                              backend=codegen.BACKEND_INTERPRET)
+                              executor=ReferenceInterpreter)
     compiled = run_machine(source, script, machine, externals,
-                           backend=codegen.BACKEND_COMPILED)
+                           executor=MachineInstance)
     assert compiled == interpreted
     return compiled
 
@@ -274,6 +268,29 @@ machine Err {
         assert "type error in '+'" in outcome["errors"][1][1]
         assert "unknown function" in outcome["errors"][2][1]
 
+    def test_unary_minus_type_error_identical(self):
+        # The typechecker accepts `-` on any operand; a non-numeric one
+        # must surface as a contained seed error, not a raw TypeError.
+        source = """
+machine Neg {
+  place all;
+  string s;
+  list l;
+  state st {
+    when (recv string v from harvester) do { s = -v; }
+    when (recv list v from harvester) do { l = -v; }
+    when (recv long v from harvester) do { send -(-v) to harvester; }
+    when (recv bool v from harvester) do { send -"lit" to harvester; }
+  }
+}"""
+        outcome = assert_backends_identical(
+            source, (("recv", "x"), ("recv", [1]), ("recv", 3),
+                     ("recv", True)))
+        assert [kind for kind, _msg in outcome["errors"]] == ["recv"] * 3
+        assert all("type error in unary '-' (line" in msg
+                   for _kind, msg in outcome["errors"])
+        assert ("harvester", 3) in outcome["trace"]
+
     def test_undefined_and_undeclared_variables_identical(self):
         source = """
 machine Undef {
@@ -309,19 +326,18 @@ machine Fresh {
             source, (("recv", 1), ("recv", 2), ("recv", 99), ("recv", 3)))
 
     def test_snapshot_roundtrip_across_backends(self):
-        # A snapshot taken on one backend restores on the other and the
-        # machines continue identically (migration is backend-agnostic).
+        # A snapshot taken on one executor restores on the other and the
+        # machines continue identically (migration is executor-agnostic).
         script = (("var", "tick", 7), ("recv", 4))
         tail = (("var", "tick", 30), ("realloc",))
         results = []
-        for snap_backend, resume_backend in (
-                (codegen.BACKEND_COMPILED, codegen.BACKEND_INTERPRET),
-                (codegen.BACKEND_INTERPRET, codegen.BACKEND_COMPILED)):
+        for snap_executor, resume_executor in (
+                (MachineInstance, ReferenceInterpreter),
+                (ReferenceInterpreter, MachineInstance)):
             program = parse(KITCHEN_SINK)
             compiled = flatten_machine(program, "Sink")
-            first = MachineInstance(compiled, RecordingHost(),
-                                    externals={"bias": 2},
-                                    backend=snap_backend)
+            first = snap_executor(compiled, RecordingHost(),
+                                  externals={"bias": 2})
             first.start()
             for op in script:
                 if op[0] == "var":
@@ -330,8 +346,7 @@ machine Fresh {
                     first.fire_recv(op[1])
             snapshot = copy.deepcopy(first.snapshot())
             host = RecordingHost()
-            second = MachineInstance(compiled, host, externals={"bias": 2},
-                                     backend=resume_backend)
+            second = resume_executor(compiled, host, externals={"bias": 2})
             second.restore(snapshot)
             for op in tail:
                 if op[0] == "var":
@@ -344,29 +359,6 @@ machine Fresh {
 
 
 class TestBackendSelection:
-    def test_env_escape_hatch(self, monkeypatch):
-        program = parse("machine M { place all; state s { } }")
-        compiled = flatten_machine(program, "M")
-        monkeypatch.setenv("REPRO_INTERPRET", "1")
-        inst = MachineInstance(compiled, RecordingHost())
-        assert inst.backend == codegen.BACKEND_INTERPRET
-        assert inst._code is None
-        monkeypatch.delenv("REPRO_INTERPRET")
-        inst = MachineInstance(compiled, RecordingHost())
-        assert inst.backend == codegen.BACKEND_COMPILED
-        assert inst._code is not None
-
-    def test_env_falsy_values_mean_compiled(self, monkeypatch):
-        for value in ("0", "false", "no", "off", ""):
-            monkeypatch.setenv("REPRO_INTERPRET", value)
-            assert codegen.default_backend() == codegen.BACKEND_COMPILED
-
-    def test_unknown_backend_rejected(self):
-        program = parse("machine M { place all; state s { } }")
-        compiled = flatten_machine(program, "M")
-        with pytest.raises(AlmanacRuntimeError, match="unknown backend"):
-            MachineInstance(compiled, RecordingHost(), backend="llvm")
-
     def test_closure_code_cached_per_machine(self):
         program = parse("machine M { place all; state s { } }")
         compiled = flatten_machine(program, "M")

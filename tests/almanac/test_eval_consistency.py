@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.almanac.analysis import ConstEnv, const_eval
-from repro.almanac.interpreter import MachineInstance, flatten_machine
+from repro.almanac import MachineInstance, flatten_machine
 from repro.almanac.lexer import tokenize
 from repro.almanac.parser import Parser, parse
 from repro.errors import AlmanacError

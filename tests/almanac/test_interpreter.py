@@ -1,23 +1,20 @@
-"""Interpreter tests: state machines, events, inheritance, migration."""
+"""Almanac semantics: state machines, events, inheritance, migration.
+
+Runs on the production executor; ``test_reference_interpreter.py`` re-runs
+every class here on the reference tree-walker.
+"""
 
 import pytest
 
-from repro.almanac.interpreter import (
-    MAX_TRANSIT_CHAIN,
-    MachineInstance,
-    flatten_machine,
-)
+from repro.almanac import MachineInstance, flatten_machine
+from repro.almanac.machine import MAX_TRANSIT_CHAIN
 from repro.almanac.parser import parse
 from repro.errors import AlmanacRuntimeError
 from repro.net import filters as flt
 
 
-@pytest.fixture(autouse=True)
-def _force_interpreter_backend(monkeypatch):
-    # This file pins the reference tree-walker so it stays covered; the
-    # rest of the suite runs on the default compiled backend, and
-    # tests/almanac/test_codegen.py asserts the two behave identically.
-    monkeypatch.setenv("REPRO_INTERPRET", "1")
+#: The class ``instance()`` builds; test_reference_interpreter.py swaps it.
+EXECUTOR = MachineInstance
 
 
 class StubHost:
@@ -72,8 +69,7 @@ def instance(source, machine=None, externals=None, host=None):
     program = parse(source)
     name = machine or program.machines[-1].name
     compiled = flatten_machine(program, name)
-    inst = MachineInstance(compiled, host or StubHost(), externals=externals)
-    return inst
+    return EXECUTOR(compiled, host or StubHost(), externals=externals)
 
 
 class TestBasicExecution:
@@ -193,9 +189,7 @@ machine M {
 }""", host=host)
         inst.start()
         assert inst.fire_recv(500)
-        assert inst.machine_scope_value("threshold") == 500 \
-            if hasattr(inst, "machine_scope_value") \
-            else inst.machine_scope.vars["threshold"] == 500
+        assert inst.snapshot()["machine_vars"]["threshold"] == 500
         assert inst.fire_recv([1, 2])
         assert host.harvester_msgs == [2]
 
@@ -254,7 +248,7 @@ machine M {
         assert inst.fire_recv(5)
         inst._transit("b")
         assert inst.fire_recv(6)
-        assert inst.machine_scope.vars["x"] == 6
+        assert inst.snapshot()["machine_vars"]["x"] == 6
 
     def test_state_event_overrides_machine_event(self):
         host = StubHost()
@@ -299,7 +293,7 @@ machine Child extends Base {
         assert inst.current_state == "main"
         inst.fire_recv(3)
         inst.fire_recv(4)
-        assert inst.machine_scope.vars["counter"] == 7
+        assert inst.snapshot()["machine_vars"]["counter"] == 7
 
     def test_variable_shadowing_rejected(self):
         program = parse(self.SOURCE + """
@@ -438,7 +432,7 @@ machine M {
         # resume, not restart: no enter events fired on restore
         assert host2.harvester_msgs == []
         assert inst2.current_state == "b"
-        assert inst2.machine_scope.vars["counter"] == 10
+        assert inst2.snapshot()["machine_vars"]["counter"] == 10
 
     def test_restore_wrong_machine_rejected(self):
         inst = instance(self.SOURCE)

@@ -5,7 +5,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.almanac.interpreter import MachineInstance, flatten_machine
+from repro.almanac import MachineInstance, flatten_machine
 from repro.almanac.parser import parse
 from repro.almanac.vector import INT_INPUT_LIMIT, compile_vector_kernels
 

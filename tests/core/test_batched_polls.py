@@ -11,7 +11,7 @@ import pytest
 from repro.almanac.parser import parse
 from repro.almanac.xmlcodec import encode_program
 from repro.core.comm import ControlBus
-from repro.core.soil import Soil, scalar_poll_forced
+from repro.core.soil import Soil
 from repro.net.addresses import parse_ip
 from repro.net.packet import PROTO_TCP, Flow, FlowKey
 from repro.sim.engine import Simulator
@@ -239,38 +239,19 @@ machine Crasher {
         assert run(True) == run(False)
 
 
-class TestEscapeHatch:
-    def test_env_var_disables_batching(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_POLL", "1")
-        assert scalar_poll_forced()
-        _sim, _switch, _bus, soil = _make_soil(None)
-        assert soil.batching is False
-
-    def test_explicit_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_POLL", "1")
-        _sim, _switch, _bus, soil = _make_soil(True)
-        assert soil.batching is True
-
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_POLL", raising=False)
-        assert not scalar_poll_forced()
-        _sim, _switch, _bus, soil = _make_soil(None)
-        assert soil.batching is True
-
-
 class TestFullDeploymentParity:
-    def test_heavy_hitter_detections_identical(self, monkeypatch):
+    def test_heavy_hitter_detections_identical(self):
         from repro.core.deployment import FarmDeployment
         from repro.net.topology import spine_leaf
         from repro.net.traffic import HeavyHitterWorkload
         from repro.tasks import make_heavy_hitter_task
 
         def trace(scalar):
-            if scalar:
-                monkeypatch.setenv("REPRO_SCALAR_POLL", "1")
-            else:
-                monkeypatch.delenv("REPRO_SCALAR_POLL", raising=False)
             farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
+            if scalar:
+                # Read when a trigger is armed, so before any deploy.
+                for soil in farm.seeder.soils.values():
+                    soil.batching = False
             task = make_heavy_hitter_task(threshold=5e6, accuracy_ms=10)
             farm.submit(task)
             farm.settle()

@@ -82,7 +82,7 @@ class TestCheckpointedFailover:
         assert seed.switch is not None and seed.switch != home
         resumed = farm.seeder.soils[seed.switch].deployments[seed.seed_id]
         # resumed from checkpoint: the counter kept (most of) its history
-        assert resumed.instance.machine_scope.vars["n"] \
+        assert resumed.instance.snapshot()["machine_vars"]["n"] \
             >= count_at_checkpoint
         assert manager.failovers_performed == 1
 
@@ -166,7 +166,7 @@ class TestFailRecoverUnparkCycle:
         assert manager.parked_seeds == set()
         assert seed.switch == victim
         resumed = farm.seeder.soils[victim].deployments[seed.seed_id]
-        assert resumed.instance.machine_scope.vars["n"] >= checkpoint_n
+        assert resumed.instance.snapshot()["machine_vars"]["n"] >= checkpoint_n
 
 
 class TestChaosResilience:
@@ -220,7 +220,7 @@ class TestChaosResilience:
         assert manager.failed_switch_ids() == [victim]
         assert seed.switch is not None and seed.switch != victim
         resumed = farm.seeder.soils[seed.switch].deployments[seed.seed_id]
-        assert resumed.instance.machine_scope.vars["n"] > 0
+        assert resumed.instance.snapshot()["machine_vars"]["n"] > 0
         # Partition heals: the victim recovers; still only one failover,
         # and exactly one live copy of the seed remains (the stale
         # split-brain copy on the victim is swept).
@@ -233,7 +233,7 @@ class TestChaosResilience:
         assert len(copies) == 1
         assert copies[0] == seed.switch
         final = farm.seeder.soils[seed.switch].deployments[seed.seed_id]
-        assert final.instance.machine_scope.vars["n"] > 0
+        assert final.instance.snapshot()["machine_vars"]["n"] > 0
 
 
 class TestCrashContainment:
@@ -254,10 +254,9 @@ machine Crashy {
 }
 """
 
-    def _submit_crashy(self, farm):
+    def _submit_crashy(self, farm, source=CRASHY_SOURCE):
         task = TaskDefinition.single_machine(
-            task_id="crashy", source=self.CRASHY_SOURCE,
-            machine_name="Crashy")
+            task_id="crashy", source=source, machine_name="Crashy")
         farm.submit(task)
         farm.settle()
         seed = farm.seeder.tasks["crashy"].seeds[0]
@@ -275,7 +274,20 @@ machine Crashy {
         # crashed at n == 3 and was restarted with fresh state
         assert soil.seed_crashes[seed.seed_id] >= 1
         instance = soil.deployments[seed.seed_id].instance
-        assert instance.machine_scope.vars["n"] < 3 or True
+        assert instance.snapshot()["machine_vars"]["n"] < 3 or True
+        assert any("restarted" in message
+                   for _t, _sid, message in soil.logs)
+
+    def test_unary_minus_type_error_is_contained(self, farm):
+        # The typechecker accepts `-tag`; at run time it must surface as a
+        # seed crash the policy contains, not as a TypeError out of run().
+        source = self.CRASHY_SOURCE.replace(
+            "long n = 0;", 'long n = 0;\n  string tag = "x";').replace(
+            "int boom = 1 / 0;", "tag = -tag;")
+        soil, seed = self._submit_crashy(farm, source)
+        soil.crash_policy = "restart"
+        farm.run(until=farm.sim.now + 0.4)
+        assert soil.seed_crashes[seed.seed_id] >= 1
         assert any("restarted" in message
                    for _t, _sid, message in soil.logs)
 

@@ -39,7 +39,7 @@ class TestDeadLetterRollback:
         seed = task.seeds[0]
         source = seed.switch
         count_before = farm.seeder.soils[source].deployments[
-            seed.seed_id].instance.machine_scope.vars["n"]
+            seed.seed_id].instance.snapshot()["machine_vars"]["n"]
         target = next(s for s in farm.topology.switch_ids if s != source)
         # The target goes dark before the migration: the undeploy (and
         # its state snapshot) succeeds at the source, but the deploy at
@@ -55,7 +55,7 @@ class TestDeadLetterRollback:
             "farm_seeder_migration_rollbacks_total") == 1
         # The dead deploy carried the snapshot; rolling back restored it.
         resumed = farm.seeder.soils[source].deployments[seed.seed_id]
-        assert resumed.instance.machine_scope.vars["n"] >= count_before
+        assert resumed.instance.snapshot()["machine_vars"]["n"] >= count_before
 
     def test_unusable_source_requeues_for_reoptimize(self):
         # Two switches only: the seed's source is cordoned mid-migration,

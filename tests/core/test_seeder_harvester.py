@@ -192,7 +192,7 @@ machine Flip {
         seed = task.seeds[0]
         source_soil = farm.seeder.soils[seed.switch]
         count_before = source_soil.deployments[
-            seed.seed_id].instance.machine_scope.vars["n"]
+            seed.seed_id].instance.snapshot()["machine_vars"]["n"]
         target = next(s for s in farm.topology.switch_ids
                       if s != seed.switch)
         farm.seeder._migrate(task, seed, target,
@@ -201,7 +201,7 @@ machine Flip {
         farm.settle(0.1)
         assert seed.switch == target
         resumed = farm.seeder.soils[target].deployments[seed.seed_id]
-        assert resumed.instance.machine_scope.vars["n"] >= count_before
+        assert resumed.instance.snapshot()["machine_vars"]["n"] >= count_before
         assert farm.seeder.migrations_performed == 1
 
 

@@ -128,7 +128,7 @@ class TestDeployment:
         count_before = snapshot["machine_vars"]["polls"]
         sim.run(until=sim.now + 0.05)
         resumed = soil2.deployments["s1"].instance
-        assert resumed.machine_scope.vars["polls"] > count_before
+        assert resumed.snapshot()["machine_vars"]["polls"] > count_before
 
     def test_zero_pcie_allocation_disables_resource_dependent_poll(self, rig):
         sim, _switch, _bus, soil = rig
@@ -256,7 +256,7 @@ machine M {
         sim.run(until=1.0)
         instance = soil.deployments["s1"].instance
         # 0.1s until first poll, then ~90 polls at 10ms
-        assert instance.machine_scope.vars["n"] > 50
+        assert instance.snapshot()["machine_vars"]["n"] > 50
 
 
 class TestExternals:

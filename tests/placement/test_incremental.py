@@ -7,8 +7,6 @@ regression (same RNG seed + same delta sequence => bit-identical
 solutions for both solvers).
 """
 
-import os
-
 import pytest
 
 from repro.almanac.poly import (
@@ -20,7 +18,6 @@ from repro.almanac.poly import (
 from repro.errors import PlacementError
 from repro.placement.heuristic import solve_heuristic
 from repro.placement.incremental import (
-    FULL_RESOLVE_ENV,
     ChurnDelta,
     IncrementalPlacementSolver,
     apply_delta,
@@ -270,18 +267,18 @@ class TestFallback:
         assert inc.placement == ref.placement
         assert inc.objective == pytest.approx(ref.objective)
 
-    def test_env_escape_hatch_forces_full(self, monkeypatch):
-        monkeypatch.setenv(FULL_RESOLVE_ENV, "1")
+    def test_env_escape_hatch_forces_full(self):
+        # What replaced the environment switch: a zero ratio makes any
+        # non-empty dirty set exceed the blast-radius threshold.
         p = make_problem([const_seed("a", "t", (1, 2), 10.0)])
         full = solve_heuristic(p)
         delta = ChurnDelta(capacity_changes={1: {"vCPU": 8.0}})
         p2 = apply_delta(p, delta, incumbent=full)
-        inc = solve_incremental(p2, full, delta=delta)
+        inc = solve_incremental(p2, full, delta=delta, fallback_ratio=0.0)
+        ref = solve_heuristic(p2)
         assert inc.info["incremental"] is False
-        assert inc.info["fallback"] == "env"
-        # Even the empty-delta fast path is disabled.
-        noop = solve_incremental(p2, full, delta=ChurnDelta())
-        assert noop.info.get("noop") is None
+        assert inc.info["fallback"] in ("dirty-seeds", "dirty-switches")
+        assert inc.placement == ref.placement
 
     def test_eviction_falls_back_instead_of_dropping_task(self):
         # Shrinking 1 below a's footprint with nowhere to go would force

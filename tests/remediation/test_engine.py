@@ -9,7 +9,6 @@ from repro.net.topology import spine_leaf
 from repro.obs.alerts import AlertEvent, AlertManager
 from repro.obs.query import QueryEngine
 from repro.obs.tsdb import TimeSeriesStore
-from repro.placement.incremental import FULL_RESOLVE_ENV
 from repro.remediation import (
     DrainPolicy,
     EscalatePolicy,
@@ -200,7 +199,7 @@ class TestWiring:
         assert engine._on_alert_event not in manager.on_transition
 
 
-def build_spread_farm(**kwargs):
+def build_spread_farm():
     """A fleet-wide farm: ``place all`` monitors pin one seed per switch,
     so a single-switch scope leaves the rest of the fleet clean and the
     incremental solver actually engages (no ratio fallback)."""
@@ -209,7 +208,7 @@ def build_spread_farm(**kwargs):
         make_link_failure_task,
         make_traffic_change_task,
     )
-    farm = FarmDeployment(topology=spine_leaf(2, 6, 1), **kwargs)
+    farm = FarmDeployment(topology=spine_leaf(2, 6, 1))
     farm.submit(make_link_failure_task(interval_s=0.05, silent_polls=3),
                 reoptimize=False)
     farm.submit(make_traffic_change_task(), reoptimize=False)
@@ -232,17 +231,6 @@ class TestIncrementalRouting:
         assert rec.detail["incremental"] is True
         assert isinstance(rec.detail["dirty_seeds"], int)
         assert rec.detail["dirty_seeds"] > 0
-
-    def test_full_resolve_env_falls_back_to_full_solver(self, monkeypatch):
-        monkeypatch.setenv(FULL_RESOLVE_ENV, "1")
-        farm = build_spread_farm()
-        engine, clock = make_engine(farm)
-        engine.add_policy(TargetedResolvePolicy(RULE))
-        victim = victim_of(farm)
-        feed(engine, clock, [alert("firing", 3.0, victim)])
-        (rec,) = engine.log.executed()
-        assert rec.action == "resolve"
-        assert rec.detail["incremental"] is False
 
     def test_seeder_scope_routes_through_incremental(self):
         farm = build_spread_farm()
@@ -268,13 +256,6 @@ class TestIncrementalRouting:
         (rec,) = engine.log.executed()
         assert rec.action == "resolve"
         assert rec.detail["incremental"] is False
-
-    def test_deployment_flag_disables_incremental_routing(self):
-        farm = build_spread_farm(incremental=False)
-        victim = victim_of(farm)
-        solution = farm.seeder.reoptimize(scope={victim})
-        assert solution.solver == "heuristic"
-        assert not solution.info.get("incremental")
 
 
 @pytest.fixture(scope="module")

@@ -50,3 +50,43 @@ def test_every_public_module_has_docstring():
         if not (module.__doc__ or "").strip():
             missing.append(info.name)
     assert missing == []
+
+
+def test_no_environment_switches_in_the_package():
+    # A reference implementation is reachable from a test by constructing
+    # it, never from a deployment by configuration (docs/performance.md).
+    from pathlib import Path
+    import repro
+    offenders = [
+        str(path) for path in Path(repro.__file__).parent.rglob("*.py")
+        if any(token in path.read_text()
+               for token in ("os.environ", "getenv"))]
+    assert offenders == []
+
+
+def test_production_never_reaches_the_tree_walker(monkeypatch):
+    from repro.almanac import MachineInstance
+    from repro.almanac.interpreter import ReferenceInterpreter
+    from repro.core import FarmDeployment
+    from repro.net.topology import spine_leaf
+    from repro.net.traffic import HeavyHitterWorkload
+    from repro.tasks import make_heavy_hitter_task
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tree-walker reached from a deployment")
+
+    for name in ("_dispatch", "_exec_block", "_exec", "_exec_assign",
+                 "_eval", "_eval_filter_atom", "_eval_binop", "_eval_call",
+                 "_call_function"):
+        assert not hasattr(MachineInstance, name)
+        monkeypatch.setattr(ReferenceInterpreter, name, unreachable)
+    farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
+    task = make_heavy_hitter_task(threshold=5e6, accuracy_ms=10)
+    farm.submit(task)
+    farm.settle()
+    farm.start_workload(
+        HeavyHitterWorkload(num_ports=20, hh_ratio=0.1, hh_rate_bps=1e8,
+                            churn_interval=0.5, seed=7),
+        farm.topology.leaf_ids[0])
+    farm.run(until=farm.sim.now + 1.0)
+    assert task.harvester.detections
