@@ -104,17 +104,33 @@ class Packet:
         return replace(self, timestamp=timestamp)
 
 
+class FlowWatch:
+    """An O(1) "some watched flow's rate segments moved" signal.
+
+    Whoever caches anything derived from flow segments (the ASIC's counter
+    columns) registers one watch on every flow it carries and compares
+    :attr:`changes` with the value it cached at; workloads and tests call
+    :meth:`Flow.set_rate` directly, so the change has to announce itself.
+    """
+
+    __slots__ = ("changes",)
+
+    def __init__(self) -> None:
+        self.changes = 0
+
+
 class Flow:
     """A unidirectional flow with a piecewise-constant byte rate.
 
     ``rate_bps`` is in **bytes per second** (not bits).  The rate can change
     over time via :meth:`set_rate`; :meth:`bytes_between` integrates it.
     Rate-change history is kept so counter reads are exact regardless of when
-    they happen.
+    they happen.  ``key``, ``packet_size`` and ``default_tcp_flags`` are
+    fixed at construction: the ASIC classifies a flow once, not per read.
     """
 
     __slots__ = ("key", "packet_size", "_segments", "label",
-                 "default_tcp_flags")
+                 "default_tcp_flags", "_watches")
 
     def __init__(self, key: FlowKey, rate_bps: float, start_time: float = 0.0,
                  packet_size: int = 1000, label: str = "",
@@ -129,6 +145,17 @@ class Flow:
         self.default_tcp_flags = default_tcp_flags
         # Sorted list of (time, rate) change points.  Rate is 0 before start.
         self._segments: list[tuple[float, float]] = [(start_time, rate_bps)]
+        self._watches: tuple[FlowWatch, ...] = ()
+
+    def watch(self, watch: FlowWatch) -> None:
+        """Count every later segment change of this flow on ``watch``."""
+        self._watches += (watch,)
+
+    def unwatch(self, watch: FlowWatch) -> None:
+        """Undo one :meth:`watch` call."""
+        watches = list(self._watches)
+        watches.remove(watch)
+        self._watches = tuple(watches)
 
     @property
     def rate_bps(self) -> float:
@@ -137,6 +164,9 @@ class Flow:
 
     def rate_at(self, time: float) -> float:
         """The rate in effect at ``time``."""
+        seg_time, rate = self._segments[-1]
+        if seg_time <= time:  # the usual question: the rate now
+            return rate
         rate = 0.0
         for seg_time, seg_rate in self._segments:
             if seg_time <= time:
@@ -153,10 +183,14 @@ class Flow:
         if at_time < last_time:
             raise FarmError(
                 f"rate changes must be chronological: {at_time} < {last_time}")
+        if rate_bps == last_rate:
+            return
         if at_time == last_time:
             self._segments[-1] = (at_time, rate_bps)
-        elif rate_bps != last_rate:
+        else:
             self._segments.append((at_time, rate_bps))
+        for watch in self._watches:
+            watch.changes += 1
 
     def stop(self, at_time: float) -> None:
         """Set the rate to zero from ``at_time`` onward."""

@@ -11,19 +11,19 @@ read must cross the :class:`~repro.switchsim.pcie.PcieBus`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-try:  # numpy accelerates batched counter reads; scalar path works without
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro.errors import SwitchError
-from repro.net.filters import Filter
-from repro.net.packet import Flow, Packet
+from repro.net.filters import ANY_PORT, Filter
+from repro.net.packet import Flow, FlowWatch, Packet
 from repro.sim.engine import Simulator
 from repro.sim.resources import CapacityMeter
 from repro.switchsim.tcam import RuleAction, Tcam, TcamRule
+
+_first = itemgetter(0)
 
 
 @dataclass
@@ -52,13 +52,26 @@ class RuleStats:
     matched_packets: float
 
 
-@dataclass
 class _Attachment:
-    flow: Flow
-    in_port: int
-    out_port: int
-    attached_at: float
-    detached_at: Optional[float] = None
+    """One row of the flow table: a flow carried between two ports."""
+
+    __slots__ = ("flow", "in_port", "out_port", "attached_at", "detached_at",
+                 "index", "frozen_bytes", "rule", "rule_version")
+
+    def __init__(self, flow: Flow, in_port: int, out_port: int,
+                 attached_at: float, index: int) -> None:
+        self.flow = flow
+        self.in_port = in_port
+        self.out_port = out_port
+        self.attached_at = attached_at
+        self.detached_at: Optional[float] = None
+        #: Row number: position in attach order and in the counter columns.
+        self.index = index
+        #: Byte integral over the whole attachment, fixed at detach.
+        self.frozen_bytes = 0.0
+        #: Winning TCAM rule as of TCAM version ``rule_version``.
+        self.rule: Optional[TcamRule] = None
+        self.rule_version = -1
 
     def active_at(self, time: float) -> bool:
         return (self.attached_at <= time
@@ -75,6 +88,16 @@ class Asic:
 
     Implements the :class:`~repro.net.traffic.TrafficSink` protocol so
     workloads can attach flows directly.
+
+    Every reader goes through one flow table.  ``_attachments`` holds every
+    row ever attached, in attach order, which is the order counters
+    accumulate in; ``_live`` holds the rows not yet detached, in the same
+    order.  The simulated clock never runs backwards, so the live rows are
+    exactly the rows with ``active_at(now)``, and a detached row contributes
+    only its frozen counter integral.  What is derived from the table is
+    memoised and dropped by three signals: an attach or detach, the TCAM's
+    ``version``, and the :class:`~repro.net.packet.FlowWatch` that every
+    live flow's ``set_rate`` bumps.
     """
 
     def __init__(self, sim: Simulator, num_ports: int = 48,
@@ -90,11 +113,16 @@ class Asic:
         self.fabric = CapacityMeter(sim, capacity=line_rate_bps * num_ports,
                                     name=f"{name}.fabric")
         self._attachments: List[_Attachment] = []
-        self._by_flow: Dict[int, _Attachment] = {}
-        # Cached numpy columns over the attachment list (out_port,
-        # attached_at, packet_size are attach-time constants; the list
-        # itself only ever appends).  Rebuilt when the count changes.
-        self._batch_static: Optional[tuple] = None
+        self._live: Dict[int, _Attachment] = {}  # by id(flow)
+        self._flow_watch = FlowWatch()
+        # Probe filter -> matching live rows; dropped by attach/detach.
+        self._probe_memo: Dict[Filter, List[_Attachment]] = {}
+        # TCAM rules by priority with their switch-port scope, per version.
+        self._scoped_rules: List[Tuple[TcamRule, Optional[frozenset]]] = []
+        self._scoped_version = -1
+        # numpy columns over ``_attachments`` for the batched counter read;
+        # dropped by attach/detach, stale once the flow watch has moved.
+        self._columns: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # TrafficSink protocol
@@ -103,20 +131,35 @@ class Asic:
         """Begin carrying ``flow`` from ``in_port`` to ``out_port``."""
         for port in (in_port, out_port):
             self._check_port(port)
-        if id(flow) in self._by_flow:
+        if id(flow) in self._live:
             raise SwitchError(f"flow already attached: {flow!r}")
-        attachment = _Attachment(flow, in_port, out_port, self.sim.now)
+        attachment = _Attachment(flow, in_port, out_port, self.sim.now,
+                                 index=len(self._attachments))
         self._attachments.append(attachment)
-        self._by_flow[id(flow)] = attachment
+        self._live[id(flow)] = attachment
+        flow.watch(self._flow_watch)
+        self._table_changed()
         self.fabric.add_demand(flow.rate_bps)
 
     def detach_flow(self, flow: Flow) -> None:
         """Stop carrying ``flow``; its counters freeze at the detach time."""
-        attachment = self._by_flow.pop(id(flow), None)
+        attachment = self._live.pop(id(flow), None)
         if attachment is None:
             raise SwitchError(f"flow not attached: {flow!r}")
-        attachment.detached_at = self.sim.now
-        self.fabric.remove_demand(flow.rate_at(self.sim.now))
+        now = self.sim.now
+        attachment.detached_at = now
+        lo, hi = attachment.window(0.0, now)
+        if hi > lo:
+            attachment.frozen_bytes = flow.bytes_between(lo, hi)
+        flow.unwatch(self._flow_watch)
+        self._table_changed()
+        # The meter may already hold less than the raw rate: a refresh after
+        # a DROP / RATE_LIMIT install, or a rate raised behind our back.
+        self.fabric.remove_demand(min(flow.rate_at(now), self.fabric.demand))
+
+    def _table_changed(self) -> None:
+        self._probe_memo = {}
+        self._columns = None
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.num_ports:
@@ -126,48 +169,60 @@ class Asic:
     # ------------------------------------------------------------------
     # Rule effects on flows
     # ------------------------------------------------------------------
-    def _rule_applies(self, rule: TcamRule, attachment: _Attachment) -> bool:
-        """Does a rule match this flow, including switch-port constraints?
+    def _classify(self, attachment: _Attachment) -> Optional[TcamRule]:
+        """The highest-priority rule matching this flow, by TCAM walk.
 
         ``port <n>`` filters are interface constraints; they are vacuous on
         bare flow keys but the ASIC dispatches per port, so they are
         enforced here against the attachment's ports.
         """
-        if not rule.matches_key(attachment.flow.key):
-            return False
-        ports = rule.pattern.switch_ports()
-        if ports is None:
-            return True
-        from repro.net.filters import ANY_PORT
-        if ANY_PORT in ports:
-            return True
-        return attachment.out_port in ports or attachment.in_port in ports
-
-    def _matching_rule(self, attachment: _Attachment) -> Optional[TcamRule]:
-        self.tcam._ensure_sorted()
-        for rule in self.tcam._sorted:
-            if self._rule_applies(rule, attachment):
+        tcam = self.tcam
+        if self._scoped_version != tcam.version:
+            self._scoped_rules = [(rule, rule.pattern.switch_ports())
+                                  for rule in tcam.rules()]
+            self._scoped_version = tcam.version
+        key = attachment.flow.key
+        for rule, ports in self._scoped_rules:
+            if rule.matches_key(key) and (
+                    ports is None or ANY_PORT in ports
+                    or attachment.out_port in ports
+                    or attachment.in_port in ports):
                 return rule
         return None
 
-    def _effective_rate(self, attachment: _Attachment, time: float) -> float:
-        """Flow rate after TCAM actions (drop / rate-limit) are applied."""
-        rate = attachment.flow.rate_at(time)
-        rule = self._matching_rule(attachment)
+    def _winning_rule(self, attachment: _Attachment) -> Optional[TcamRule]:
+        """:meth:`_classify`, memoised on the row per TCAM version.
+
+        Only the rule's identity is kept: ``rule.params`` is mutable and
+        is read at use.
+        """
+        version = self.tcam.version
+        if attachment.rule_version != version:
+            attachment.rule = self._classify(attachment)
+            attachment.rule_version = version
+        return attachment.rule
+
+    @staticmethod
+    def _shaped(rate: float, rule: Optional[TcamRule]) -> float:
+        """``rate`` after the winning rule's action (drop / rate-limit)."""
         if rule is None:
             return rate
         if rule.action is RuleAction.DROP:
             return 0.0
         if rule.action is RuleAction.RATE_LIMIT:
-            limit = float(rule.params.get("rate_bps", rate))
-            return min(rate, limit)
+            return min(rate, float(rule.params.get("rate_bps", rate)))
         return rate
 
     # ------------------------------------------------------------------
     # Counters
     # ------------------------------------------------------------------
     def read_port_stats(self, port: int) -> PortStats:
-        """Exact counters for ``port`` as of now (egress accounting)."""
+        """Exact counters for ``port`` as of now (egress accounting).
+
+        A full scan that integrates every row from its segments and walks
+        the TCAM per row instead of reading the row memo: the reference
+        :meth:`read_port_stats_batch` is tested against.
+        """
         self._check_port(port)
         now = self.sim.now
         tx_bytes = 0.0
@@ -181,11 +236,42 @@ class Asic:
                 tx_bytes += attachment.flow.bytes_between(lo, hi)
                 tx_packets += attachment.flow.packets_between(lo, hi)
             if attachment.active_at(now):
-                rate += self._effective_rate(attachment, now)
+                rate += self._shaped(attachment.flow.rate_at(now),
+                                     self._classify(attachment))
         return PortStats(port, now, tx_bytes, tx_packets, rate)
 
     def read_all_port_stats(self) -> List[PortStats]:
         return self.read_port_stats_batch(range(self.num_ports))
+
+    def _counter_columns(self) -> tuple:
+        """The table as numpy columns, rebuilt only after it changed."""
+        columns = self._columns
+        changes = self._flow_watch.changes
+        if columns is not None and columns[0] == changes:
+            return columns
+        rows = self._attachments
+        n = len(rows)
+        out_ports = np.fromiter((a.out_port for a in rows),
+                                dtype=np.int64, count=n)
+        psize = np.fromiter((a.flow.packet_size for a in rows),
+                            dtype=np.float64, count=n)
+        frozen = np.fromiter((a.frozen_bytes for a in rows),
+                             dtype=np.float64, count=n)
+        # Single-segment live rows integrate and rate in the array pass.
+        simple = np.fromiter((a.detached_at is None
+                              and len(a.flow._segments) == 1 for a in rows),
+                             dtype=bool, count=n)
+        seg0 = np.fromiter((a.flow._segments[0][0] for a in rows),
+                           dtype=np.float64, count=n)
+        rate0 = np.fromiter((a.flow._segments[0][1] for a in rows),
+                            dtype=np.float64, count=n)
+        start = np.maximum(
+            np.maximum(0.0, np.fromiter((a.attached_at for a in rows),
+                                        dtype=np.float64, count=n)), seg0)
+        multi = [a for a in self._live.values() if len(a.flow._segments) > 1]
+        self._columns = columns = (changes, out_ports, psize, frozen, simple,
+                                   seg0, rate0, start, multi)
+        return columns
 
     def read_port_stats_batch(
             self, ports: Optional[Iterable[int]] = None) -> List[PortStats]:
@@ -195,68 +281,42 @@ class Asic:
         contributions accumulate in attachment order (``np.add.at`` is
         unbuffered, so per-port float sums round exactly like the scalar
         loop) and each single-segment integral is the same ``rate * span``
-        product.  Multi-segment flows and TCAM-modified instantaneous
-        rates drop to the scalar helpers per attachment, but their
-        contributions still land in the shared array pass.  The scalar
-        loop is O(ports x attachments); this is one O(attachments) sweep.
+        product.  Detached rows enter with the integral frozen at detach;
+        live multi-segment rows and TCAM-shaped rates drop to the scalar
+        helpers per row, but their contributions still land in the shared
+        array pass.  The scalar loop is O(ports x attachments); this is
+        one numpy sweep plus Python work per live multi-segment row and,
+        with rules installed, per live row.
         """
         port_list = (list(range(self.num_ports)) if ports is None
                      else list(ports))
         for port in port_list:
             self._check_port(port)
-        attachments = self._attachments
-        n = len(attachments)
-        if np is None or not n:
+        if not self._attachments:
             return [self.read_port_stats(port) for port in port_list]
         now = self.sim.now
-        static = self._batch_static
-        if static is None or static[0] != n:
-            out_ports = np.fromiter((a.out_port for a in attachments),
-                                    dtype=np.int64, count=n)
-            attached = np.fromiter((a.attached_at for a in attachments),
-                                   dtype=np.float64, count=n)
-            psize = np.fromiter(
-                (a.flow.packet_size for a in attachments),
-                dtype=np.float64, count=n)
-            self._batch_static = static = (n, out_ports, attached, psize)
-        _, out_ports, attached, psize = static
-        inf = float("inf")
-        det = np.fromiter(
-            (inf if a.detached_at is None else a.detached_at
-             for a in attachments), dtype=np.float64, count=n)
-        seg0 = np.fromiter((a.flow._segments[0][0] for a in attachments),
-                           dtype=np.float64, count=n)
-        rate0 = np.fromiter((a.flow._segments[0][1] for a in attachments),
-                            dtype=np.float64, count=n)
-        multi = np.fromiter((len(a.flow._segments) > 1
-                             for a in attachments), dtype=bool, count=n)
-        lo = np.maximum(0.0, attached)
-        hi = np.minimum(now, det)
-        span = hi - np.maximum(lo, seg0)
-        simple = ~multi
-        contrib = np.where(simple & (span > 0.0) & (rate0 > 0.0),
-                           rate0 * span, 0.0)
-        has_multi = bool(multi.any())
-        if has_multi:
-            for i in np.nonzero(multi)[0]:
-                w_lo, w_hi = lo[i], hi[i]
-                contrib[i] = (attachments[i].flow.bytes_between(w_lo, w_hi)
-                              if w_hi > w_lo else 0.0)
+        (_, out_ports, psize, frozen, simple, seg0, rate0, start,
+         multi) = self._counter_columns()
+        span = now - start
+        contrib = np.where(simple & (span > 0.0), rate0 * span, frozen)
+        rates = np.where(simple & (seg0 <= now), rate0, 0.0)
+        for attachment in multi:
+            lo, hi = attachment.window(0.0, now)
+            if hi > lo:
+                contrib[attachment.index] = \
+                    attachment.flow.bytes_between(lo, hi)
+            rates[attachment.index] = attachment.flow.rate_at(now)
+        if self.tcam.used():
+            for attachment in self._live.values():
+                rule = self._winning_rule(attachment)
+                if rule is not None:
+                    index = attachment.index
+                    rates[index] = self._shaped(float(rates[index]), rule)
         port_bytes = np.zeros(self.num_ports)
         port_packets = np.zeros(self.num_ports)
         port_rate = np.zeros(self.num_ports)
         np.add.at(port_bytes, out_ports, contrib)
         np.add.at(port_packets, out_ports, contrib / psize)
-        active = (attached <= now) & (now < det)
-        if self.tcam._rules:
-            rates = np.zeros(n)
-            for i in np.nonzero(active)[0]:
-                rates[i] = self._effective_rate(attachments[i], now)
-        else:
-            rates = np.where(active & simple & (seg0 <= now), rate0, 0.0)
-            if has_multi:
-                for i in np.nonzero(active & multi)[0]:
-                    rates[i] = attachments[i].flow.rate_at(now)
         np.add.at(port_rate, out_ports, rates)
         return [PortStats(port, now, float(port_bytes[port]),
                           float(port_packets[port]), float(port_rate[port]))
@@ -268,11 +328,10 @@ class Asic:
         now = self.sim.now
         matched_bytes = 0.0
         matched_packets = 0.0
+        # Detached rows still count what they carried after the install.
         for attachment in self._attachments:
-            if not self._rule_applies(rule, attachment):
-                continue
             # Only the highest-priority matching rule counts a flow.
-            if self._matching_rule(attachment) is not rule:
+            if self._winning_rule(attachment) is not rule:
                 continue
             lo, hi = attachment.window(rule.installed_at, now)
             if hi > lo:
@@ -294,45 +353,57 @@ class Asic:
         for scan/flood detectors); a dominant flow crowds the batch (rate
         concentration for entropy/volume detectors).
         """
+        if max_packets < 1:
+            raise SwitchError(
+                f"sample budget must be at least one packet: {max_packets}")
         now = self.sim.now
-        active = [a for a in self._attachments if a.active_at(now)
-                  and self._effective_rate(a, now) > 0
-                  and fil.matches_key(a.flow.key,
-                                      tcp_flags=a.flow.default_tcp_flags)]
-        active.sort(key=lambda a: (-a.flow.rate_at(now), a.flow.key.src_ip,
-                                   a.flow.key.src_port))
-        if not active:
+        matching = self._probe_memo.get(fil)
+        if matching is None:
+            # Kept in tie-break order (source, then attach order), so that
+            # the per-probe sort below is on the rate alone.
+            matching = self._probe_memo[fil] = sorted(
+                (a for a in self._live.values()
+                 if fil.matches_key(a.flow.key,
+                                    tcp_flags=a.flow.default_tcp_flags)),
+                key=lambda a: (a.flow.key.src_ip, a.flow.key.src_port))
+        # (-raw rate, effective rate, row) per flow still passing traffic.
+        sampled = []
+        for attachment in matching:
+            raw = attachment.flow.rate_at(now)
+            rule = self._winning_rule(attachment)
+            rate = raw if rule is None else self._shaped(raw, rule)
+            if rate > 0:
+                sampled.append((-raw, rate, attachment))
+        if not sampled:
             return []
-        if len(active) >= max_packets:
+        sampled.sort(key=_first)  # stable: heaviest first, ties as memoised
+        if len(sampled) >= max_packets:
             # More flows than budget: one sample each for the heaviest.
-            return [a.flow.sample_packet(now) for a in active[:max_packets]]
-        total_rate = sum(self._effective_rate(a, now) for a in active)
-        shares = [self._effective_rate(a, now) / total_rate * max_packets
-                  for a in active]
+            return [attachment.flow.sample_packet(now)
+                    for _, _, attachment in sampled[:max_packets]]
+        total_rate = sum(rate for _, rate, _ in sampled)
+        shares = [rate / total_rate * max_packets for _, rate, _ in sampled]
         counts = [int(share) for share in shares]
-        remainders = sorted(range(len(active)),
+        remainders = sorted(range(len(sampled)),
                             key=lambda i: shares[i] - counts[i],
                             reverse=True)
         leftover = max_packets - sum(counts)
         for index in remainders[:leftover]:
             counts[index] += 1
-        packets: List[Packet] = []
-        for attachment, count in zip(active, counts):
-            packets.extend(attachment.flow.sample_packet(now)
-                           for _ in range(count))
-        return packets
+        return [attachment.flow.sample_packet(now)
+                for (_, _, attachment), count in zip(sampled, counts)
+                for _ in range(count)]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def active_flows(self) -> List[Flow]:
-        now = self.sim.now
-        return [a.flow for a in self._attachments if a.active_at(now)]
+        return [a.flow for a in self._live.values()]
 
     def ports_with_traffic(self) -> List[int]:
         now = self.sim.now
-        return sorted({a.out_port for a in self._attachments
-                       if a.active_at(now) and a.flow.rate_at(now) > 0})
+        return sorted({a.out_port for a in self._live.values()
+                       if a.flow.rate_at(now) > 0})
 
     def refresh_fabric_demand(self) -> None:
         """Re-derive fabric demand from current flow rates.
@@ -342,8 +413,8 @@ class Asic:
         utilization reads.
         """
         now = self.sim.now
-        demand = sum(self._effective_rate(a, now) for a in self._attachments
-                     if a.active_at(now))
+        demand = sum(self._shaped(a.flow.rate_at(now), self._winning_rule(a))
+                     for a in self._live.values())
         delta = demand - self.fabric.demand
         if delta > 0:
             self.fabric.add_demand(delta)

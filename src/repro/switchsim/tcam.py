@@ -77,8 +77,12 @@ class Tcam:
         self._monitoring_capacity = int(capacity * monitoring_share)
         self._rules: Dict[int, TcamRule] = {}
         self._ids = itertools.count(1)
-        self._dirty = True
+        #: Bumped by every install/remove; whoever memoises anything
+        #: derived from the rule set (the priority order below, the ASIC's
+        #: flow classification) compares it with the version cached at.
+        self.version = 0
         self._sorted: List[TcamRule] = []
+        self._sorted_version = 0
         self.metrics = registry or MetricsRegistry()
         base = dict(labels) if labels else {}
         self._g_rules = {
@@ -137,7 +141,7 @@ class Tcam:
         rule.rule_id = next(self._ids)
         rule.installed_at = now
         self._rules[rule.rule_id] = rule
-        self._dirty = True
+        self.version += 1
         self._g_rules[rule.region].set(self.used(rule.region))
         return rule.rule_id
 
@@ -147,7 +151,7 @@ class Tcam:
             rule = self._rules.pop(rule_id)
         except KeyError:
             raise TcamError(f"no TCAM rule with id {rule_id}") from None
-        self._dirty = True
+        self.version += 1
         self._g_rules[rule.region].set(self.used(rule.region))
         return rule
 
@@ -182,12 +186,12 @@ class Tcam:
     # Matching
     # ------------------------------------------------------------------
     def _ensure_sorted(self) -> None:
-        if self._dirty:
+        if self._sorted_version != self.version:
             # Ties broken by id: earlier-installed wins, like real TCAMs
             # where position decides among equal priorities.
             self._sorted = sorted(self._rules.values(),
                                   key=lambda r: (-r.priority, r.rule_id))
-            self._dirty = False
+            self._sorted_version = self.version
 
     def lookup(self, packet: Packet) -> Optional[TcamRule]:
         """First (highest-priority) rule matching the packet."""
