@@ -79,6 +79,12 @@ def test_fig7_milp_timeout_degrades_gracefully(once):
     problem, fast, slow = once(run)
     print(f"\nMILP(1s): {fast.objective:.0f} [{fast.status}]  "
           f"MILP(30s): {slow.objective:.0f} [{slow.status}]")
-    assert validate_solution(problem, fast) == []
-    assert validate_solution(problem, slow) == []
-    assert fast.objective <= slow.objective + 1e-6
+    for truncated in (fast, slow):
+        # Where the wall-clock limit cuts branch-and-bound decides the
+        # incumbent; one that breaks (C1)-(C4) is refused, not returned.
+        if truncated.status == "invalid-incumbent":
+            assert truncated.placement == {}
+            assert truncated.info["violations"]
+        assert validate_solution(problem, truncated) == []
+    if slow.status != "invalid-incumbent":
+        assert fast.objective <= slow.objective + 1e-6

@@ -268,6 +268,7 @@ class PiecewiseUtility:
         if not self.pieces:
             raise AlmanacAnalysisError("utility must have at least one piece")
         self._vars: Optional[Tuple[str, ...]] = None  # lazy, see variables()
+        self._min_utility: Optional[float] = None  # lazy, see min_utility()
 
     def evaluate(self, env: Mapping[str, float]) -> float:
         """Utility at a concrete allocation: first feasible piece wins
@@ -289,12 +290,14 @@ class PiecewiseUtility:
     def min_utility(self) -> float:
         """A quick lower bound: min over pieces of utility at the piece's
         cheapest feasible corner (resources at exactly the constraint
-        boundary).  Used by the heuristic's task ordering (Alg. 1 step 1)."""
-        values = []
-        for piece in self.pieces:
-            env = _minimal_env(piece)
-            values.append(piece.utility.evaluate(env))
-        return min(values)
+        boundary).  Used by the heuristic's task ordering (Alg. 1 step 1)
+        on every solve, so it is computed once (pieces are fixed at
+        construction)."""
+        if self._min_utility is None:
+            self._min_utility = min(
+                piece.utility.evaluate(_minimal_env(piece))
+                for piece in self.pieces)
+        return self._min_utility
 
     def __len__(self) -> int:
         return len(self.pieces)

@@ -377,6 +377,11 @@ class Seeder:
                 solution = solve_milp(problem,
                                       time_limit_s=self.milp_time_limit_s,
                                       registry=self.metrics)
+            if solution.status == "invalid-incumbent":
+                # The time limit left an incumbent that breaks (C1)-(C4);
+                # reconciling to its empty placement would undeploy the
+                # fleet, so place with Alg. 1 instead.
+                solution = solve_heuristic(problem, registry=self.metrics)
         elif scope is not None:
             solution = solve_incremental(
                 problem, self._incumbent_solution(problem),

@@ -8,17 +8,36 @@
 4. Compute migration benefits for movable seeds.
 5. Migrate in decreasing benefit order, then redistribute again.
 
-Scalability notes: all bookkeeping is dict-based per switch, so the greedy
-phase is ``O(seeds * |N^s| * pieces)``; the LPs are per-switch and small.
-This is what lets the heuristic track the MILP's utility at a fraction of
-the runtime (Fig. 7).
+Scalability notes.  A seed's best spot (:meth:`_best_option`) reads only
+the ``_SwitchState`` of its *dependency set* — its candidates ``N^s`` plus
+its previous switch (migration residue) — and every write to such a state
+goes through :meth:`HeuristicPlacementSolver._mark`.  The greedy loop
+therefore keeps each remaining seed's option and re-evaluates only the
+seeds that depend on a switch the last commit marked: the cost of one
+commit is the number of remaining seeds sharing a switch with it, not the
+size of the task (a task whose seeds all share their candidates still
+pays ``O(seeds^2)``; the Fig. 7 instances pay ~2 evaluations per seed).
+The same marks feed ``touched``, so the per-switch LPs after the migrate
+step solve only the switches it changed.  This is what lets the heuristic
+track the MILP's utility at a fraction of the runtime (Fig. 7).
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.almanac.poly import LinPoly, UtilityPiece
 from repro.errors import PlacementError
@@ -95,6 +114,25 @@ class HeuristicPlacementSolver:
         #: pieces feasible at their own minimal footprint.
         self._profiles: Dict[str, Tuple[Tuple[int, Dict[str, float], float],
                                         ...]] = {}
+        #: switches whose state changed since the last :meth:`redistribute`.
+        self.touched: Set[int] = set()
+        #: while :meth:`_place_members` runs: switch -> remaining seeds
+        #: whose cached option reads that switch, and the seeds whose
+        #: cached option a mark has invalidated since they were scored.
+        self._watchers: Dict[int, Set[str]] = {}
+        self._stale: Set[str] = set()
+
+    def _mark(self, switch: int) -> None:
+        """The one mutation signal of a ``_SwitchState``.
+
+        Every write to what :meth:`_best_option` or the per-switch LP
+        reads (``used``, ``poll_rates``, ``residents``, ``residue``,
+        ``residue_poll``, a resident's piece or allocation) calls this.
+        """
+        self.touched.add(switch)
+        watchers = self._watchers.get(switch)
+        if watchers:
+            self._stale.update(watchers)
 
     def _minimal_alloc_for(self, seed: SeedSpec, k: int,
                            piece: UtilityPiece) -> Dict[str, float]:
@@ -109,11 +147,10 @@ class HeuristicPlacementSolver:
                         ) -> Tuple[Tuple[int, Dict[str, float], float], ...]:
         """Switch-independent per-piece data for :meth:`_best_option`.
 
-        The greedy loop calls ``_best_option`` O(remaining²) times per
-        task; minimal allocation, feasibility at that footprint, and the
+        Minimal allocation, feasibility at that footprint, and the
         utility value depend only on the piece, so they are computed once
-        per seed.  The cached alloc dicts are never mutated (``_commit``
-        stores a copy).
+        per seed however often it is re-scored.  The cached alloc dicts
+        are never mutated (``_commit`` stores a copy).
         """
         profiles = self._profiles.get(seed.seed_id)
         if profiles is None:
@@ -140,6 +177,7 @@ class HeuristicPlacementSolver:
                 state.residue[r] = (state.residue.get(r, 0.0)
                                     + old_alloc.get(r, 0.0))
         self._rebuild_residue_poll(state)
+        self._mark(prev)
 
     def _remove_residue(self, seed_id: str, prev: int) -> None:
         if self._reserved.pop(seed_id, None) is None:
@@ -151,6 +189,7 @@ class HeuristicPlacementSolver:
                 state.residue[r] = max(
                     0.0, state.residue.get(r, 0.0) - old_alloc.get(r, 0.0))
         self._rebuild_residue_poll(state)
+        self._mark(prev)
 
     def _rebuild_residue_poll(self, state: _SwitchState) -> None:
         state.residue_poll.clear()
@@ -290,6 +329,7 @@ class HeuristicPlacementSolver:
         self.placement[seed.seed_id] = switch
         self.allocations[seed.seed_id] = dict(alloc)
         self.piece_choice[seed.seed_id] = piece_index
+        self._mark(switch)
         # Placing away from the previous switch doubles occupancy there
         # during the state transfer (SIV-B-a).
         prev = self.problem.previous_placement.get(seed.seed_id)
@@ -307,6 +347,7 @@ class HeuristicPlacementSolver:
                 state.used[r] = max(0.0,
                                     state.used.get(r, 0.0) - alloc.get(r, 0.0))
         self._recompute_poll_rates(state)
+        self._mark(switch)
         # Undo the migration residue if this placement had created one.
         prev = self.problem.previous_placement.get(seed_id)
         if prev is not None and prev != switch and prev in self.states:
@@ -320,48 +361,108 @@ class HeuristicPlacementSolver:
         return sorted(self.problem.tasks,
                       key=lambda t: (-t.min_utility(), t.task_id))
 
+    def _place_members(
+            self, members: Sequence[SeedSpec],
+            unstick: Optional[Callable[[List[SeedSpec]], bool]] = None
+    ) -> Tuple[List[str], bool]:
+        """Alg. 1 step 2 for one task: repeatedly commit the remaining
+        seed with the highest best-spot utility ("choose and place such
+        s that adds the most"), ties broken by seed id.
+
+        Returns ``(committed seed ids, every member placed)``; on failure
+        the commits stand and the caller rolls them back.  ``unstick`` is
+        called at most once, when no remaining seed has a feasible spot,
+        with the remaining seeds; if it reports that it freed capacity
+        the loop goes on.
+
+        Each seed's option is scored once and again only after a
+        :meth:`_mark` on a switch it depends on, so every cached option
+        equals what :meth:`_best_option` would return at that instant.
+        """
+        remaining = {seed.seed_id: seed for seed in members}
+        for seed in members:
+            for n in self._option_deps(seed):
+                self._watchers.setdefault(n, set()).add(seed.seed_id)
+        self._stale = set(remaining)
+        #: (-score, seed id, stamp, option); an entry is live while its
+        #: stamp is the seed's latest (lazy deletion).
+        heap: List[Tuple[float, str, int, Tuple]] = []
+        live: Dict[str, int] = {}
+        stamp = 0
+        committed: List[str] = []
+        try:
+            while remaining:
+                stale, self._stale = self._stale, set()
+                for seed_id in stale:
+                    seed = remaining.get(seed_id)
+                    if seed is None:
+                        continue
+                    option = self._best_option(seed)
+                    if option is None:
+                        live.pop(seed_id, None)
+                        continue
+                    stamp += 1
+                    live[seed_id] = stamp
+                    heapq.heappush(heap,
+                                   (-option[0], seed_id, stamp, option))
+                while heap and live.get(heap[0][1]) != heap[0][2]:
+                    heapq.heappop(heap)
+                if not heap:
+                    if unstick is not None and unstick(
+                            list(remaining.values())):
+                        unstick = None
+                        continue
+                    return committed, False
+                _key, seed_id, _stamp, (_score, n, k, alloc) = \
+                    heapq.heappop(heap)
+                seed = remaining.pop(seed_id)
+                del live[seed_id]
+                for dep in self._option_deps(seed):
+                    self._watchers[dep].discard(seed_id)
+                self._commit(seed, n, k, alloc)
+                committed.append(seed_id)
+            return committed, True
+        finally:
+            self._watchers = {}
+            self._stale = set()
+
+    def _option_deps(self, seed: SeedSpec) -> Tuple[int, ...]:
+        """Switches whose state :meth:`_best_option` reads for ``seed``."""
+        prev = self.problem.previous_placement.get(seed.seed_id)
+        if prev is None or prev in seed.candidates or prev not in self.states:
+            return seed.candidates
+        return seed.candidates + (prev,)
+
     def greedy_place(self) -> List[str]:
         """Alg. 1 steps 1-2; returns placed task ids."""
-        tasks = self._task_order()
         placed_tasks: List[str] = []
-        for task in tasks:
-            committed: List[str] = []
-            # Repeatedly place the remaining seed with the highest best-spot
-            # utility ("choose and place such s that adds the most").
-            remaining = list(task.seeds)
-            failed = False
-            while remaining:
-                options = []
-                for seed in remaining:
-                    option = self._best_option(seed)
-                    if option is not None:
-                        options.append((option[0], seed, option))
-                if not options:
-                    failed = True
-                    break
-                options.sort(key=lambda item: (-item[0], item[1].seed_id))
-                _score, seed, (score, n, k, alloc) = options[0]
-                self._commit(seed, n, k, alloc)
-                committed.append(seed.seed_id)
-                remaining.remove(seed)
-            if failed:
-                for seed_id in committed:
-                    self._uncommit(seed_id)
-                if task.mandatory:
-                    raise PlacementError(
-                        f"mandatory task {task.task_id!r} cannot be placed")
-            else:
+        for task in self._task_order():
+            committed, placed = self._place_members(task.seeds)
+            if placed:
                 placed_tasks.append(task.task_id)
+                continue
+            for seed_id in committed:
+                self._uncommit(seed_id)
+            if task.mandatory:
+                raise PlacementError(
+                    f"mandatory task {task.task_id!r} cannot be placed")
         return placed_tasks
 
     # ------------------------------------------------------------------
     # Step 3: LP resource redistribution
     # ------------------------------------------------------------------
     def redistribute(self) -> None:
-        """Per-switch LP maximizing summed utility at fixed placement."""
-        for state in self.states.values():
+        """Per-switch LP maximizing summed utility at fixed placement.
+
+        Solves the switches marked since the last pass: an unmarked
+        switch would be handed the identical LP, and HiGHS is
+        deterministic, so its allocations would not change.
+        """
+        for n in sorted(self.touched):
+            state = self.states[n]
             if state.residents:
                 self._redistribute_switch(state)
+        self.touched.clear()
 
     def _redistribute_switch(self, state: _SwitchState) -> None:
         problem = self.problem
@@ -426,6 +527,7 @@ class HeuristicPlacementSolver:
                       for r in problem.resource_types
                       if r != problem.r_poll}
         self._recompute_poll_rates(state)
+        self._mark(state.switch)
 
     # ------------------------------------------------------------------
     # Steps 4-5: migration

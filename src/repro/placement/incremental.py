@@ -273,8 +273,6 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         self.delta = delta
         self.fallback_ratio = fallback_ratio
         self.strict_scope = scope is not None
-        self._touched: Set[int] = set()
-        self._tracking = False
         if scope is not None:
             self.dirty_switches = {n for n in scope if n in self.states}
             self.dirty_seeds = set()
@@ -311,27 +309,6 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
             if delta is not None else set())
 
     # ------------------------------------------------------------------
-    # Dirty-set propagation: every state mutation marks its switch.
-    # ------------------------------------------------------------------
-    def _commit(self, seed: SeedSpec, switch: int, piece_index: int,
-                alloc: Dict[str, float]) -> None:
-        super()._commit(seed, switch, piece_index, alloc)
-        if self._tracking:
-            self._touched.add(switch)
-            prev = self.problem.previous_placement.get(seed.seed_id)
-            if prev is not None and prev != switch and prev in self.states:
-                self._touched.add(prev)  # migration residue landed there
-
-    def _uncommit(self, seed_id: str) -> None:
-        switch = self.placement.get(seed_id)
-        super()._uncommit(seed_id)
-        if self._tracking and switch is not None:
-            self._touched.add(switch)
-            prev = self.problem.previous_placement.get(seed_id)
-            if prev is not None and prev in self.states:
-                self._touched.add(prev)
-
-    # ------------------------------------------------------------------
     # Warm start
     # ------------------------------------------------------------------
     def _recover_piece(self, seed: SeedSpec,
@@ -353,6 +330,8 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         and nothing about either changed.  A seed whose incumbent
         allocation no longer satisfies any utility piece (shouldn't
         happen, but deltas are caller-supplied) degrades to dirty.
+        The warm commits are the baseline, not churn: ``touched`` starts
+        empty for the dirty-set passes.
         """
         for task in self.problem.tasks:
             for seed in task.seeds:
@@ -370,7 +349,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
                         self.dirty_switches.add(home)
                     continue
                 self._commit(seed, home, piece, alloc)
-        self._tracking = True
+        self.touched.clear()
 
     # ------------------------------------------------------------------
     # Greedy over the dirty set
@@ -407,7 +386,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
                 for r in self.problem.resource_types
                 if r != self.problem.r_poll}
             self._recompute_poll_rates(state)
-            self._touched.add(state.switch)
+            self._mark(state.switch)
         return changed
 
     def _reclaim_for(self, seeds: Sequence[SeedSpec]) -> bool:
@@ -447,51 +426,35 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
                 # commit-and-rollback cycle.
                 if any(self._best_option(s) is None for s in task.seeds):
                     continue
-            committed: List[str] = []
-            remaining = list(members)
-            failed = False
-            reclaimed = False
-            while remaining:
-                options = []
-                for seed in remaining:
-                    option = self._best_option(seed)
-                    if option is not None:
-                        options.append((option[0], seed, option))
-                if not options:
-                    if not reclaimed:
-                        reclaimed = True
-                        if self._reclaim_for(remaining):
-                            continue
-                    failed = True
-                    break
-                options.sort(key=lambda item: (-item[0], item[1].seed_id))
-                _score, seed, (_s, n, k, alloc) = options[0]
-                self._commit(seed, n, k, alloc)
-                committed.append(seed.seed_id)
-                remaining.remove(seed)
-            if failed:
-                # Dropping a task the incumbent had placed (or a
-                # mandatory one) is a quality cliff the full re-solve
-                # usually avoids by repacking globally — escalate.
-                if task.mandatory or any(
-                        self.incumbent.placement.get(s.seed_id) is not None
-                        for s in task.seeds):
-                    raise _FallbackNeeded(task.task_id)
-                for sid in committed:
-                    self._uncommit(sid)
-                for sibling in task.seeds:
-                    if sibling.seed_id in self.placement:
-                        self._uncommit(sibling.seed_id)
-            else:
+            committed, placed = self._place_members(
+                members, unstick=self._reclaim_for)
+            if placed:
                 placed_tasks.append(task.task_id)
+                continue
+            # Dropping a task the incumbent had placed (or a mandatory
+            # one) is a quality cliff the full re-solve usually avoids
+            # by repacking globally — escalate.
+            if task.mandatory or any(
+                    self.incumbent.placement.get(s.seed_id) is not None
+                    for s in task.seeds):
+                raise _FallbackNeeded(task.task_id)
+            for sid in committed:
+                self._uncommit(sid)
+            for sibling in task.seeds:
+                if sibling.seed_id in self.placement:
+                    self._uncommit(sibling.seed_id)
         return placed_tasks
 
     # ------------------------------------------------------------------
     # Scoped LP + migration
     # ------------------------------------------------------------------
     def redistribute(self) -> None:
-        """Per-switch LPs on the dirty/touched switches only."""
-        for n in sorted(self.dirty_switches | self._touched):
+        """Per-switch LPs on the dirty/touched switches only.
+
+        ``touched`` is not drained here: it also scopes the migration
+        pass and the reported blast radius.
+        """
+        for n in sorted(self.dirty_switches | self.touched):
             state = self.states.get(n)
             if state is not None and state.residents:
                 self._redistribute_switch(state)
@@ -508,7 +471,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         eligible = {sid for sid in self.dirty_seeds
                     if sid in self.placement}
         if not self.strict_scope:
-            hot = self.dirty_switches | self._touched
+            hot = self.dirty_switches | self.touched
             for sid, current in self.placement.items():
                 if sid in eligible:
                     continue
@@ -571,7 +534,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
             "incremental": True,
             "dirty_switches": len(self.dirty_switches),
             "dirty_seeds": len(self.dirty_seeds),
-            "touched_switches": len(self.dirty_switches | self._touched)})
+            "touched_switches": len(self.dirty_switches | self.touched)})
         return solution
 
 

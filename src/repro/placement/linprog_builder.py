@@ -95,13 +95,16 @@ class LinProgram:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def _matrices(self):
-        n = self.num_vars
-        c = np.zeros(n)
+    def _cost(self) -> np.ndarray:
+        """Objective vector in HiGHS's minimizing orientation."""
+        c = np.zeros(self.num_vars)
         for index, coeff in self._objective.items():
             c[index] = coeff
-        if self.maximize:
-            c = -c
+        return -c if self.maximize else c
+
+    def _matrices(self):
+        n = self.num_vars
+        c = self._cost()
         if self._rows:
             data, rows, cols = [], [], []
             lbs, ubs = [], []
@@ -119,6 +122,26 @@ class LinProgram:
         else:
             constraint = None
         return c, constraint
+
+    def _lp_matrices(self):
+        """``(A_ub, b_ub, A_eq, b_eq)`` as :func:`linprog` wants them.
+
+        ``lb == ub`` is an equality row; otherwise a finite ``ub`` gives
+        the row as is and a finite ``lb`` the negated row, in that order.
+        A side with no rows is ``None``.
+        """
+        ub_rows: List[Tuple[Dict[int, float], float, float]] = []
+        eq_rows: List[Tuple[Dict[int, float], float, float]] = []
+        for coeffs, lb, ub in self._rows:
+            if lb == ub:
+                eq_rows.append((coeffs, 1.0, lb))
+                continue
+            if ub < INF:
+                ub_rows.append((coeffs, 1.0, ub))
+            if lb > -INF:
+                ub_rows.append((coeffs, -1.0, -lb))
+        return (_stack_rows(ub_rows, self.num_vars)
+                + _stack_rows(eq_rows, self.num_vars))
 
     def solve_milp(self, time_limit_s: Optional[float] = None,
                    mip_rel_gap: float = 1e-4) -> SolveResult:
@@ -142,38 +165,14 @@ class LinProgram:
         """Solve the LP relaxation (integrality dropped) via HiGHS."""
         if self.num_vars == 0:
             return SolveResult("optimal", 0.0, np.zeros(0))
-        c, constraint = self._matrices()
-        if constraint is not None:
-            # linprog wants A_ub x <= b_ub and A_eq x == b_eq; split rows.
-            a_ub_rows, b_ub = [], []
-            a_eq_rows, b_eq = [], []
-            matrix = constraint.A.tocsr()
-            lbs, ubs = constraint.lb, constraint.ub
-            for i in range(matrix.shape[0]):
-                row = matrix.getrow(i)
-                lb, ub = lbs[i], ubs[i]
-                if lb == ub:
-                    a_eq_rows.append(row)
-                    b_eq.append(lb)
-                else:
-                    if ub < INF:
-                        a_ub_rows.append(row)
-                        b_ub.append(ub)
-                    if lb > -INF:
-                        a_ub_rows.append(-row)
-                        b_ub.append(-lb)
-            a_ub = sparse.vstack(a_ub_rows) if a_ub_rows else None
-            a_eq = sparse.vstack(a_eq_rows) if a_eq_rows else None
-        else:
-            a_ub = a_eq = None
-            b_ub = b_eq = []
+        c = self._cost()
+        a_ub, b_ub, a_eq, b_eq = self._lp_matrices()
         options = {}
         if time_limit_s is not None:
             options["time_limit"] = float(time_limit_s)
         result = linprog(
             c=c,
-            A_ub=a_ub, b_ub=np.array(b_ub) if len(b_ub) else None,
-            A_eq=a_eq, b_eq=np.array(b_eq) if len(b_eq) else None,
+            A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
             bounds=list(zip(self._lb, [u if u < INF else None
                                        for u in self._ub])),
             method="highs",
@@ -195,6 +194,23 @@ class LinProgram:
                                message=str(getattr(result, "message", "")))
         return SolveResult(status, float("nan"), None,
                            message=str(getattr(result, "message", "")))
+
+
+def _stack_rows(rows: List[Tuple[Dict[int, float], float, float]],
+                num_vars: int):
+    """CSR matrix and right-hand side of ``(coeffs, sign, rhs)`` rows."""
+    if not rows:
+        return None, None
+    data: List[float] = []
+    indices: List[int] = []
+    indptr = [0]
+    for coeffs, sign, _rhs in rows:
+        indices.extend(coeffs)
+        data.extend(sign * coeff for coeff in coeffs.values())
+        indptr.append(len(indices))
+    return (sparse.csr_matrix((data, indices, indptr),
+                              shape=(len(rows), num_vars)),
+            np.array([rhs for _coeffs, _sign, rhs in rows]))
 
 
 def _bounds_from(lbs: List[float], ubs: List[float]):

@@ -27,6 +27,7 @@ from repro.placement.model import (
     PlacementProblem,
     PlacementSolution,
     compute_objective,
+    validate_solution,
 )
 
 
@@ -203,7 +204,6 @@ class MilpPlacementSolver:
         lp = self.program
         # Group per-switch contributions.
         usage_rows: Dict[Tuple[int, str], Dict[int, float]] = {}
-        poll_rows: Dict[int, List[int]] = {n: [] for n in problem.switches}
 
         def usage_row(n: int, r: str) -> Dict[int, float]:
             return usage_rows.setdefault((n, r), {})
@@ -263,10 +263,11 @@ class MilpPlacementSolver:
         for (n, r), row in usage_rows.items():
             lp.add_constraint(row, lb=-INF,
                               ub=problem.available[n].get(r, 0.0))
+        pollres_at: Dict[int, List[int]] = {}
+        for (n, _subject), idx in self._pollres.items():
+            pollres_at.setdefault(n, []).append(idx)
         for n in problem.switches:
-            indices = poll_rows.get(n, [])
-            indices = [idx for (sw, _subj), idx in self._pollres.items()
-                       if sw == n]
+            indices = pollres_at.get(n)
             if indices:
                 lp.add_constraint({idx: 1.0 for idx in indices}, lb=-INF,
                                   ub=problem.available[n].get(
@@ -313,6 +314,16 @@ class MilpPlacementSolver:
             solution.info.update({
                 "warm_start": True,
                 "frozen_seeds": getattr(self, "_frozen_applied", 0)})
+        if result.status != "optimal":
+            # Where the time limit cuts branch-and-bound decides what the
+            # incumbent is; HiGHS has handed back ones that break C2.
+            violations = validate_solution(self.problem, solution)
+            if violations:
+                return PlacementSolution(
+                    placement={}, allocations={}, objective=0.0,
+                    solver="milp", runtime_s=runtime,
+                    status="invalid-incumbent",
+                    info={"violations": violations})
         return solution
 
 

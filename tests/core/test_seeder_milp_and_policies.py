@@ -30,6 +30,28 @@ class TestMilpSeeder:
         assert placements["milp"] == placements["heuristic"]
 
 
+    def test_invalid_incumbent_falls_back_to_the_heuristic(self, monkeypatch):
+        """A MILP time limit that leaves a (C1)-(C4)-breaking incumbent
+        must not reconcile the fleet to an empty placement."""
+        from repro.core import seeder as seeder_module
+        from repro.placement.model import PlacementSolution
+
+        def truncated(problem, **kwargs):
+            return PlacementSolution(
+                placement={}, allocations={}, objective=0.0, solver="milp",
+                status="invalid-incumbent",
+                info={"violations": ["C2: crafted"]})
+
+        monkeypatch.setattr(seeder_module, "solve_milp", truncated)
+        farm = FarmDeployment(topology=spine_leaf(1, 2, 1), solver="milp")
+        farm.submit(make_heavy_hitter_task(accuracy_ms=10))
+        farm.settle()
+        assert farm.seeder.last_solution.solver == "heuristic"
+        assert farm.seeder.deployed_seed_count() == 3
+        problem = farm.seeder.build_problem()
+        assert validate_solution(problem, farm.seeder.last_solution) == []
+
+
 class TestPlacementPolicies:
     def test_place_any_puts_exactly_one_seed(self):
         farm = FarmDeployment(topology=spine_leaf(1, 3, 1))

@@ -1,9 +1,37 @@
 """Direct tests for the LP/MILP builder over HiGHS."""
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import PlacementError
 from repro.placement.linprog_builder import INF, LinProgram
+
+
+def split_rows_via_csr(lp):
+    """The row splitting ``solve_lp`` used to do: CSR -> getrow -> vstack.
+
+    Kept as the oracle for ``LinProgram._lp_matrices``: same rows in the
+    same order is what keeps HiGHS on the same vertex.
+    """
+    _c, constraint = lp._matrices()
+    a_ub_rows, b_ub, a_eq_rows, b_eq = [], [], [], []
+    matrix = constraint.A.tocsr()
+    for i in range(matrix.shape[0]):
+        row = matrix.getrow(i)
+        lb, ub = constraint.lb[i], constraint.ub[i]
+        if lb == ub:
+            a_eq_rows.append(row)
+            b_eq.append(lb)
+        else:
+            if ub < INF:
+                a_ub_rows.append(row)
+                b_ub.append(ub)
+            if lb > -INF:
+                a_ub_rows.append(-row)
+                b_ub.append(-lb)
+    return (sparse.vstack(a_ub_rows) if a_ub_rows else None, b_ub,
+            sparse.vstack(a_eq_rows) if a_eq_rows else None, b_eq)
 
 
 class TestConstruction:
@@ -67,6 +95,50 @@ class TestLpSolving:
         result = LinProgram().solve_lp()
         assert result.status == "optimal"
         assert result.objective == 0.0
+
+
+class TestLpMatrices:
+    def test_mixed_rows_match_the_csr_row_splitting(self):
+        lp = LinProgram(maximize=True)
+        x, y, z = (lp.add_var(name, ub=10.0) for name in "xyz")
+        lp.add_objective_term(x, 1.0)
+        lp.add_constraint({z: 2.0, x: 1.0}, ub=8.0)          # ub only
+        lp.add_constraint({y: 1.0, x: -0.5}, lb=1.0)         # lb only
+        lp.add_constraint({x: 1.0, y: 1.0, z: 1.0}, lb=2.0, ub=9.0)
+        lp.add_constraint({y: 3.0, z: -1.0}, lb=4.0, ub=4.0)  # equality
+        lp.add_constraint({}, ub=1.0)                         # empty row
+        lp.add_constraint({x: 1.0}, lb=-INF, ub=INF)          # free row
+        a_ub, b_ub, a_eq, b_eq = lp._lp_matrices()
+        ref_ub, ref_b_ub, ref_eq, ref_b_eq = split_rows_via_csr(lp)
+        assert np.array_equal(a_ub.toarray(), ref_ub.toarray())
+        assert np.array_equal(a_eq.toarray(), ref_eq.toarray())
+        assert b_ub.tolist() == ref_b_ub == [8.0, -1.0, 9.0, -2.0, 1.0]
+        assert b_eq.tolist() == ref_b_eq == [4.0]
+        assert a_ub.toarray().tolist() == [
+            [1.0, 0.0, 2.0], [0.5, -1.0, 0.0], [1.0, 1.0, 1.0],
+            [-1.0, -1.0, -1.0], [0.0, 0.0, 0.0]]
+        assert lp.solve_lp().status == "optimal"
+
+    def test_all_equality_program_solves(self):
+        lp = LinProgram(maximize=True)
+        x = lp.add_var("x", ub=10.0)
+        y = lp.add_var("y", ub=10.0)
+        lp.add_objective_term(x, 1.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, lb=5.0, ub=5.0)
+        lp.add_constraint({x: 1.0, y: -1.0}, lb=1.0, ub=1.0)
+        a_ub, b_ub, a_eq, b_eq = lp._lp_matrices()
+        assert a_ub is None and b_ub is None
+        assert a_eq.shape == (2, 2) and b_eq.tolist() == [5.0, 1.0]
+        result = lp.solve_lp()
+        assert result.value(x) == pytest.approx(3.0)
+        assert result.value(y) == pytest.approx(2.0)
+
+    def test_program_without_constraints_solves(self):
+        lp = LinProgram(maximize=True)
+        x = lp.add_var("x", ub=2.5)
+        lp.add_objective_term(x, 2.0)
+        assert lp._lp_matrices() == (None, None, None, None)
+        assert lp.solve_lp().objective == pytest.approx(5.0)
 
 
 class TestMilpSolving:

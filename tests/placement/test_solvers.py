@@ -12,7 +12,8 @@ from repro.almanac.poly import (
 )
 from repro.placement.heuristic import solve_heuristic
 from repro.placement.instances import generate_problem
-from repro.placement.milp import solve_milp
+from repro.placement.linprog_builder import LinProgram, SolveResult
+from repro.placement.milp import MilpPlacementSolver, solve_milp
 from repro.placement.model import (
     PlacementProblem,
     PollDemand,
@@ -129,9 +130,40 @@ class TestMilpExactness:
     def test_timeout_still_returns_solution(self):
         p = generate_problem(40, 8, num_tasks=4, seed=0)
         sol = solve_milp(p, time_limit_s=0.5)
-        # HiGHS may or may not prove optimality in 0.5s, but must not crash.
-        assert sol.status in ("optimal", "feasible", "timeout")
+        # HiGHS may or may not prove optimality in 0.5s, but must not crash
+        # — and an incumbent that breaks (C1)-(C4) comes back empty.
+        assert sol.status in ("optimal", "feasible", "timeout",
+                              "invalid-incumbent")
         assert validate_solution(p, sol) == []
+
+    @pytest.mark.parametrize("status,expected", [
+        ("feasible", "invalid-incumbent"), ("optimal", "optimal")])
+    def test_truncated_incumbent_is_validated(self, monkeypatch, status,
+                                              expected):
+        """A time-limit incumbent with an allocation a hair under its
+        piece's floor (C2) is refused; optimal solves are trusted."""
+        p = make_problem([const_seed("a", "t", (1, 2), 10.0, floor=1.0),
+                          linear_seed("b", "u", (1,), floor=0.5)])
+        probe = MilpPlacementSolver(p)
+        probe.build()
+        real = probe.program.solve_milp()
+        home = next(n for n in (1, 2)
+                    if real.value(probe._plc[("a", n, 0)]) > 0.5)
+        values = real.values.copy()
+        values[probe._res[("a", home, "vCPU")]] = 1.0 - 1e-3
+        monkeypatch.setattr(
+            LinProgram, "solve_milp",
+            lambda self, **kwargs: SolveResult(status, real.objective,
+                                               values))
+        sol = solve_milp(p, time_limit_s=1.0)
+        assert sol.status == expected
+        if expected == "optimal":
+            assert sol.placement["a"] == home
+            return
+        assert sol.placement == {} and sol.allocations == {}
+        assert sol.objective == 0.0
+        (violation,) = sol.info["violations"]
+        assert violation.startswith("C2: seed 'a'")
 
 
 class TestHeuristic:
