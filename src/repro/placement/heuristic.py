@@ -353,12 +353,13 @@ class HeuristicPlacementSolver:
         if prev is not None and prev != switch and prev in self.states:
             self._remove_residue(seed_id, prev)
 
-    def _task_order(self) -> List:
-        """Alg. 1 step 1: tasks by decreasing minimum utility.
+    def _task_order(self, tasks: Optional[Sequence] = None) -> List:
+        """Alg. 1 step 1: tasks (the problem's, unless a subset is given)
+        by decreasing minimum utility.
 
         Overridable (the ablation benchmark measures what this buys).
         """
-        return sorted(self.problem.tasks,
+        return sorted(self.problem.tasks if tasks is None else tasks,
                       key=lambda t: (-t.min_utility(), t.task_id))
 
     def _place_members(

@@ -11,7 +11,7 @@ bottleneck.  This module adds the incremental mode:
   delta, threading the incumbent placement in as ``plc'`` so migration
   accounting stays exact.
 * :class:`IncrementalPlacementSolver` — starts from the incumbent
-  :class:`PlacementSolution`, warm-committing every *clean* seed straight
+  :class:`PlacementSolution`, warm-committing *clean* seeds straight
   into the heuristic's ``_SwitchState`` bookkeeping, then re-runs the
   greedy phase, the per-switch LPs, and the migration-benefit pass only
   over the *dirty set*: switches whose residual capacity or poll
@@ -26,11 +26,34 @@ bottleneck.  This module adds the incremental mode:
   calls :func:`~repro.placement.heuristic.solve_heuristic` (or passes
   ``fallback_ratio=0.0``).
 
-The differential churn-test harness (``tests/placement/test_incremental``
-and ``test_churn_properties``) pins this module to the reference
-solver: single-delta cases must match the full re-solve exactly, random
-churn sequences must stay feasible and within (1 - eps) of from-scratch
-utility, and the whole pipeline must be bit-deterministic.
+Sessions
+--------
+A solver instance is a *session* that outlives its ``solve()``: switch
+states, the seed/candidate indexes, the piece and minimal-allocation
+caches and one utility term per placed seed stay in it, and the next
+re-solve rebuilds (``_rebase``) only the switches the previous one
+marked plus the ones the new delta names.  Nothing is passed to ask for
+this.  ``solve_incremental(problem, incumbent, delta)`` continues a
+session exactly when ``incumbent`` is the solution that session returned
+last and ``problem`` is what ``apply_delta(<the session's problem>,
+delta, incumbent=incumbent)`` returned for this very ``delta`` — checked
+by identity, through a handle on the solution and a one-shot token on
+the derived problem.  Anything else (the first delta after a full
+solve, two deltas branched from one incumbent, a hand-built or rebuilt
+problem, a ``scope``, a delta that removes seeds, tasks or switches,
+other solver settings) opens a new session, which costs one pass over
+the fleet and gives the same answer bit for bit.  A fallback to the
+full solver or an exception leaves a session half-mutated, so it is
+dropped; solutions already returned are snapshots and never change.
+
+The differential churn-test harness pins this module down:
+``tests/placement/test_incremental`` and ``test_churn_properties`` to the
+reference solver (single-delta cases must match the full re-solve
+exactly, random churn sequences must stay feasible and within (1 - eps)
+of from-scratch utility, and the whole pipeline must be
+bit-deterministic), ``tests/placement/test_session`` a continued session
+to a freshly opened one, ``==`` on every solution and every switch
+state after every step.
 """
 
 from __future__ import annotations
@@ -38,11 +61,21 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import PlacementError
 from repro.placement.heuristic import (
     HeuristicPlacementSolver,
+    _SwitchState,
     record_solve_metrics,
 )
 from repro.placement.model import (
@@ -51,6 +84,7 @@ from repro.placement.model import (
     PollDemand,
     SeedSpec,
     TaskSpec,
+    _full_env,
     compute_objective,
 )
 
@@ -90,6 +124,58 @@ class ChurnDelta:
                     or self.poll_changes or self.removed_switches)
 
 
+def _churn_task(task: TaskSpec, available: Mapping[int, Mapping[str, float]],
+                removed_seeds: AbstractSet[str],
+                poll_changes: Mapping[str, Tuple[PollDemand, ...]]
+                ) -> Optional[TaskSpec]:
+    """``task`` after the delta: the same object when nothing in it
+    changed, a rewritten copy otherwise, ``None`` when it is dropped — no
+    seed left, or one lost every candidate switch (C1 makes the task
+    unplaceable; a mandatory one raises)."""
+    seeds: List[SeedSpec] = []
+    changed = False
+    for seed in task.seeds:
+        if seed.seed_id in removed_seeds:
+            changed = True
+            continue
+        candidates = tuple(n for n in seed.candidates if n in available)
+        if not candidates:
+            if task.mandatory:
+                raise PlacementError(
+                    f"mandatory task {task.task_id!r} lost every candidate "
+                    f"switch under the churn delta")
+            return None
+        demands = poll_changes.get(seed.seed_id, seed.poll_demands)
+        if (candidates != seed.candidates
+                or demands is not seed.poll_demands):
+            seed = SeedSpec(
+                seed_id=seed.seed_id, task_id=seed.task_id,
+                candidates=candidates, utility=seed.utility,
+                poll_demands=tuple(demands))
+            changed = True
+        seeds.append(seed)
+    if not seeds:
+        return None
+    if not changed:
+        return task
+    return TaskSpec(task_id=task.task_id, seeds=seeds,
+                    mandatory=task.mandatory)
+
+
+def _resize(problem: PlacementProblem, delta: ChurnDelta,
+            available: Dict[int, Dict[str, float]]) -> None:
+    """Write ``delta.capacity_changes`` into ``available``; a touched
+    switch gets its own capacity dict, an unknown one is added."""
+    for n, changes in delta.capacity_changes.items():
+        if n in delta.removed_switches:
+            continue
+        base = (dict(available[n]) if n in available
+                else {r: 0.0 for r in problem.resource_types})
+        for r, v in changes.items():
+            base[r] = float(v)
+        available[n] = base
+
+
 def apply_delta(problem: PlacementProblem, delta: ChurnDelta,
                 incumbent: Optional[PlacementSolution] = None
                 ) -> PlacementProblem:
@@ -99,54 +185,35 @@ def apply_delta(problem: PlacementProblem, delta: ChurnDelta,
     placement/allocations — the ``plc'`` the next solve migrates from.
     A task whose seed loses every candidate switch is dropped entirely
     (C1 makes it unplaceable); dropping a *mandatory* task raises.
+
+    The inputs are read-only and the result shares with them whatever
+    the delta does not touch (task objects, capacity dicts).  When
+    ``incumbent`` is what a live session returned for ``problem`` and the
+    delta removes nothing, only the delta is visited and validated and
+    the result can continue that session (module docstring, "Sessions").
     """
+    session = incumbent._session if incumbent is not None else None
+    if (session is not None and session._continues(problem, incumbent)
+            and not (delta.removed_tasks or delta.removed_seeds
+                     or delta.removed_switches)):
+        return session._derive(delta)
+
     removed_tasks = set(delta.removed_tasks)
     removed_seeds = set(delta.removed_seeds)
     removed_switches = set(delta.removed_switches)
-    poll_changes = dict(delta.poll_changes)
 
     available: Dict[int, Dict[str, float]] = {
-        n: dict(res) for n, res in problem.available.items()
+        n: res for n, res in problem.available.items()
         if n not in removed_switches}
-    for n, changes in delta.capacity_changes.items():
-        if n in removed_switches:
-            continue
-        base = available.setdefault(
-            n, {r: 0.0 for r in problem.resource_types})
-        for r, v in changes.items():
-            base[r] = float(v)
+    _resize(problem, delta, available)
 
     tasks: List[TaskSpec] = []
     for task in list(problem.tasks) + list(delta.added_tasks):
-        if task.task_id in removed_tasks:
-            continue
-        seeds: List[SeedSpec] = []
-        unplaceable = False
-        for seed in task.seeds:
-            if seed.seed_id in removed_seeds:
-                continue
-            candidates = tuple(n for n in seed.candidates if n in available)
-            if not candidates:
-                unplaceable = True
-                break
-            demands = poll_changes.get(seed.seed_id, seed.poll_demands)
-            if (candidates != seed.candidates
-                    or demands is not seed.poll_demands):
-                seed = SeedSpec(
-                    seed_id=seed.seed_id, task_id=seed.task_id,
-                    candidates=candidates, utility=seed.utility,
-                    poll_demands=tuple(demands))
-            seeds.append(seed)
-        if unplaceable:
-            if task.mandatory:
-                raise PlacementError(
-                    f"mandatory task {task.task_id!r} lost every candidate "
-                    f"switch under the churn delta")
-            continue
-        if not seeds:
-            continue
-        tasks.append(TaskSpec(task_id=task.task_id, seeds=seeds,
-                              mandatory=task.mandatory))
+        if task.task_id not in removed_tasks:
+            task = _churn_task(task, available, removed_seeds,
+                               delta.poll_changes)
+            if task is not None:
+                tasks.append(task)
 
     prev_p = (incumbent.placement if incumbent is not None
               else problem.previous_placement)
@@ -259,6 +326,11 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
     switch ids) overrides it for the seeder's targeted re-solves — in
     scope mode only seeds living on scoped switches (or homeless ones)
     may move, matching the remediation engine's blast-radius semantics.
+
+    Constructing one *opens a session* (module docstring): the instance
+    outlives :meth:`solve` and :func:`solve_incremental` hands it the
+    next delta through :meth:`_advance` when the caller's arguments
+    prove nothing else happened in between.
     """
 
     def __init__(self, problem: PlacementProblem,
@@ -273,6 +345,14 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         self.delta = delta
         self.fallback_ratio = fallback_ratio
         self.strict_scope = scope is not None
+        #: seed id -> (task position, seed position) in ``problem.tasks``:
+        #: problem order as a sort key, and the way from a seed to the
+        #: task that holds it now.  Stable for the session's lifetime —
+        #: a delta that removes anything ends the session.
+        self._where: Dict[str, Tuple[int, int]] = {}
+        #: switch -> seeds that list it as a candidate.
+        self._by_candidate: Dict[int, List[str]] = {}
+        self._index_tasks(0)
         if scope is not None:
             self.dirty_switches = {n for n in scope if n in self.states}
             self.dirty_seeds = set()
@@ -295,22 +375,148 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         else:
             self.dirty_switches, self.dirty_seeds = compute_dirty(
                 problem, incumbent, delta)
+        self._summarize_dirty()
+        #: Per placed seed, ``utility(seed, allocation)``: MU is the fold
+        #: of these in task -> seed order, so a re-solve evaluates only
+        #: the seeds whose allocation it may have changed.
+        self._terms: Dict[str, float] = {}
+        #: Positions of the fully placed tasks; ``None`` until the first
+        #: greedy pass has looked at every task once.
+        self._placed: Optional[Set[int]] = None
+        #: Switches whose ``_SwitchState`` is not what a warm start from
+        #: the incumbent computes: all of them until the first rebase,
+        #: then whatever the last re-solve marked.
+        self._stale: Set[int] = set(self.states)
+        #: The solution :meth:`solve` returned last — the only incumbent
+        #: the session can continue from; ``None`` while a solve is in
+        #: flight and for good once one fell back or raised.
+        self._solution: Optional[PlacementSolution] = None
+        # Load the incumbent into the tables; the first rebase turns
+        # them into switch accounting.
+        for task in self.problem.tasks:
+            for seed in task.seeds:
+                sid = seed.seed_id
+                state = self.states.get(incumbent.placement.get(sid))
+                if state is not None:
+                    state.residents.append(sid)
+                    self.placement[sid] = state.switch
+                    self.allocations[sid] = incumbent.allocations.get(sid, {})
+
+    def __deepcopy__(self, memo) -> None:
+        # A copy of a solution or problem is a plain value; it does not
+        # drag the session along, and cannot continue it (identity rule).
+        return None
+
+    def _index_tasks(self, start: int) -> None:
+        """Index the tasks from position ``start`` on."""
+        tasks = self.problem.tasks
+        for position in range(start, len(tasks)):
+            for k, seed in enumerate(tasks[position].seeds):
+                self._seed_by_id[seed.seed_id] = seed
+                self._where[seed.seed_id] = (position, k)
+                for n in seed.candidates:
+                    self._by_candidate.setdefault(n, []).append(seed.seed_id)
+
+    def _summarize_dirty(self) -> None:
+        """What the greedy pass and the fallback ladder read off the
+        dirty set and the delta."""
+        placement = self.incumbent.placement
         #: Dirty seeds that hold incumbent state (placed somewhere).  The
         #: rest are unplaced-task retries, which cost almost nothing
         #: thanks to the prescreen in :meth:`_greedy_dirty`, so the
         #: fallback heuristic ignores them.
-        self._dirty_placed = {
-            sid for sid in self.dirty_seeds
-            if incumbent.placement.get(sid) is not None}
+        self._dirty_placed = {sid for sid in self.dirty_seeds
+                              if placement.get(sid) is not None}
         #: Seeds introduced by this delta: never prescreen-skipped — they
         #: have not had a fair shot yet (including the reclaim pass).
         self._new_seeds: Set[str] = (
-            {s.seed_id for t in delta.added_tasks for s in t.seeds}
-            if delta is not None else set())
+            {s.seed_id for t in self.delta.added_tasks for s in t.seeds}
+            if self.delta is not None else set())
 
     # ------------------------------------------------------------------
-    # Warm start
+    # The session across deltas
     # ------------------------------------------------------------------
+    def _continues(self, problem: PlacementProblem,
+                   incumbent: PlacementSolution) -> bool:
+        """Is the session exactly at (``problem``, ``incumbent``)?"""
+        return self._solution is incumbent and self.problem is problem
+
+    def _derive(self, delta: ChurnDelta) -> PlacementProblem:
+        """``apply_delta`` for a removal-free delta on the session's own
+        problem and solution: visit, rewrite and validate only what the
+        delta names, share the rest, and leave the token that lets
+        :func:`solve_incremental` bring the result back here."""
+        base, incumbent = self.problem, self._solution
+        available = dict(base.available)
+        _resize(base, delta, available)
+        tasks = list(base.tasks)
+        for position in sorted({self._where[sid][0]
+                                for sid in delta.poll_changes
+                                if sid in self._where}):
+            tasks[position] = _churn_task(tasks[position], available,
+                                          frozenset(), delta.poll_changes)
+        seen: Set[str] = set()
+        for task in delta.added_tasks:
+            task = _churn_task(task, available, frozenset(),
+                               delta.poll_changes)
+            if task is None:
+                continue
+            for seed in task.seeds:
+                if seed.seed_id in self._where or seed.seed_id in seen:
+                    raise PlacementError(
+                        f"duplicate seed id {seed.seed_id!r}")
+                seen.add(seed.seed_id)
+            tasks.append(task)
+        derived = copy.copy(base)
+        derived.tasks = tasks
+        derived.available = available
+        # The solver replaces allocation dicts, never writes into them,
+        # so the incumbent's can be plc'/res' as they are.
+        derived.previous_placement = dict(incumbent.placement)
+        derived.previous_allocations = dict(incumbent.allocations)
+        derived._lineage = (self, delta)
+        return derived
+
+    def _advance(self, problem: PlacementProblem, delta: ChurnDelta) -> None:
+        """Take the next delta: ``problem`` is ``self._derive(delta)``.
+
+        The dirty set comes from the session's indexes and equals
+        :func:`compute_dirty` on the same arguments (no seed or switch
+        vanished, and every placed seed sits on a live candidate).
+        """
+        self.incumbent = self._solution
+        known = len(self.problem.tasks)
+        self.problem = problem
+        self.delta = delta
+        self._index_tasks(known)
+        placement = self.placement
+        dirty_switches = set(delta.capacity_changes)
+        for sid in delta.poll_changes:
+            where = self._where.get(sid)
+            if where is not None:
+                self._seed_by_id[sid] = \
+                    problem.tasks[where[0]].seeds[where[1]]
+                home = placement.get(sid)
+                if home is not None:
+                    dirty_switches.add(home)
+        dirty_seeds: Set[str] = set()
+        for n in dirty_switches:
+            state = self.states.get(n)
+            if state is not None:
+                dirty_seeds.update(state.residents)
+            dirty_seeds.update(sid for sid in self._by_candidate.get(n, ())
+                               if sid not in placement)
+        for position in range(known, len(problem.tasks)):
+            dirty_seeds.update(s.seed_id
+                               for s in problem.tasks[position].seeds)
+        # C1: a dirty member drags its unplaced siblings along.
+        for position in {self._where[sid][0] for sid in dirty_seeds}:
+            dirty_seeds.update(s.seed_id
+                               for s in problem.tasks[position].seeds
+                               if s.seed_id not in placement)
+        self.dirty_switches, self.dirty_seeds = dirty_switches, dirty_seeds
+        self._summarize_dirty()
+
     def _recover_piece(self, seed: SeedSpec,
                        alloc: Mapping[str, float]) -> Optional[int]:
         """The utility piece the incumbent allocation satisfies best."""
@@ -323,32 +529,55 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
                     best = (value, k)
         return best[1] if best is not None else None
 
-    def _warm_start(self) -> None:
-        """Commit every clean seed at its incumbent spot, bookkeeping only.
+    def _utility_term(self, seed_id: str) -> float:
+        return self._seed_by_id[seed_id].utility.evaluate(
+            _full_env(self.problem, self.allocations[seed_id]))
 
-        No feasibility checks run: a clean seed sits on a clean switch,
-        and nothing about either changed.  A seed whose incumbent
-        allocation no longer satisfies any utility piece (shouldn't
-        happen, but deltas are caller-supplied) degrades to dirty.
-        The warm commits are the baseline, not churn: ``touched`` starts
-        empty for the dirty-set passes.
+    def _rebase(self, switches: Set[int]) -> None:
+        """Rebuild ``switches`` as a warm start from the incumbent would.
+
+        Each gets a fresh ``_SwitchState`` at the problem's capacity, and
+        its *clean* incumbent residents are committed back at their
+        incumbent allocation, in problem order, bookkeeping only: no
+        feasibility checks run, since nothing about a clean seed or its
+        switch changed.  Dirty residents stay out for the greedy pass.
+        A seed whose incumbent allocation no longer satisfies any
+        utility piece (shouldn't happen, but deltas are caller-supplied)
+        degrades to dirty.  The warm commits are the baseline, not
+        churn: ``touched`` is empty afterwards.
+
+        A switch outside ``switches`` must hold exactly this state
+        already — true when it was rebased earlier in the session and
+        nothing has marked it since: its residents, their order and
+        their allocations are what they were then, and a per-switch
+        fold only ever sees that switch's own residents.  A marked
+        switch is rebuilt rather than kept because its ``residents``
+        are in commit order and its pieces are the solver's choice, not
+        :meth:`_recover_piece`'s, and either changes the next LP.
         """
-        for task in self.problem.tasks:
-            for seed in task.seeds:
-                sid = seed.seed_id
-                if sid in self.dirty_seeds:
-                    continue
-                home = self.incumbent.placement.get(sid)
-                if home is None:
-                    continue  # clean-but-unplaced: stays unplaced
-                alloc = dict(self.incumbent.allocations.get(sid, {}))
-                piece = self._recover_piece(seed, alloc)
-                if piece is None:
+        # Every residue sits on a marked switch, and nothing is in
+        # transit relative to the incumbent.
+        self._reserved.clear()
+        for n in sorted(switches):
+            old = self.states.get(n)
+            self.states[n] = _SwitchState(n, dict(self.problem.available[n]))
+            if old is None:
+                continue
+            for sid in sorted(old.residents, key=self._where.__getitem__):
+                del self.placement[sid]
+                alloc = self.allocations.pop(sid)
+                self.piece_choice.pop(sid, None)
+                if sid not in self.dirty_seeds:
+                    seed = self._seed_by_id[sid]
+                    piece = self._recover_piece(seed, alloc)
+                    if piece is not None:
+                        self._commit(seed, n, piece, alloc)
+                        if sid not in self._terms:
+                            self._terms[sid] = self._utility_term(sid)
+                        continue
                     self.dirty_seeds.add(sid)
-                    if home is not None and home in self.states:
-                        self.dirty_switches.add(home)
-                    continue
-                self._commit(seed, home, piece, alloc)
+                    self.dirty_switches.add(n)
+                self._terms.pop(sid, None)
         self.touched.clear()
 
     # ------------------------------------------------------------------
@@ -401,19 +630,24 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
     def _greedy_dirty(self) -> List[str]:
         """Greedy placement restricted to dirty seeds; returns placed tasks.
 
+        Only tasks with a dirty member are visited (in Alg. 1 order); the
+        others stay as placed or unplaced as the incumbent had them.
         Clean siblings of a dirty seed stay warm-committed unless the
         dirty member cannot be placed at all — then C1 forces the whole
         task out (clean siblings are evicted too, and their switches join
         the touched set for the LP pass).
         """
-        placed_tasks: List[str] = []
-        for task in self._task_order():
+        tasks = self.problem.tasks
+        if self._placed is None:
+            self._placed = {
+                position for position, task in enumerate(tasks)
+                if all(s.seed_id in self.placement for s in task.seeds)}
+        positions = {self._where[sid][0] for sid in self.dirty_seeds}
+        for task in self._task_order([tasks[p] for p in sorted(positions)]):
+            position = self._where[task.seeds[0].seed_id][0]
+            self._placed.discard(position)
             members = [s for s in task.seeds
                        if s.seed_id in self.dirty_seeds]
-            if not members:
-                if all(s.seed_id in self.placement for s in task.seeds):
-                    placed_tasks.append(task.task_id)
-                continue
             if (not self.strict_scope
                     and all(self.incumbent.placement.get(s.seed_id) is None
                             for s in task.seeds)
@@ -429,7 +663,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
             committed, placed = self._place_members(
                 members, unstick=self._reclaim_for)
             if placed:
-                placed_tasks.append(task.task_id)
+                self._placed.add(position)
                 continue
             # Dropping a task the incumbent had placed (or a mandatory
             # one) is a quality cliff the full re-solve usually avoids
@@ -443,7 +677,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
             for sibling in task.seeds:
                 if sibling.seed_id in self.placement:
                     self._uncommit(sibling.seed_id)
-        return placed_tasks
+        return [tasks[position].task_id for position in sorted(self._placed)]
 
     # ------------------------------------------------------------------
     # Scoped LP + migration
@@ -468,16 +702,14 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         dirtiness to their source switch.  Under an explicit scope the
         blast radius is a promise, so clean seeds stay pinned.
         """
-        eligible = {sid for sid in self.dirty_seeds
-                    if sid in self.placement}
+        placement = self.placement
+        eligible = {sid for sid in self.dirty_seeds if sid in placement}
         if not self.strict_scope:
-            hot = self.dirty_switches | self.touched
-            for sid, current in self.placement.items():
-                if sid in eligible:
-                    continue
-                seed = self._seed_by_id[sid]
-                if any(n in hot and n != current for n in seed.candidates):
-                    eligible.add(sid)
+            for n in self.dirty_switches | self.touched:
+                for sid in self._by_candidate.get(n, ()):
+                    current = placement.get(sid)
+                    if current is not None and current != n:
+                        eligible.add(sid)
         return eligible
 
     # ------------------------------------------------------------------
@@ -485,7 +717,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
     # ------------------------------------------------------------------
     def fallback_reason(self) -> Optional[str]:
         total_seeds = self.problem.num_seeds
-        total_switches = len(self.states)
+        total_switches = len(self.problem.available)
         if not total_seeds or not total_switches:
             return None
         if len(self._dirty_placed) > self.fallback_ratio * total_seeds:
@@ -507,10 +739,13 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
 
     def solve(self) -> PlacementSolution:
         start = time.perf_counter()
+        # Until the return the tables are half-mutated: a fallback or an
+        # exception leaves the session with nothing to continue.
+        self._solution = None
         reason = self.fallback_reason()
         if reason is not None:
             return self._full_solve(reason, start)
-        self._warm_start()
+        self._rebase(self._stale | self.dirty_switches)
         try:
             placed_tasks = self._greedy_dirty()
         except _FallbackNeeded:
@@ -522,20 +757,57 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
                     and self.redistribute_enabled:
                 self.redistribute()
         runtime = time.perf_counter() - start
-        objective = compute_objective(self.problem, self.placement,
-                                      self.allocations)
+        # MU as compute_objective folds it — task -> seed order — from
+        # the cached terms; only a marked switch can hold a changed one.
+        hot = self.dirty_switches | self.touched
+        for n in hot:
+            for sid in self.states[n].residents:
+                self._terms[sid] = self._utility_term(sid)
+        objective = 0.0
+        for task in self.problem.tasks:
+            for seed in task.seeds:
+                if seed.seed_id in self.placement:
+                    objective += self._terms[seed.seed_id]
         solution = PlacementSolution(
             placement=dict(self.placement),
-            allocations={sid: dict(alloc)
-                         for sid, alloc in self.allocations.items()},
+            allocations=dict(self.allocations),
             objective=objective, solver="incremental", runtime_s=runtime,
             placed_tasks=tuple(sorted(placed_tasks)), status="ok")
         solution.info.update({
             "incremental": True,
             "dirty_switches": len(self.dirty_switches),
             "dirty_seeds": len(self.dirty_seeds),
-            "touched_switches": len(self.dirty_switches | self.touched)})
+            "touched_switches": len(hot)})
+        self._stale = hot
+        if not self.strict_scope:
+            solution._session = self
+            self._solution = solution
         return solution
+
+
+def _continued(problem: PlacementProblem, incumbent: PlacementSolution,
+               delta: Optional[ChurnDelta], scope: Optional[Set[int]],
+               fallback_ratio: float, redistribute: bool, migrate: bool
+               ) -> Optional[IncrementalPlacementSolver]:
+    """The session these arguments continue, advanced to ``delta``.
+
+    ``problem`` must be what ``apply_delta`` derived from the session's
+    problem and latest solution for this very ``delta`` object, and the
+    solver settings must be the session's.  The token is good for one
+    solve and dropped either way, so problems never chain.
+    """
+    lineage, problem._lineage = problem._lineage, None
+    if lineage is None:
+        return None
+    session, derived_for = lineage
+    if (scope is None and derived_for is delta
+            and session._solution is incumbent
+            and session.fallback_ratio == fallback_ratio
+            and session.redistribute_enabled == redistribute
+            and session.migrate_enabled == migrate):
+        session._advance(problem, delta)
+        return session
+    return None
 
 
 def solve_incremental(problem: PlacementProblem,
@@ -553,6 +825,11 @@ def solve_incremental(problem: PlacementProblem,
     explicit switch set instead.  An empty delta returns the incumbent
     untouched — same placement, same allocations, zero migrations.
     ``registry`` records solve metrics exactly like the full solvers.
+
+    When the arguments are the next step of a live session the re-solve
+    continues it and pays for the switches that changed; otherwise it
+    opens one, which costs a pass over the fleet.  The result is the
+    same either way.
     """
     if delta is not None and delta.is_empty() and scope is None:
         solution = PlacementSolution(
@@ -568,10 +845,13 @@ def solve_incremental(problem: PlacementProblem,
         if registry is not None:
             record_solve_metrics(registry, solution)
         return solution
-    solver = IncrementalPlacementSolver(
-        problem, incumbent, delta=delta, scope=scope,
-        fallback_ratio=fallback_ratio, redistribute=redistribute,
-        migrate=migrate)
+    solver = _continued(problem, incumbent, delta, scope, fallback_ratio,
+                        redistribute, migrate)
+    if solver is None:
+        solver = IncrementalPlacementSolver(
+            problem, incumbent, delta=delta, scope=scope,
+            fallback_ratio=fallback_ratio, redistribute=redistribute,
+            migrate=migrate)
     solution = solver.solve()
     if registry is not None:
         record_solve_metrics(registry, solution)

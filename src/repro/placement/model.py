@@ -88,6 +88,11 @@ class PlacementProblem:
     previous_allocations: Dict[str, Dict[str, float]] = field(
         default_factory=dict)
 
+    #: Not a field (no annotation): set by ``apply_delta`` on a problem it
+    #: derived for a live placement session and cleared by the solve that
+    #: consumes it (:mod:`repro.placement.incremental`, "Sessions").
+    _lineage = None
+
     def __post_init__(self) -> None:
         seen = set()
         for task in self.tasks:
@@ -148,6 +153,11 @@ class PlacementSolution:
     #: sizes and fallback reason); never interpreted by the model layer.
     info: Dict[str, Any] = field(default_factory=dict)
 
+    #: Not a field (no annotation, so outside ``repr``/``==``/``asdict``):
+    #: the placement session this solution is the latest result of, if any
+    #: (:mod:`repro.placement.incremental`, "Sessions").
+    _session = None
+
     def migrated_seeds(self, problem: PlacementProblem) -> List[str]:
         """Seeds whose switch changed relative to the previous placement."""
         moved = []
@@ -207,36 +217,46 @@ def validate_solution(problem: PlacementProblem,
                     f"C1: seed {seed.seed_id!r} placed on "
                     f"{placement[seed.seed_id]} outside N^s {seed.candidates}")
 
-    # C2: allocations satisfy some utility piece.
-    for seed in problem.all_seeds():
-        if seed.seed_id not in placement:
-            if seed.seed_id in allocations and any(
-                    v > tol for v in allocations[seed.seed_id].values()):
+    # C2: allocations satisfy some utility piece.  The same pass groups
+    # the seeds by the switches that account for them — where each runs,
+    # and where a migrating one still holds its old copy — so the C3/C4
+    # block below reads every seed once instead of once per switch:
+    # switch -> (seed, allocation charged there, its env, placed there?).
+    charged: Dict[Any, List[Tuple]] = {}
+    for task in problem.tasks:
+        for seed in task.seeds:
+            if seed.seed_id not in placement:
+                if seed.seed_id in allocations and any(
+                        v > tol for v in allocations[seed.seed_id].values()):
+                    errors.append(
+                        f"C3: unplaced seed {seed.seed_id!r} holds resources")
+                continue
+            switch = placement[seed.seed_id]
+            alloc = allocations.get(seed.seed_id, {})
+            env = _full_env(problem, alloc)
+            charged.setdefault(switch, []).append((seed, alloc, env, True))
+            previous = problem.previous_placement.get(seed.seed_id)
+            if previous is not None and previous != switch:
+                # During migration the old copy still holds resources.
+                old = problem.previous_allocations.get(seed.seed_id, {})
+                charged.setdefault(previous, []).append(
+                    (seed, old, _full_env(problem, old), False))
+            if not seed.utility.feasible(env):
                 errors.append(
-                    f"C3: unplaced seed {seed.seed_id!r} holds resources")
-            continue
-        env = _full_env(problem, allocations.get(seed.seed_id, {}))
-        if not seed.utility.feasible(env):
-            errors.append(
-                f"C2: seed {seed.seed_id!r} allocation {env} satisfies "
-                f"no utility piece")
+                    f"C2: seed {seed.seed_id!r} allocation {env} satisfies "
+                    f"no utility piece")
 
     # C3 + C4: per-switch totals, with migration double-occupancy and
-    # aggregated polling.
+    # aggregated polling; each switch folds its seeds in problem order.
     for switch in problem.switches:
         ares = problem.available[switch]
+        alpha = problem.alpha(switch)
         usage = {r: 0.0 for r in problem.resource_types}
         pollres: Dict[FrozenSet, float] = {}
-        for seed in problem.all_seeds():
-            placed_here = placement.get(seed.seed_id) == switch
-            migrating_from_here = (
-                seed.seed_id in placement
-                and problem.previous_placement.get(seed.seed_id) == switch
-                and placement[seed.seed_id] != switch)
-            if placed_here:
-                alloc = allocations.get(seed.seed_id, {})
-                for r in problem.resource_types:
-                    amount = alloc.get(r, 0.0)
+        for seed, alloc, env, placed_here in charged.get(switch, ()):
+            for r in problem.resource_types:
+                amount = alloc.get(r, 0.0)
+                if placed_here:
                     if amount < -tol:
                         errors.append(
                             f"negative allocation {r} for {seed.seed_id!r}")
@@ -244,26 +264,13 @@ def validate_solution(problem: PlacementProblem,
                         errors.append(
                             f"C3: seed {seed.seed_id!r} gets {amount} {r} "
                             f"on switch {switch} (cap {ares.get(r, 0.0)})")
-                    if r != problem.r_poll:
-                        usage[r] += amount
-                env = _full_env(problem, alloc)
-                for demand in seed.poll_demands:
-                    rate = (problem.alpha(switch) * demand.weight
-                            * max(demand.inv_interval.evaluate(env), 0.0))
-                    key = demand.subject
-                    pollres[key] = max(pollres.get(key, 0.0), rate)
-            elif migrating_from_here:
-                # During migration the old copy still holds resources.
-                old_alloc = problem.previous_allocations.get(seed.seed_id, {})
-                for r in problem.resource_types:
-                    if r != problem.r_poll:
-                        usage[r] += old_alloc.get(r, 0.0)
-                old_env = _full_env(problem, old_alloc)
-                for demand in seed.poll_demands:
-                    rate = (problem.alpha(switch) * demand.weight
-                            * max(demand.inv_interval.evaluate(old_env), 0.0))
-                    key = demand.subject
-                    pollres[key] = max(pollres.get(key, 0.0), rate)
+                if r != problem.r_poll:
+                    usage[r] += amount
+            for demand in seed.poll_demands:
+                rate = (alpha * demand.weight
+                        * max(demand.inv_interval.evaluate(env), 0.0))
+                key = demand.subject
+                pollres[key] = max(pollres.get(key, 0.0), rate)
         for r in problem.resource_types:
             if r == problem.r_poll:
                 continue

@@ -266,7 +266,7 @@ class TestDifferentialGreedy:
                            fallback_ratio=1.0)
                        for cls in (CachedIncremental, ReferenceIncremental)]
             for solver in solvers:
-                solver._warm_start()
+                solver._rebase(set(solver.states))
                 try:
                     outcomes.append(solver._greedy_dirty())
                 except _FallbackNeeded as exc:
