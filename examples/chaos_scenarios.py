@@ -52,24 +52,24 @@ def main() -> None:
     farm.submit(task)
     farm.run(until=1.0)
     seed = farm.seeder.tasks["sentinel"].seeds[0]
-    retries = (farm.seeder.channel.retransmissions
-               + sum(s.channel.retransmissions
-                     for s in farm.seeder.soils.values()))
+
+    def count(name):
+        return int(farm.metrics.sum_values(name))
+
     print(f"[t=1s] sentinel deployed on switch {seed.switch} anyway: "
           f"{chaos.messages_dropped} messages dropped so far, "
-          f"{retries} retransmissions, "
-          f"{farm.seeder.lost_commands} commands lost for good")
+          f"{count('farm_reliable_retransmissions_total')} retransmissions, "
+          f"{count('farm_seeder_lost_commands_total')} commands lost for good")
 
     # -- scenario 2: lossy-but-alive switches are not failed over -------
-    manager = FaultToleranceManager(farm.seeder,
-                                    heartbeat_interval_s=0.2,
-                                    miss_limit=3,
-                                    checkpoint_interval_s=0.2)
+    FaultToleranceManager(farm.seeder, heartbeat_interval_s=0.2,
+                          miss_limit=3, checkpoint_interval_s=0.2)
     farm.run(until=5.0)
     print(f"[t=5s] four seconds of lossy heartbeats: "
-          f"failovers={manager.failovers_performed}, "
-          f"suspicions raised={manager.suspicions_raised} "
-          f"(cleared={manager.suspicions_cleared}) — nobody failed over")
+          f"failovers={count('farm_ft_failovers_total')}, "
+          f"suspicions raised={count('farm_ft_suspicions_raised_total')} "
+          f"(cleared={count('farm_ft_suspicions_cleared_total')}) — nobody "
+          f"failed over")
 
     # -- scenario 3: partition the sentinel's rack for 5 s at t=10 s ----
     victim = seed.switch
@@ -78,14 +78,14 @@ def main() -> None:
           f"from t=10s to t=15s")
     farm.run(until=14.0)
     print(f"[t=14s] partition detected and failed over "
-          f"(failovers={manager.failovers_performed}): sentinel resumed "
+          f"(failovers={count('farm_ft_failovers_total')}): sentinel resumed "
           f"on switch {seed.switch} from its checkpoint with "
           f"{sentinel_beats(farm, seed)} beats retained")
     farm.run(until=20.0)
     copies = [sid for sid, soil in farm.seeder.soils.items()
               if seed.seed_id in soil.deployments]
     print(f"[t=20s] partition healed: switch {victim} recovered "
-          f"(recoveries={manager.recoveries_performed}), the stale "
+          f"(recoveries={count('farm_ft_recoveries_total')}), the stale "
           f"split-brain copy was swept — live copies on {copies}")
     print(f"        final chaos tally: {chaos.stats()}")
 

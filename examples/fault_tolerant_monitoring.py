@@ -61,7 +61,7 @@ def main() -> None:
     fail_switch(farm.seeder, home)
     farm.run(until=farm.sim.now + 2.0)
     print(f"[t=4.0s] failure detected: failed={manager.failed_switch_ids()}"
-          f", failovers={manager.failovers_performed}")
+          f", failovers={int(farm.metrics.value('farm_ft_failovers_total'))}")
     print(f"         ledger resumed on switch {seed.switch} from its "
           f"checkpoint: {ledger_state(farm, seed)} polls retained")
 

@@ -68,9 +68,12 @@ def main() -> None:
     print("\ncross-task efficiency (the [OPT] story):")
     for leaf in farm.topology.leaf_ids:
         soil = farm.soil(leaf)
-        total = soil.polls_issued + soil.polls_served_from_cache
+        hits = int(farm.metrics.value("farm_soil_poll_cache_hits_total",
+                                      {"switch": leaf}))
+        total = hits + int(farm.metrics.value("farm_soil_polls_total",
+                                              {"switch": leaf}))
         if total:
-            saved = 100.0 * soil.polls_served_from_cache / total
+            saved = 100.0 * hits / total
             print(f"  switch {leaf}: {soil.num_seeds} seeds, "
                   f"{total} poll requests, {saved:.0f}% served from the "
                   f"soil's aggregation cache")

@@ -795,8 +795,8 @@ class MachineInstance:
         self.instance_id = instance_id or compiled.name
         # Duck-typed repro.obs.trace.Tracer (no import: the executor stays
         # observability-agnostic).  The dispatch fast path below costs
-        # exactly one attribute load + branch when this is None — the
-        # disabled-instrumentation bound gated by run_perf.py.
+        # exactly one attribute load + branch when this is None (see
+        # tests/obs/test_trace.py, TestDisabledFastPath).
         self._tracer = tracer
         self.builtins: Dict[str, Callable[..., Any]] = {}
         self.builtins.update(pure_builtins())

@@ -202,23 +202,6 @@ class ControlBus:
         #: every send consults it for loss/duplication/delay/partitions.
         self.fault_injector: Optional[Any] = None
 
-    # -- legacy counter attributes (now registry-backed) -------------------
-    @property
-    def total_bytes(self) -> int:
-        """Delivered payload bytes, exact for the whole run (the registry
-        counter survives :attr:`delivered` history trimming)."""
-        return int(self._m_bytes.value)
-
-    @property
-    def total_messages(self) -> int:
-        return int(self._m_messages.value)
-
-    @property
-    def undeliverable_messages(self) -> int:
-        """Messages discarded because no handler was registered for their
-        destination (at send or at delivery time)."""
-        return int(self._m_undeliverable.value)
-
     def register(self, endpoint: str,
                  handler: Callable[[BusMessage], None]) -> None:
         if endpoint in self._handlers:

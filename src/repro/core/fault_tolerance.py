@@ -133,25 +133,6 @@ class FaultToleranceManager:
             checkpoint_interval_s, self._checkpoint_all, label="ft-ckpt",
             cost_key=("ft", None, None, "ft-ckpt")))
 
-    # -- legacy counter attributes (now registry-backed) -------------------
-    @property
-    def failovers_performed(self) -> int:
-        return int(self._m_failovers.value)
-
-    @property
-    def recoveries_performed(self) -> int:
-        return int(self._m_recoveries.value)
-
-    @property
-    def suspicions_raised(self) -> int:
-        """Suspicions raised without (yet) escalating to failure — the
-        lossy-but-alive near misses the grace period absorbs."""
-        return int(self._m_suspicions_raised.value)
-
-    @property
-    def suspicions_cleared(self) -> int:
-        return int(self._m_suspicions_cleared.value)
-
     # ------------------------------------------------------------------
     # Heartbeats
     # ------------------------------------------------------------------

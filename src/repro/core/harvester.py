@@ -45,11 +45,6 @@ class Harvester:
         self._m_duplicates = None
         self.tracer = None
 
-    # -- legacy counter attributes (now registry-backed) -------------------
-    @property
-    def duplicate_reports(self) -> int:
-        return int(self._m_duplicates.value) if self._m_duplicates else 0
-
     # ------------------------------------------------------------------
     # Lifecycle (called by the seeder)
     # ------------------------------------------------------------------

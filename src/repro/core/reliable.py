@@ -112,8 +112,7 @@ class ReliableEndpoint:
         self._pending: Dict[int, _Pending] = {}
         self._seen: Dict[str, Set[int]] = {}
         # Retry/dedup counters live on the deployment's metrics registry
-        # (the bus's by default), labeled per endpoint; the legacy
-        # attributes below are read-through properties.
+        # (the bus's by default), labeled per endpoint.
         metrics = registry if registry is not None else bus.metrics
         labels = {"endpoint": name}
         self._m_acked = metrics.counter(
@@ -131,23 +130,6 @@ class ReliableEndpoint:
             labels=labels)
         self.tracer = bus.tracer
         bus.register(name, self._on_message)
-
-    # -- legacy counter attributes (now registry-backed) -------------------
-    @property
-    def acked(self) -> int:
-        return int(self._m_acked.value)
-
-    @property
-    def retransmissions(self) -> int:
-        return int(self._m_retransmissions.value)
-
-    @property
-    def dead_letters(self) -> int:
-        return int(self._m_dead_letters.value)
-
-    @property
-    def duplicates_discarded(self) -> int:
-        return int(self._m_duplicates.value)
 
     # ------------------------------------------------------------------
     # Sending

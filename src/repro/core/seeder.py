@@ -141,20 +141,6 @@ class Seeder:
         self._g_tasks = self.metrics.gauge(
             "farm_seeder_tasks", "Tasks currently active.")
 
-    # -- legacy counter attributes (now registry-backed) -------------------
-    @property
-    def optimizations_run(self) -> int:
-        return int(self._m_optimizations.value)
-
-    @property
-    def migrations_performed(self) -> int:
-        return int(self._m_migrations.value)
-
-    @property
-    def lost_commands(self) -> int:
-        """Commands that exhausted every retransmission (dead letters)."""
-        return int(self._m_lost_commands.value)
-
     # ------------------------------------------------------------------
     # Task lifecycle
     # ------------------------------------------------------------------

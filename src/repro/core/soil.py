@@ -308,15 +308,6 @@ class Soil:
             "Seed handler invocations dispatched through a vector kernel.",
             labels=labels)
 
-    # -- legacy counter attributes (now registry-backed) -------------------
-    @property
-    def polls_issued(self) -> int:
-        return int(self._m_polls.value)
-
-    @property
-    def polls_served_from_cache(self) -> int:
-        return int(self._m_cache_hits.value)
-
     # ------------------------------------------------------------------
     # Deployment lifecycle
     # ------------------------------------------------------------------

@@ -143,9 +143,6 @@ class NetworkLoadPoint:
     ports: int
     control_bytes_per_s: float
     control_msgs_per_s: float
-    #: The same rate recomputed from the metrics registry
-    #: (``farm_bus_bytes_total``) — the Fig. 4 observability cross-check.
-    registry_bytes_per_s: float = 0.0
 
 
 def run_fig4_network_load(port_counts: Tuple[int, ...] = (100, 200, 400,
@@ -171,17 +168,15 @@ def run_fig4_network_load(port_counts: Tuple[int, ...] = (100, 200, 400,
                 num_ports=min(ports_per_switch, 48), hh_ratio=0.01,
                 hh_rate_bps=HEAVY_RATE_BPS, churn_interval=60.0, seed=leaf)
             farm.start_workload(workload, leaf)
-        start_bytes = farm.bus.total_bytes
-        start_msgs = farm.bus.total_messages
-        start_reg = farm.obs.registry.value("farm_bus_bytes_total")
+        value = farm.metrics.value
+        start_bytes = value("farm_bus_bytes_total")
+        start_msgs = value("farm_bus_messages_total")
         t0 = farm.sim.now
         farm.run(until=t0 + duration_s)
-        reg_bytes = farm.obs.registry.value("farm_bus_bytes_total")
         points.append(NetworkLoadPoint(
             "FARM", ports,
-            (farm.bus.total_bytes - start_bytes) / duration_s,
-            (farm.bus.total_messages - start_msgs) / duration_s,
-            registry_bytes_per_s=(reg_bytes - start_reg) / duration_s))
+            (value("farm_bus_bytes_total") - start_bytes) / duration_s,
+            (value("farm_bus_messages_total") - start_msgs) / duration_s))
         # --- baselines --------------------------------------------------
         for system, period in (("sFlow 1ms", 0.001), ("sFlow 10ms", 0.010),
                                ("Sonata", None)):
@@ -207,10 +202,9 @@ def run_fig4_network_load(port_counts: Tuple[int, ...] = (100, 200, 400,
             t0 = sim.now
             sim.run(until=t0 + duration_s)
             points.append(NetworkLoadPoint(
-                system, ports, bus.total_bytes / duration_s,
-                bus.total_messages / duration_s,
-                registry_bytes_per_s=(
-                    bus.metrics.value("farm_bus_bytes_total") / duration_s)))
+                system, ports,
+                bus.metrics.value("farm_bus_bytes_total") / duration_s,
+                bus.metrics.value("farm_bus_messages_total") / duration_s))
     return points
 
 
@@ -344,27 +338,17 @@ def run_fig6_seed_scaling(
         accuracy_ms: float = 10.0,
         seed_counts: Tuple[int, ...] = (10, 20, 40, 60, 80, 100),
         iterations: int = 1,
-        duration_s: float = 2.0,
-        scrape_interval_s: Optional[float] = None) -> List[SeedScalingPoint]:
+        duration_s: float = 2.0) -> List[SeedScalingPoint]:
     """Fig. 6: CPU load of N collocated seeds at a fixed polling accuracy.
 
     ``task='hh'`` uses the light statistics handler; ``task='ml'`` runs
     ``iterations`` SVR evaluations per poll via exec() (Fig. 6c/d).
-    ``scrape_interval_s`` additionally runs a Scarecrow scraper over the
-    switch registry at that sim-interval — the workload is unchanged, so
-    the perf harness can price the self-monitoring overhead by diffing
-    wall clock against a scrape-disabled run.
     """
-    from repro.obs.tsdb import Scraper, TimeSeriesStore
-
     points: List[SeedScalingPoint] = []
     for count in seed_counts:
         sim = Simulator()
         switch = Switch(sim, 1)
         soil = Soil(sim, switch, driver_for(switch), ControlBus(sim))
-        if scrape_interval_s is not None:
-            Scraper(sim, switch.metrics, TimeSeriesStore(),
-                    interval_s=scrape_interval_s).start()
         if task == "ml":
             # Charge the measured-equivalent switch-CPU cost per iteration;
             # skip the real matmul here (the benchmark measures switch load,
@@ -440,139 +424,6 @@ def run_fig7_placement(
                         f"MILP({limit:g}s)", count,
                         sum(r[0] for r in results) / len(results),
                         sum(r[1] for r in results) / len(results), True))
-    return points
-
-
-# ---------------------------------------------------------------------------
-# Churn — incremental vs from-scratch re-placement
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChurnPoint:
-    """One churn scenario: warm-started incremental vs full re-solve."""
-
-    scenario: str
-    full_s: float
-    incremental_s: float
-    speedup: float
-    utility_full: float
-    utility_incremental: float
-    utility_ratio: float
-    dirty_seeds: int
-    dirty_switches: int
-    incremental_used: bool
-    feasible: bool
-
-
-def _churn_probe_task(problem, target: int):
-    """A small 4-seed task with tiny floors, placeable near ``target``."""
-    from repro.almanac.poly import (
-        ConcaveUtility, LinPoly, PiecewiseUtility, UtilityPiece)
-    from repro.placement.model import SeedSpec, TaskSpec
-
-    switches = sorted(problem.available)
-    anchor = switches.index(target)
-    seeds = []
-    for i in range(4):
-        candidates = tuple(sorted(
-            switches[(anchor + i + k) % len(switches)] for k in range(3)))
-        piece = UtilityPiece(
-            constraints=(LinPoly({"vCPU": 1.0}, -0.1),
-                         LinPoly({"RAM": 1.0}, -32.0)),
-            utility=ConcaveUtility.constant(5.0))
-        seeds.append(SeedSpec(
-            seed_id=f"churn-probe/s{i}", task_id="churn-probe",
-            candidates=candidates, utility=PiecewiseUtility([piece])))
-    return TaskSpec(task_id="churn-probe", seeds=seeds)
-
-
-def _churn_scenarios(problem, incumbent):
-    """Single-switch deltas against the busiest switch of the incumbent."""
-    from repro.almanac.poly import LinPoly
-    from repro.placement.incremental import ChurnDelta
-    from repro.placement.model import PollDemand
-
-    residents: Dict[int, List[str]] = {}
-    for seed_id, switch in incumbent.placement.items():
-        residents.setdefault(switch, []).append(seed_id)
-    # Median-load switch: busy enough that the delta touches real seeds,
-    # slack enough that a mild shrink stays locally absorbable (a hard
-    # shrink that must drop tasks escalates to a full solve by design —
-    # that path is covered by the eviction-fallback tests, not the gate).
-    by_load = sorted(residents, key=lambda n: (len(residents[n]), n))
-    target = by_load[len(by_load) // 2]
-    vcpu = problem.available[target]["vCPU"]
-
-    polled = None
-    for seed_id in sorted(residents[target]):
-        seed = problem.seed(seed_id)
-        if seed.poll_demands:
-            polled = seed
-            break
-
-    scenarios = [
-        ("shrink", ChurnDelta(
-            capacity_changes={target: {"vCPU": vcpu * 0.75}})),
-        ("grow", ChurnDelta(
-            capacity_changes={target: {"vCPU": vcpu * 1.5}})),
-        ("task-add", ChurnDelta(
-            added_tasks=(_churn_probe_task(problem, target),))),
-    ]
-    if polled is not None:
-        bumped = tuple(
-            PollDemand(subject=d.subject,
-                       inv_interval=LinPoly(dict(d.inv_interval.coeffs),
-                                            d.inv_interval.const + 2.0),
-                       weight=d.weight)
-            for d in polled.poll_demands)
-        scenarios.append(
-            ("poll-bump", ChurnDelta(poll_changes={polled.seed_id: bumped})))
-    return scenarios
-
-
-def run_churn_benchmark(num_seeds: int = 2000,
-                        num_switches: int = 300,
-                        seed: int = 7,
-                        capacity_scale: float = 2.0) -> List[ChurnPoint]:
-    """Incremental vs from-scratch re-placement under single-switch churn.
-
-    Builds one large instance, relaxes capacity by ``capacity_scale`` so
-    every seed places (churn quality is then apples-to-apples: neither
-    solver is rescued by slack it created itself), solves it once for the
-    incumbent, then replays each single-switch delta through both the
-    warm-started incremental solver and a full ``solve_heuristic``.
-    """
-    from repro.placement.incremental import apply_delta, solve_incremental
-
-    problem = generate_problem(num_seeds, num_switches, num_tasks=10,
-                               seed=seed)
-    for caps in problem.available.values():
-        for resource in caps:
-            caps[resource] *= capacity_scale
-    incumbent = solve_heuristic(problem)
-
-    points: List[ChurnPoint] = []
-    for name, delta in _churn_scenarios(problem, incumbent):
-        churned = apply_delta(problem, delta, incumbent=incumbent)
-        full = solve_heuristic(churned)
-        incremental = solve_incremental(churned, incumbent, delta=delta)
-        feasible = (validate_solution(churned, full) == [] and
-                    validate_solution(churned, incremental) == [])
-        ratio = (incremental.objective / full.objective
-                 if full.objective > 0 else 1.0)
-        points.append(ChurnPoint(
-            scenario=name,
-            full_s=full.runtime_s,
-            incremental_s=incremental.runtime_s,
-            speedup=(full.runtime_s / incremental.runtime_s
-                     if incremental.runtime_s > 0 else float("inf")),
-            utility_full=full.objective,
-            utility_incremental=incremental.objective,
-            utility_ratio=ratio,
-            dirty_seeds=int(incremental.info.get("dirty_seeds", 0)),
-            dirty_switches=int(incremental.info.get("dirty_switches", 0)),
-            incremental_used=bool(incremental.info.get("incremental")),
-            feasible=feasible))
     return points
 
 
@@ -759,17 +610,16 @@ def run_chaos_resilience(
         planned = compute_objective(problem, solution.placement,
                                     solution.allocations)
         expected = sum(len(task.seeds) for task in seeder.tasks.values())
-        # Commands retry from the seeder, lifecycle reports from the
-        # soils: both directions' retransmissions count.
-        retransmissions = (seeder.channel.retransmissions
-                           + sum(soil.channel.retransmissions
-                                 for soil in seeder.soils.values()))
         points.append(ChaosResiliencePoint(
             loss=loss, seeds_expected=expected,
             seeds_deployed=seeder.deployed_seed_count(),
             achieved_mu=achieved, planned_mu=planned,
-            retransmissions=retransmissions,
-            lost_commands=seeder.lost_commands,
+            # Commands retry from the seeder, lifecycle reports from the
+            # soils: the family sums both directions' endpoints.
+            retransmissions=int(farm.metrics.sum_values(
+                "farm_reliable_retransmissions_total")),
+            lost_commands=int(farm.metrics.value(
+                "farm_seeder_lost_commands_total")),
             messages_dropped=chaos.messages_dropped))
     return points
 
@@ -866,11 +716,6 @@ def run_scarecrow_chaos(duration_s: float = 80.0,
 # Remediation — closed-loop detect → decide → act under a gray failure
 # ---------------------------------------------------------------------------
 
-#: Heartbeat interval the MU-retained experiment assumes (the
-#: FaultToleranceManager default).
-_REMEDIATION_HB_INTERVAL_S = 0.5
-
-
 def _make_probe_task(num_probes: int = 6,
                      interval_s: float = 0.05) -> TaskDefinition:
     """A fleet of *movable* probes: one ``place any`` machine per probe.
@@ -942,9 +787,9 @@ class RemediationComparison:
         return abs(self.dry.effective_mu - self.off.effective_mu) < 1e-9
 
 
-def _live_mu(seeder) -> float:
-    """Monitoring utility of the seeds actually running right now."""
-    total = 0.0
+def _live_utilities(seeder) -> List[Tuple[int, float]]:
+    """``(switch, utility)`` of every seed actually running right now."""
+    placed = []
     zeros = {r: 0.0 for r in seeder.resource_types}
     for task in seeder.tasks.values():
         for seed in task.seeds:
@@ -957,8 +802,8 @@ def _live_mu(seeder) -> float:
                 seed.current_state or seed.blueprint.initial_state)
             env = dict(zeros)
             env.update(seed.allocation)
-            total += utility.evaluate(env)
-    return total
+            placed.append((seed.switch, utility.evaluate(env)))
+    return placed
 
 
 def run_remediation_mode(mode: str = "active",
@@ -1005,7 +850,7 @@ def run_remediation_mode(mode: str = "active",
     # exactly the gap the remediation loop exists to close.
     ft = FaultToleranceManager(farm.seeder, confirm_limit=30)
     scarecrow = farm.enable_scarecrow(interval_s=scrape_interval_s)
-    healthy_rate = 1.0 / _REMEDIATION_HB_INTERVAL_S
+    healthy_rate = 1.0 / ft.heartbeat_interval_s
     scarecrow.add_rule(ThresholdRule(
         "heartbeat-degraded", "farm_ft_heartbeats_total",
         reducer="rate", window_s=5.0, op="<",
@@ -1036,7 +881,8 @@ def run_remediation_mode(mode: str = "active",
                   for sw, soil in farm.seeder.soils.items()}
         victim = max(sorted(counts), key=lambda sw: counts[sw])
         state["victim"] = victim
-        state["baseline"] = _live_mu(farm.seeder)
+        state["baseline"] = sum(
+            utility for _, utility in _live_utilities(farm.seeder))
         chaos.gray_failure(victim, loss=gray_loss, at=loss_start_s,
                            duration=loss_end_s - loss_start_s)
 
@@ -1044,21 +890,7 @@ def run_remediation_mode(mode: str = "active",
         # Just before the failure heals: where did every live seed end
         # up, and what is it worth?  (Captured mid-run because the
         # post-heal restore migrates seeds back.)
-        placed = []
-        zeros = {r: 0.0 for r in farm.seeder.resource_types}
-        for task in farm.seeder.tasks.values():
-            for seed in task.seeds:
-                if seed.switch is None:
-                    continue
-                soil = farm.seeder.soils.get(seed.switch)
-                if soil is None or seed.seed_id not in soil.deployments:
-                    continue
-                utility = seed.blueprint.utility_for_state(
-                    seed.current_state or seed.blueprint.initial_state)
-                env = dict(zeros)
-                env.update(seed.allocation)
-                placed.append((seed.switch, utility.evaluate(env)))
-        state["effective_raw"] = placed
+        state["effective_raw"] = _live_utilities(farm.seeder)
 
     farm.sim.schedule(loss_start_s - 0.5, pick_victim_and_fail,
                       label="remediation: arm gray failure")
@@ -1071,7 +903,7 @@ def run_remediation_mode(mode: str = "active",
     # the alert rule itself read — the experiment scores what the
     # monitoring fabric saw, not privileged simulator state.
     window = loss_end_s - loss_start_s
-    expected = window / _REMEDIATION_HB_INTERVAL_S
+    expected = window / ft.heartbeat_interval_s
     delivery: Dict[int, float] = {}
     vector = scarecrow.engine.delta("farm_ft_heartbeats_total",
                                     window_s=window, at=loss_end_s)
@@ -1164,10 +996,6 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
     the flame-graph HTML,
     the collapsed-stack export, and a flight-recorder postmortem bundle
     (artifacts for CI).
-
-    ``mode="off"`` runs the identical fleet with no profiler attached
-    and returns only the wall-clock — the baseline arm for the overhead
-    gates in ``benchmarks/perf/run_perf.py``.
     """
     from time import perf_counter
 
@@ -1178,12 +1006,10 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
     sim = _Sim()
     obs = Observability(sim)
     want_recorder = postmortem_path is not None
-    bundle = None
-    if mode != "off":
-        bundle = ProfilingBundle(
-            sim, obs, mode=mode, sample_every=sample_every,
-            flight_recorder=want_recorder,
-            counter_interval_s=duration_s / 4 if want_recorder else None)
+    bundle = ProfilingBundle(
+        sim, obs, mode=mode, sample_every=sample_every,
+        flight_recorder=want_recorder,
+        counter_interval_s=duration_s / 4 if want_recorder else None)
     bus = ControlBus(sim, registry=obs.registry, tracer=obs.tracer)
     seeds_total = 0
     for index in range(1, num_switches + 1):
@@ -1199,17 +1025,10 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
                 source=_SCALING_SEED_SOURCE.replace(
                     "port ANY", f"port {s % switch.asic.num_ports}"))
             seeds_total += 1
-    if bundle is not None:
-        bundle.reanchor()
+    bundle.reanchor()
     start = perf_counter()
     sim.run(until=duration_s)
     wall_s = perf_counter() - start
-    if bundle is None:
-        return ProfilePoint(
-            mode=mode, switches=num_switches, seeds=seeds_total,
-            wall_s=wall_s, attributed_s=0.0, coverage=0.0, dispatches=0,
-            gini=0.0, max_mean_skew=0.0, shares_sum=0.0,
-            top_switches=[], hot_seed=None)
     bundle.profiler.stop()
 
     model = bundle.cost_model()

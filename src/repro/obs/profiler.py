@@ -14,8 +14,9 @@ Two measurement modes:
   charged the delta since the previous dispatch finished, so kernel
   overhead (heap pops, pushes the callback performed, tombstone
   compaction) lands on the event that incurred it and the attributed
-  total matches the measured wall-clock to well under 1% (gated in
-  ``benchmarks/perf/run_perf.py``).
+  total is exactly the last clock read minus the first — the wall-clock
+  of the profiled run (asserted under a fake clock in
+  ``tests/obs/test_profiler.py``).
 * **sampling** — times one dispatch in ``sample_every`` (two clock
   calls around the callback) and scales counts and nanoseconds up by
   the period; unsampled dispatches pay a counter decrement and a

@@ -21,8 +21,9 @@ Near-zero cost when disabled
 Hot paths guard on ``tracer.enabled`` (or on a ``None`` tracer attribute)
 before building any event, and a disabled tracer's :meth:`Tracer.span`
 returns the shared :data:`NULL_SPAN` singleton — no per-event allocation
-happens unless tracing is actually on.  The dispatch-loop overhead of the
-disabled guard is measured and gated in ``benchmarks/perf/run_perf.py``.
+happens unless tracing is actually on.  That the dispatch loop never
+enters the traced path under a disabled tracer is asserted in
+``tests/obs/test_trace.py`` (``TestDisabledFastPath``).
 """
 
 from __future__ import annotations

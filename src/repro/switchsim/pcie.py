@@ -92,11 +92,6 @@ class PcieBus:
             "farm_pcie_standing_demand_bps",
             "Registered standing polling demand in bytes/s.", labels=labels)
 
-    # -- legacy counter attributes (now registry-backed) -------------------
-    @property
-    def total_bytes(self) -> float:
-        return float(self._m_bytes.value)
-
     # ------------------------------------------------------------------
     # Standing (periodic) demand registration
     # ------------------------------------------------------------------

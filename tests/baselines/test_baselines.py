@@ -61,7 +61,7 @@ class TestSflow:
                        collector.endpoint, probe_period_s=period,
                        monitored_ports=list(range(ports)))
             sim.run(until=1.0)
-            return bus.total_bytes
+            return bus.metrics.value("farm_bus_bytes_total")
 
         assert bytes_for(0.001, 10) > 5 * bytes_for(0.010, 10)
         assert bytes_for(0.010, 40) > 3 * bytes_for(0.010, 10)

@@ -120,8 +120,9 @@ def _observe(sim, soil, received):
     return {
         "messages": list(received),
         "snapshots": snaps,
-        "polls": soil.polls_issued,
-        "cache_hits": soil.polls_served_from_cache,
+        "polls": soil.metrics.sum_values("farm_soil_polls_total"),
+        "cache_hits": soil.metrics.sum_values(
+            "farm_soil_poll_cache_hits_total"),
         "events": int(soil._m_events.value),
         "rules": {sid: len(d.rules) for sid, d in soil.deployments.items()},
     }
@@ -432,6 +433,21 @@ class TestGroupLevelFiringParity:
         assert batched["cpu_work_s"] == scalar["cpu_work_s"]
         assert batched == scalar
         assert bsoil._m_vector_events.value > 0
+
+    def test_a_fused_group_costs_kernel_events_per_group_not_per_seed(self):
+        # Beyond the bus deliveries both arms share, a round costs the
+        # kernel one timer firing and at most two delivery buckets however
+        # many seeds are fused; groups of one pay both per seed.
+        seeds, rounds = 50, 50
+
+        def kernel_overhead(batching):
+            obs, soil = _run_counting(batching, seeds=seeds, until=0.505)
+            assert obs["events"] == seeds * rounds
+            return (soil.sim.events_processed
+                    - soil.metrics.sum_values("farm_bus_messages_total"))
+
+        assert kernel_overhead(True) <= 3 * rounds
+        assert kernel_overhead(False) == 2 * seeds * rounds
 
 
 class TestStaleRoundCacheHit:

@@ -101,8 +101,8 @@ class TestControlBus:
         bus.send("src", "dst", "a", size_bytes=100)
         bus.send("src", "dst", "b", size_bytes=200)
         sim.run()
-        assert bus.total_messages == 2
-        assert bus.total_bytes == 300
+        assert bus.metrics.value("farm_bus_messages_total") == 2
+        assert bus.metrics.value("farm_bus_bytes_total") == 300
         assert bus.bytes_per_second() > 0
 
     def test_messages_between_window(self):
@@ -133,16 +133,17 @@ class TestUnknownDestinationPolicy:
         bus = ControlBus(sim, unknown_dst="drop")
         message = bus.send("src", "ghost", None)
         assert message.dropped
-        assert bus.undeliverable_messages == 1
+        assert bus.metrics.value("farm_bus_undeliverable_total") == 1
         sim.run()
-        assert bus.total_messages == 0  # nothing was delivered
+        # nothing was delivered
+        assert bus.metrics.value("farm_bus_messages_total") == 0
 
     def test_per_call_override(self):
         sim = Simulator()
         bus = ControlBus(sim)  # strict by default
         message = bus.send("src", "ghost", None, on_unknown="drop")
         assert message.dropped
-        assert bus.undeliverable_messages == 1
+        assert bus.metrics.value("farm_bus_undeliverable_total") == 1
         with pytest.raises(CommError):
             bus.send("src", "ghost", None)
 
@@ -161,7 +162,7 @@ class TestUnknownDestinationPolicy:
         bus.send("src", "dst", "hello")
         bus.unregister("dst")
         sim.run()
-        assert bus.undeliverable_messages == 1
+        assert bus.metrics.value("farm_bus_undeliverable_total") == 1
 
 
 class TestSizeEstimation:

@@ -41,7 +41,7 @@ class TestHeartbeats:
         manager = FaultToleranceManager(farm.seeder)
         farm.run(until=farm.sim.now + 3.0)
         assert manager.alive_switches() == sorted(farm.topology.switch_ids)
-        assert manager.failovers_performed == 0
+        assert farm.metrics.value("farm_ft_failovers_total") == 0
 
     def test_silent_switch_suspected_then_failed(self, farm):
         manager = FaultToleranceManager(farm.seeder,
@@ -55,7 +55,7 @@ class TestHeartbeats:
         farm.run(until=farm.sim.now + 1.5)
         assert victim in manager.suspected_switch_ids()
         assert victim not in manager.failed_switch_ids()
-        assert manager.failovers_performed == 0
+        assert farm.metrics.value("farm_ft_failovers_total") == 0
         # After confirm_limit (default 2 * miss_limit) it is failed.
         farm.run(until=farm.sim.now + 1.5)
         assert victim in manager.failed_switch_ids()
@@ -84,7 +84,7 @@ class TestCheckpointedFailover:
         # resumed from checkpoint: the counter kept (most of) its history
         assert resumed.instance.snapshot()["machine_vars"]["n"] \
             >= count_at_checkpoint
-        assert manager.failovers_performed == 1
+        assert farm.metrics.value("farm_ft_failovers_total") == 1
 
     def test_pinned_seed_parked_then_recovered(self, farm):
         task = make_heavy_hitter_task(accuracy_ms=10)  # place all: pinned
@@ -162,7 +162,7 @@ class TestFailRecoverUnparkCycle:
         assert checkpoint_n > 0
         recover_switch(farm.seeder, victim)
         farm.run(until=farm.sim.now + 1.0)
-        assert manager.recoveries_performed == 1
+        assert farm.metrics.value("farm_ft_recoveries_total") == 1
         assert manager.parked_seeds == set()
         assert seed.switch == victim
         resumed = farm.seeder.soils[victim].deployments[seed.seed_id]
@@ -184,7 +184,7 @@ class TestChaosResilience:
                    for s in farm.seeder.tasks["heavy-hitter"].seeds)
         # The bus really was lossy, yet no command was lost for good.
         assert chaos.messages_dropped > 0
-        assert farm.seeder.lost_commands == 0
+        assert farm.metrics.value("farm_seeder_lost_commands_total") == 0
 
     def test_lossy_but_alive_switch_never_fails_over(self, farm):
         chaos = farm.enable_chaos(seed=23)
@@ -194,7 +194,7 @@ class TestChaosResilience:
                                         heartbeat_interval_s=0.2,
                                         miss_limit=3)
         farm.run(until=farm.sim.now + 10.0)
-        assert manager.failovers_performed == 0
+        assert farm.metrics.value("farm_ft_failovers_total") == 0
         assert manager.failed_switch_ids() == []
         # the seed survived the whole chaotic run
         seed = farm.seeder.tasks["counter"].seeds[0]
@@ -216,7 +216,7 @@ class TestChaosResilience:
         farm.run(until=farm.sim.now + 4.0)
         # Exactly one failover: the victim (grace period passed), nobody
         # else despite the lossy bus.
-        assert manager.failovers_performed == 1
+        assert farm.metrics.value("farm_ft_failovers_total") == 1
         assert manager.failed_switch_ids() == [victim]
         assert seed.switch is not None and seed.switch != victim
         resumed = farm.seeder.soils[seed.switch].deployments[seed.seed_id]
@@ -225,8 +225,8 @@ class TestChaosResilience:
         # and exactly one live copy of the seed remains (the stale
         # split-brain copy on the victim is swept).
         farm.run(until=farm.sim.now + 4.0)
-        assert manager.failovers_performed == 1
-        assert manager.recoveries_performed == 1
+        assert farm.metrics.value("farm_ft_failovers_total") == 1
+        assert farm.metrics.value("farm_ft_recoveries_total") == 1
         assert manager.failed_switch_ids() == []
         copies = [sid for sid, soil in farm.seeder.soils.items()
                   if seed.seed_id in soil.deployments]

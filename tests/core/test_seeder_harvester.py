@@ -202,7 +202,7 @@ machine Flip {
         assert seed.switch == target
         resumed = farm.seeder.soils[target].deployments[seed.seed_id]
         assert resumed.instance.snapshot()["machine_vars"]["n"] >= count_before
-        assert farm.seeder.migrations_performed == 1
+        assert farm.metrics.value("farm_seeder_migrations_total") == 1
 
 
 class TestHarvesterLifecycle:

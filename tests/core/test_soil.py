@@ -152,9 +152,11 @@ class TestPollingAggregation:
                     config=SoilCommConfig(aggregation=True))
         self._deploy_many(soil, 10)
         sim.run(until=0.5)
-        assert soil.polls_served_from_cache > 0
+        total = soil.metrics.sum_values
+        assert total("farm_soil_poll_cache_hits_total") > 0
         # With aggregation, ~one driver poll per tick instead of ten.
-        assert soil.polls_issued < soil.polls_served_from_cache
+        assert total("farm_soil_polls_total") \
+            < total("farm_soil_poll_cache_hits_total")
 
     def test_no_aggregation_polls_per_seed(self):
         sim = Simulator()
@@ -163,8 +165,9 @@ class TestPollingAggregation:
                     config=SoilCommConfig(aggregation=False))
         self._deploy_many(soil, 10)
         sim.run(until=0.5)
-        assert soil.polls_served_from_cache == 0
-        assert soil.polls_issued >= 10 * 40
+        total = soil.metrics.sum_values
+        assert total("farm_soil_poll_cache_hits_total") == 0
+        assert total("farm_soil_polls_total") >= 10 * 40
 
     def test_pcie_standing_demand_aggregated_is_lower(self):
         def standing(aggregation):

@@ -175,5 +175,6 @@ machine Slow {
         deploy(soil, slow, seed_id="slow")
         sim.run(until=1.0)
         # ~100 fast polls drive the driver; ~20 slow polls all hit cache
-        assert soil.polls_served_from_cache >= 19
-        assert soil.polls_issued <= 105
+        total = soil.metrics.sum_values
+        assert total("farm_soil_poll_cache_hits_total") >= 19
+        assert total("farm_soil_polls_total") <= 105

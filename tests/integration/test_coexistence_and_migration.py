@@ -46,10 +46,10 @@ class TestCoexistingTasks:
         farm.submit(make_traffic_change_task(interval_s=0.01))
         farm.settle()
         farm.run(until=farm.sim.now + 1.0)
-        leaf_soil = farm.soil(farm.topology.leaf_ids[0])
-        assert leaf_soil.polls_served_from_cache > 0
-        assert leaf_soil.polls_issued < (leaf_soil.polls_issued
-                                         + leaf_soil.polls_served_from_cache)
+        labels = {"switch": farm.topology.leaf_ids[0]}
+        assert farm.metrics.value("farm_soil_poll_cache_hits_total",
+                                  labels) > 0
+        assert farm.metrics.value("farm_soil_polls_total", labels) > 0
 
     def test_capacity_contention_drops_whole_task(self):
         """C1: when a task's seeds cannot all be placed, none are."""

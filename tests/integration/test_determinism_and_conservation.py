@@ -80,8 +80,9 @@ class TestConservation:
         farm.start_workload(workload, leaf)
         farm.run(until=farm.sim.now + 0.5)
         bus = farm.bus
-        assert bus.total_messages == len(bus.delivered)
-        assert bus.total_bytes \
+        assert farm.metrics.value("farm_bus_messages_total") \
+            == len(bus.delivered)
+        assert farm.metrics.value("farm_bus_bytes_total") \
             == sum(m.size_bytes for m in bus.delivered)
 
     def test_seed_tcam_rules_conserved_across_migration(self):

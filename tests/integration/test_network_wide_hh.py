@@ -57,9 +57,9 @@ class TestNetworkWideDetection:
                                       report_floor=1e5, accuracy_ms=10)
         farm.submit(task)
         farm.settle()
-        start_msgs = farm.bus.total_messages
+        start_msgs = farm.metrics.value("farm_bus_messages_total")
         farm.run(until=farm.sim.now + 1.0)
-        reports = farm.bus.total_messages - start_msgs
+        reports = farm.metrics.value("farm_bus_messages_total") - start_msgs
         # 2 active leaves x 100 polls/s x 1 report; the idle spine's seed
         # reports nothing at all.
         assert reports <= 2 * 100 + 10

@@ -22,21 +22,13 @@ class TestDeploymentWiring:
     def test_one_registry_spans_the_control_plane(self):
         farm = _run_small_deployment(trace=False)
         registry = farm.obs.registry
-        # Bus counters and legacy attributes agree (same storage).
-        assert farm.bus.total_messages \
-            == registry.value("farm_bus_messages_total") > 0
-        assert farm.bus.total_bytes \
-            == registry.value("farm_bus_bytes_total") > 0
+        assert farm.bus.metrics is registry
+        assert registry.value("farm_bus_messages_total") > 0
+        assert registry.value("farm_bus_bytes_total") > 0
         # The fleet's switches share the registry too.
         assert registry.sum_values("farm_soil_polls_total") > 0
         assert registry.sum_values("farm_cpu_work_seconds_total") > 0
         assert farm.metrics is registry
-
-    def test_legacy_reliable_attrs_are_registry_backed(self):
-        farm = _run_small_deployment(trace=False)
-        channel = farm.seeder.channel
-        assert channel.acked == int(farm.obs.registry.value(
-            "farm_reliable_acked_total", {"endpoint": channel.name}))
 
     def test_tracing_disabled_by_default(self):
         farm = _run_small_deployment(trace=False)
@@ -86,8 +78,9 @@ class TestHistoryTrimming:
             bus.send("src", "sink", {"n": index}, size_bytes=100)
         sim.run()
         assert len(bus.delivered) == 10  # history trimmed...
-        assert bus.total_messages == 50  # ...but totals stay exact
-        assert bus.total_bytes == 5000
+        # ...but totals stay exact
+        assert bus.metrics.value("farm_bus_messages_total") == 50
+        assert bus.metrics.value("farm_bus_bytes_total") == 5000
         # Lifetime average uses the counters, not the trimmed deque.
         assert bus.bytes_per_second() == pytest.approx(5000 / sim.now)
 
@@ -102,8 +95,7 @@ class TestSwitchResourceMetrics:
         labels = {"switch": 7}
         switch.pcie.poll_counters(10)
         assert switch.metrics.value("farm_pcie_transfers_total", labels) == 1
-        assert switch.metrics.value("farm_pcie_bytes_total", labels) \
-            == switch.pcie.total_bytes > 0
+        assert switch.metrics.value("farm_pcie_bytes_total", labels) > 0
         rule_id = switch.tcam.install(
             TcamRule(pattern=switch_port(1), region=MONITORING))
         assert switch.metrics.value(

@@ -100,8 +100,41 @@ class TestProfiler:
         assert profiler.enabled
         profiler.stop()
         assert not profiler.enabled
+        assert sim._profiler is None
         sim.run()
         assert profiler.dispatches == 0
+
+    def test_overhead_contracts_as_clock_read_counts(self, monkeypatch):
+        # Exact mode reads the clock once per dispatch (plus the anchor)
+        # and its attribution telescopes to last read - first read: all
+        # of the profiled wall, exactly.  Sampling reads twice per sample,
+        # a stopped profiler never.
+        reads = []
+
+        def fake_clock():  # strictly increasing, uneven steps
+            reads.append((reads[-1] if reads else 0) + 1 + len(reads) % 13)
+            return reads[-1]
+
+        monkeypatch.setattr("repro.obs.profiler.perf_counter_ns", fake_clock)
+        events, every = 50, 4
+
+        sim, _ = _tick_sim(events=events)
+        profiler = Profiler(sim).start()
+        sim.run()
+        assert len(reads) == events + 1
+        assert profiler.cost_model().total_ns == reads[-1] - reads[0]
+
+        del reads[:]
+        sim, _ = _tick_sim(events=events)
+        Profiler(sim, mode="sampling", sample_every=every).start()
+        sim.run()
+        assert len(reads) == 2 * -(-events // every)
+
+        del reads[:]
+        sim, _ = _tick_sim(events=events)
+        Profiler(sim).start().stop()
+        sim.run()
+        assert reads == []
 
     def test_clear_resets_accumulators(self):
         sim, _ = _tick_sim(events=5)
@@ -373,20 +406,14 @@ class TestRunProfile:
         assert point.shares_sum == pytest.approx(1.0, abs=0.01)
         # The skew is constructed: highest-id switch is hottest.
         assert point.top_switches[0][0] == "3"
-        # The strict (within 1%) coverage contract is gated with retries
-        # in bench_profiler; here just assert attribution is substantial
-        # so a co-tenant preemption at the run boundary cannot flake.
+        # The strict coverage contract is the telescoping identity in
+        # test_overhead_contracts_as_clock_read_counts; against a real
+        # clock just assert attribution is substantial, so a co-tenant
+        # preemption at the run boundary cannot flake.
         assert point.coverage > 0.5
         assert flame.stat().st_size > 0
         assert "soil;" in collapsed.read_text()
         assert json.loads(postmortem.read_text())["reason"] == "profile-run"
-
-    def test_mode_off_is_the_unprofiled_baseline(self):
-        point = run_profile(num_switches=2, base_seeds=1, duration_s=0.2,
-                            mode="off")
-        assert point.dispatches == 0
-        assert point.wall_s > 0
-        assert point.top_switches == []
 
 
 class TestTraceDropSatellite:

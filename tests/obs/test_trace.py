@@ -1,6 +1,20 @@
 """Tracer semantics, and the disabled-instrumentation fast path."""
 
+from repro.almanac import MachineInstance
 from repro.obs.trace import MAX_TRACE_EVENTS, NULL_SPAN, NULL_TRACER, Tracer
+from tests.almanac.test_vector import StubHost, compile_machine
+
+DISPATCH_SEED = """
+machine Dispatch {
+  place all;
+  time tick = 1000;
+  long count;
+  state run {
+    when (tick as v) do { count = count + 1; }
+    when (recv long v from harvester) do { count = count + 1; }
+  }
+}
+"""
 
 
 class TestDisabledFastPath:
@@ -20,6 +34,26 @@ class TestDisabledFastPath:
             tracer.complete("poll", track="switch/1", start=0.0, duration=1.0)
             tracer.async_begin("msg", span_id="m1", track="bus")
             tracer.async_end("msg", span_id="m1", track="bus")
+        assert len(tracer) == 0
+        assert tracer.dropped == 0
+
+    def test_disabled_tracer_never_enters_the_traced_dispatch(
+            self, monkeypatch):
+        # The count form of "a disabled tracer costs nothing on dispatch":
+        # 20 000 handler runs record nothing and reach no traced code.
+        def traced(*args, **kwargs):
+            raise AssertionError("traced path entered with tracing off")
+
+        monkeypatch.setattr(MachineInstance, "_traced_fire_var", traced)
+        monkeypatch.setattr(Tracer, "instant", traced)
+        tracer = Tracer(enabled=False)
+        instance = MachineInstance(compile_machine(DISPATCH_SEED),
+                                   StubHost(), tracer=tracer)
+        instance.start()
+        for i in range(10_000):
+            assert instance.fire_trigger_var("tick", i)
+            assert instance.fire_recv(i)
+        assert instance.snapshot()["machine_vars"]["count"] == 20_000
         assert len(tracer) == 0
         assert tracer.dropped == 0
 

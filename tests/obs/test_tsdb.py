@@ -182,6 +182,53 @@ class TestScraper:
         assert registry.value("scarecrow_samples_total") > 0
         assert registry.value("scarecrow_series") == len(store)
 
+    def test_scraping_is_transparent_and_its_work_has_a_closed_form(self):
+        # The Fig. 6 ML fleet with and without 1 s scrapes: scraping
+        # changes nothing it observes, adds one kernel event per scrape
+        # and writes one sample per series per scrape.
+        from repro.core.comm import ControlBus
+        from repro.core.soil import Soil
+        from repro.eval.experiments import (
+            _ML_SEED_SOURCE,
+            _deploy_polling_seed,
+        )
+        from repro.switchsim.chassis import Switch
+        from repro.switchsim.stratum import driver_for
+        from repro.tasks.ml_task import ML_EVENT_CPU_S, SVR_ITERATION_CPU_S
+
+        def run(scrape):
+            sim = Simulator()
+            registry = MetricsRegistry(clock=lambda: sim.now)
+            switch = Switch(sim, 1, registry=registry)
+            soil = Soil(sim, switch, driver_for(switch),
+                        ControlBus(sim, registry=registry))
+            if scrape:
+                Scraper(sim, registry, TimeSeriesStore()).start()
+            soil.register_external("svr_predict", lambda stats: 0.0,
+                                   cpu_cost_s=SVR_ITERATION_CPU_S)
+            for index in range(20):
+                _deploy_polling_seed(
+                    soil, f"ml{index}", interval_s=0.01,
+                    event_cpu_s=ML_EVENT_CPU_S, source=_ML_SEED_SOURCE,
+                    externals={"iterations": 10})
+            sim.run(until=5.0)
+            observed = (
+                {sid: d.instance.snapshot()
+                 for sid, d in soil.deployments.items()},
+                switch.cpu.mean_load_percent(),
+                {name: family
+                 for name, family in registry.snapshot().items()
+                 if not name.startswith("scarecrow_")})
+            return observed, sim.events_processed, registry
+
+        plain, plain_events, _ = run(scrape=False)
+        scraped, scraped_events, registry = run(scrape=True)
+        assert scraped == plain
+        scrapes = registry.value("scarecrow_scrapes_total")
+        assert scraped_events - plain_events == scrapes == 5
+        assert registry.value("scarecrow_samples_total") \
+            == scrapes * registry.value("scarecrow_series") > 0
+
     def test_start_stop_idempotent(self):
         sim, registry, store, scraper = self._setup()
         registry.counter("c_total").inc()

@@ -25,6 +25,7 @@ from repro.placement.incremental import (
     solve_incremental,
 )
 from repro.placement.instances import generate_problem
+from repro.placement.linprog_builder import LinProgram
 from repro.placement.milp import solve_milp
 from repro.placement.model import (
     PollDemand,
@@ -49,6 +50,54 @@ def polled_seed(seed_id, task_id, candidates, value=10.0, inv_const=1.0):
         poll_demands=(PollDemand(
             subject=frozenset({("port", seed_id)}),
             inv_interval=LinPoly({}, inv_const)),))
+
+
+def probe_task(problem, target):
+    """A small 4-seed task with tiny floors, placeable near ``target``."""
+    switches = sorted(problem.available)
+    anchor = switches.index(target)
+    seeds = []
+    for i in range(4):
+        candidates = tuple(sorted(
+            switches[(anchor + i + k) % len(switches)] for k in range(3)))
+        piece = UtilityPiece(
+            constraints=(LinPoly({"vCPU": 1.0}, -0.1),
+                         LinPoly({"RAM": 1.0}, -32.0)),
+            utility=ConcaveUtility.constant(5.0))
+        seeds.append(SeedSpec(
+            seed_id=f"churn-probe/s{i}", task_id="churn-probe",
+            candidates=candidates, utility=PiecewiseUtility([piece])))
+    return TaskSpec(task_id="churn-probe", seeds=seeds)
+
+
+def single_switch_deltas(problem, incumbent):
+    """The four canonical deltas against the incumbent's median-load
+    switch: busy enough that the delta touches real seeds, slack enough
+    that a mild shrink stays locally absorbable (a hard shrink escalates
+    to a full solve by design — see ``TestFallback``)."""
+    residents = {}
+    for seed_id, switch in incumbent.placement.items():
+        residents.setdefault(switch, []).append(seed_id)
+    by_load = sorted(residents, key=lambda n: (len(residents[n]), n))
+    target = by_load[len(by_load) // 2]
+    vcpu = problem.available[target]["vCPU"]
+    polled = next(seed for seed in map(problem.seed,
+                                       sorted(residents[target]))
+                  if seed.poll_demands)
+    bumped = tuple(
+        PollDemand(subject=d.subject,
+                   inv_interval=LinPoly(dict(d.inv_interval.coeffs),
+                                        d.inv_interval.const + 2.0),
+                   weight=d.weight)
+        for d in polled.poll_demands)
+    return {
+        "shrink": ChurnDelta(
+            capacity_changes={target: {"vCPU": vcpu * 0.75}}),
+        "grow": ChurnDelta(
+            capacity_changes={target: {"vCPU": vcpu * 1.5}}),
+        "task-add": ChurnDelta(added_tasks=(probe_task(problem, target),)),
+        "poll-bump": ChurnDelta(poll_changes={polled.seed_id: bumped}),
+    }
 
 
 class TestChurnDelta:
@@ -251,6 +300,47 @@ class TestSingleDeltaDifferential:
         assert validate_solution(p2, ref) == []
 
 
+class TestCanonicalSingleSwitchDeltas:
+    """What a warm re-solve owes on a single-switch delta: a feasible,
+    incremental answer within 1% of the full solve's utility for one LP
+    per touched switch — the count form of "incremental is >= 10x faster
+    than full" (throughput is farmbench ``placement_churn``)."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        problem = generate_problem(400, 60, num_tasks=10, seed=7)
+        # Relaxed so that every seed places: neither solver is then
+        # rescued by slack it created itself.
+        for caps in problem.available.values():
+            for resource in caps:
+                caps[resource] *= 2.0
+        incumbent = solve_heuristic(problem)
+        return problem, incumbent, single_switch_deltas(problem, incumbent)
+
+    @pytest.mark.parametrize("name, touched", [
+        ("shrink", 1), ("grow", 1), ("task-add", 6), ("poll-bump", 1)])
+    def test_resolve_pays_one_lp_per_touched_switch(self, world, name,
+                                                    touched, monkeypatch):
+        problem, incumbent, deltas = world
+        solve_lp, calls = LinProgram.solve_lp, []
+
+        def counted(lp, *args, **kwargs):
+            calls.append(None)
+            return solve_lp(lp, *args, **kwargs)
+
+        monkeypatch.setattr(LinProgram, "solve_lp", counted)
+        churned = apply_delta(problem, deltas[name], incumbent=incumbent)
+        full = solve_heuristic(churned)
+        full_lps = len(calls)
+        inc = solve_incremental(churned, incumbent, delta=deltas[name])
+        assert validate_solution(churned, inc) == []
+        assert inc.info["incremental"] is True
+        assert "fallback" not in inc.info
+        assert inc.objective >= 0.99 * full.objective
+        assert len(calls) - full_lps == inc.info["touched_switches"] == touched
+        assert full_lps >= 10 * touched
+
+
 class TestFallback:
     def test_large_delta_falls_back_to_full(self):
         p = generate_problem(40, 8, seed=5)
@@ -267,9 +357,9 @@ class TestFallback:
         assert inc.placement == ref.placement
         assert inc.objective == pytest.approx(ref.objective)
 
-    def test_env_escape_hatch_forces_full(self):
-        # What replaced the environment switch: a zero ratio makes any
-        # non-empty dirty set exceed the blast-radius threshold.
+    def test_zero_fallback_ratio_forces_full(self):
+        # A zero ratio makes any non-empty dirty set exceed the
+        # blast-radius threshold.
         p = make_problem([const_seed("a", "t", (1, 2), 10.0)])
         full = solve_heuristic(p)
         delta = ChurnDelta(capacity_changes={1: {"vCPU": 8.0}})

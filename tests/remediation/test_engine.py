@@ -6,7 +6,7 @@ from repro.core.deployment import FarmDeployment
 from repro.core.fault_tolerance import FaultToleranceManager
 from repro.eval.experiments import _make_probe_task, run_remediation_loop
 from repro.net.topology import spine_leaf
-from repro.obs.alerts import AlertEvent, AlertManager
+from repro.obs.alerts import AlertEvent, AlertManager, ThresholdRule
 from repro.obs.query import QueryEngine
 from repro.obs.tsdb import TimeSeriesStore
 from repro.remediation import (
@@ -197,6 +197,45 @@ class TestWiring:
         assert engine._on_alert_event in manager.on_transition
         engine.detach()
         assert engine._on_alert_event not in manager.on_transition
+
+    def test_an_idle_engine_is_transparent(self):
+        # The run_remediation_mode world on a healthy fabric: an attached
+        # engine arms nothing and counts nothing beyond the families it
+        # registers (and the Scarecrow tallies that count those).
+        own = ("farm_remediation_", "scarecrow_series", "scarecrow_points",
+               "scarecrow_samples_total")
+
+        def run(attach):
+            farm = build_farm(num_probes=6)
+            ft = FaultToleranceManager(farm.seeder, confirm_limit=30)
+            scarecrow = farm.enable_scarecrow(interval_s=1.0)
+            healthy_rate = 1.0 / ft.heartbeat_interval_s
+            scarecrow.add_rule(ThresholdRule(
+                RULE, "farm_ft_heartbeats_total", reducer="rate",
+                window_s=5.0, op="<", threshold=healthy_rate * 0.6,
+                clear_threshold=healthy_rate * 0.75, for_s=3.0))
+            scarecrow.feed_fault_tolerance(ft)
+            engine = None
+            if attach:
+                engine = RemediationEngine(farm.seeder, fault_tolerance=ft)
+                engine.add_policy(DrainPolicy(RULE))
+                engine.add_policy(EscalatePolicy(RULE, breaches=3,
+                                                 window_s=30.0))
+                engine.attach(scarecrow)
+            farm.run(until=30.0)
+            totals = {name: family["series"]
+                      for name, family in farm.metrics.snapshot().items()
+                      if family["kind"] != "histogram"
+                      and not name.startswith(own)}
+            alerts = [(e.t, e.rule, e.labels, e.state)
+                      for e in scarecrow.log]
+            return (farm.sim.events_processed, alerts, totals), engine
+
+        detection_only, _ = run(attach=False)
+        attached, engine = run(attach=True)
+        assert attached == detection_only
+        assert attached[1], "the rule never transitioned: nothing to ignore"
+        assert engine.log.records == []
 
 
 def build_spread_farm():

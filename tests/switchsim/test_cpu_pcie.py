@@ -221,7 +221,8 @@ class TestPcieBus:
         sim = Simulator()
         bus = PcieBus(sim)
         bus.poll_counters(10)
-        assert bus.total_bytes == 10 * BYTES_PER_COUNTER
+        assert bus.metrics.value("farm_pcie_bytes_total") \
+            == 10 * BYTES_PER_COUNTER
         assert len(bus.transfers()) == 1
         assert bus.transfers()[0].kind == "poll"
 
@@ -250,7 +251,8 @@ class TestPcieBus:
         # Totals and the mean still cover every transfer, not the ring.
         assert bus.metrics.value("farm_pcie_transfers_total") \
             == TRANSFER_LOG_LIMIT + 10
-        assert bus.total_bytes == sum(100 + i for i in range(len(latencies)))
+        assert bus.metrics.value("farm_pcie_bytes_total") \
+            == sum(100 + i for i in range(len(latencies)))
         assert bus.mean_transfer_latency() \
             == sum(latencies) / len(latencies)
 

@@ -1,8 +1,12 @@
 """Public-API integrity: every ``__all__`` name resolves and is importable."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -55,12 +59,47 @@ def test_every_public_module_has_docstring():
 def test_no_environment_switches_in_the_package():
     # A reference implementation is reachable from a test by constructing
     # it, never from a deployment by configuration (docs/performance.md).
-    from pathlib import Path
     import repro
     offenders = [
         str(path) for path in Path(repro.__file__).parent.rglob("*.py")
         if any(token in path.read_text()
                for token in ("os.environ", "getenv"))]
+    assert offenders == []
+
+
+def test_every_registered_metric_is_in_the_catalogue():
+    # Names are the only way to read a counter (registry.value /
+    # sum_values), so docs/observability.md's catalogue is public surface.
+    import repro
+    registration = re.compile(
+        r'\.(?:counter|gauge|histogram)\(\s*"((?:farm|scarecrow)_\w+)"')
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        names.update(registration.findall(path.read_text()))
+    assert len(names) > 50, "the scan no longer finds the registrations"
+    catalogue = (REPO / "docs" / "observability.md").read_text()
+    assert sorted(name for name in names
+                  if not re.search(rf"`{name}[`{{]", catalogue)) == []
+
+
+def test_ci_names_existing_paths_and_nothing_names_the_deleted_harness():
+    # Plain text scan (CI does not install a YAML parser).
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    named = {path.rstrip(".") for path in re.findall(
+        r"\b((?:benchmarks|examples|src|tests)/[\w./-]+)", ci)}
+    assert "benchmarks/farmbench/run.py" in named
+    assert sorted(p for p in named if not (REPO / p).exists()) == []
+    # benchmarks/perf/ went in PR 18: farmbench measures, tier-1 gates
+    # (docs/performance.md, "Measuring").  Prose may keep the history.
+    code = [REPO / ".gitignore", *REPO.glob("*.py")]
+    for top in (".github", "benchmarks", "examples", "src", "tests"):
+        code += [path for path in (REPO / top).rglob("*")
+                 if path.suffix in (".py", ".yml")]
+    offenders = [
+        str(path.relative_to(REPO)) for path in code
+        if path != Path(__file__).resolve()
+        and any(token in path.read_text()
+                for token in ("run_perf", "BENCH_perf"))]
     assert offenders == []
 
 
