@@ -14,7 +14,13 @@ pre-bound Python closures, and a :class:`MachineInstance` runs them:
   handlers keyed by ``(state, trigger_signature)``: enter/exit/realloc
   lists, a ``var -> handlers`` dict for poll/probe/time triggers, and an
   ordered recv table, so firing a trigger is a dict lookup, not a predicate
-  scan over every event.
+  scan over every event;
+* **specialised hot shapes** — builtin calls with one to three arguments
+  bind them one by one, ``if``/``while`` conditions that yield a bool skip
+  ``_truthy``, and ``while (i < size(L)) { ...; i = i + 1; }`` runs its
+  test and step inline while ``i`` is an int, ``L`` a list and ``size``
+  the stdlib's own, falling back to the generic closures per iteration
+  otherwise.
 
 Every deployment runs on this executor.  The tree-walker in
 :mod:`repro.almanac.interpreter` is the executable specification: it
@@ -49,6 +55,10 @@ from repro.net.addresses import Prefix
 _EMPTY_FRAME: List[Any] = []
 
 _NOT_CONST = object()
+
+#: The stdlib's ``size``: counted loops inline ``len`` only while a seed's
+#: ``size`` builtin is this very function.
+_STDLIB_SIZE = pure_builtins()["size"]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +124,7 @@ class MachineCode:
     """A fully lowered machine, shared by every instance of it."""
 
     __slots__ = ("machine_name", "trigger_names", "functions",
-                 "machine_inits", "states")
+                 "machine_inits", "states", "counted_loops")
 
     def __init__(self, machine_name: str) -> None:
         self.machine_name = machine_name
@@ -122,6 +132,8 @@ class MachineCode:
         self.functions: Dict[str, _Function] = {}
         self.machine_inits: Dict[str, Callable] = {}
         self.states: Dict[str, _StateCode] = {}
+        #: One record per loop lowered by :func:`_compile_counted_loop`.
+        self.counted_loops: List[_CountedLoop] = []
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +474,76 @@ def _compile_call(expr: ast.Call, ctx: _Ctx) -> Callable:
             return function.invoke(rt, [fn(rt, frame) for fn in arg_fns])
         return call_function
 
+    # The builtin is looked up at call time (extra and per-host builtins
+    # may shadow the stdlib); one to three arguments are bound one by one
+    # instead of through a per-call list and ``*args``.
+    def unknown() -> AlmanacRuntimeError:
+        return AlmanacRuntimeError(f"unknown function {name!r} (line {line})")
+
+    def failed(exc: Exception) -> AlmanacRuntimeError:
+        return AlmanacRuntimeError(
+            f"builtin {name}() failed (line {line}): {exc}")
+
+    if len(arg_fns) == 1:
+        (arg0,) = arg_fns
+
+        def call_builtin1(rt, frame):
+            x0 = arg0(rt, frame)
+            builtin = rt.builtins.get(name)
+            if builtin is None:
+                raise unknown()
+            try:
+                return builtin(x0)
+            except AlmanacRuntimeError:
+                raise
+            except Exception as exc:
+                raise failed(exc) from exc
+        return call_builtin1
+    if len(arg_fns) == 2:
+        arg0, arg1 = arg_fns
+
+        def call_builtin2(rt, frame):
+            x0 = arg0(rt, frame)
+            x1 = arg1(rt, frame)
+            builtin = rt.builtins.get(name)
+            if builtin is None:
+                raise unknown()
+            try:
+                return builtin(x0, x1)
+            except AlmanacRuntimeError:
+                raise
+            except Exception as exc:
+                raise failed(exc) from exc
+        return call_builtin2
+    if len(arg_fns) == 3:
+        arg0, arg1, arg2 = arg_fns
+
+        def call_builtin3(rt, frame):
+            x0 = arg0(rt, frame)
+            x1 = arg1(rt, frame)
+            x2 = arg2(rt, frame)
+            builtin = rt.builtins.get(name)
+            if builtin is None:
+                raise unknown()
+            try:
+                return builtin(x0, x1, x2)
+            except AlmanacRuntimeError:
+                raise
+            except Exception as exc:
+                raise failed(exc) from exc
+        return call_builtin3
+
     def call_builtin(rt, frame):
         args = [fn(rt, frame) for fn in arg_fns]
         builtin = rt.builtins.get(name)
         if builtin is None:
-            raise AlmanacRuntimeError(
-                f"unknown function {name!r} (line {line})")
+            raise unknown()
         try:
             return builtin(*args)
         except AlmanacRuntimeError:
             raise
         except Exception as exc:
-            raise AlmanacRuntimeError(
-                f"builtin {name}() failed (line {line}): {exc}") from exc
+            raise failed(exc) from exc
     return call_builtin
 
 
@@ -521,9 +590,12 @@ def _compile_stmt(stmt: ast.Stmt, ctx: _Ctx) -> Callable:
                 for s in taken:
                     s(rt, frame)
             return run_taken
+        # Conditions test ``is True`` / ``is False`` first: comparisons
+        # and ``and``/``or`` yield bools, which need no ``_truthy``.
         if else_body:
             def if_else(rt, frame):
-                if _truthy(cond_fn(rt, frame)):
+                cond = cond_fn(rt, frame)
+                if cond is True or (cond is not False and _truthy(cond)):
                     for s in then_body:
                         s(rt, frame)
                 else:
@@ -532,20 +604,27 @@ def _compile_stmt(stmt: ast.Stmt, ctx: _Ctx) -> Callable:
             return if_else
 
         def if_only(rt, frame):
-            if _truthy(cond_fn(rt, frame)):
+            cond = cond_fn(rt, frame)
+            if cond is True or (cond is not False and _truthy(cond)):
                 for s in then_body:
                     s(rt, frame)
         return if_only
     if isinstance(stmt, ast.While):
         cond_fn = _compile_expr(stmt.cond, ctx)
+        counted = _counted_loop_vars(stmt, ctx)
         ctx.push_block()
         body = tuple(_compile_stmt(s, ctx) for s in stmt.body)
         ctx.pop_block()
         line = stmt.line
+        if counted is not None:
+            return _compile_counted_loop(line, ctx, cond_fn, body, *counted)
 
         def while_loop(rt, frame):
             iterations = 0
-            while _truthy(cond_fn(rt, frame)):
+            while True:
+                cond = cond_fn(rt, frame)
+                if cond is not True and (cond is False or not _truthy(cond)):
+                    break
                 iterations += 1
                 if iterations > MAX_LOOP_ITERATIONS:
                     raise AlmanacRuntimeError(
@@ -659,6 +738,124 @@ def _compile_assign(stmt: ast.Assign, ctx: _Ctx) -> Callable:
         raise AlmanacRuntimeError(
             f"assignment to undeclared variable {name!r}")
     return assign_missing
+
+
+# ---------------------------------------------------------------------------
+# Counted loops: ``while (i < size(L)) { B; i = i + 1; }``
+# ---------------------------------------------------------------------------
+
+
+class _CountedLoop:
+    """Engagement record of one lowered counted loop: how often it was
+    entered and how many of its condition tests took the generic closures."""
+
+    __slots__ = ("line", "entries", "fallbacks")
+
+    def __init__(self, line: int) -> None:
+        self.line = line
+        self.entries = 0
+        self.fallbacks = 0
+
+
+def _written_names(stmts: List[ast.Stmt]) -> set:
+    """Every name ``stmts`` assign or declare, nested blocks included."""
+    names: set = set()
+    for stmt in stmts:
+        if isinstance(stmt, ast.Assign):
+            names.add(stmt.target)
+        elif isinstance(stmt, ast.VarDecl):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.If):
+            names |= _written_names(stmt.then_body)
+            names |= _written_names(stmt.else_body)
+        elif isinstance(stmt, ast.While):
+            names |= _written_names(stmt.body)
+    return names
+
+
+def _counted_loop_vars(stmt: ast.While,
+                       ctx: _Ctx) -> Optional[Tuple[int, str]]:
+    """``(slot of i, name of L)`` when ``stmt`` is provably a counted loop:
+    ``i`` is a local that is not a trigger name, the body ends in
+    ``i = i + 1`` and otherwise neither writes nor re-declares ``i`` or
+    ``L``, and no user function shadows ``size``."""
+    cond, body = stmt.cond, stmt.body
+    if not (isinstance(cond, ast.BinOp) and cond.op == "<"
+            and isinstance(cond.left, ast.Var)
+            and isinstance(cond.right, ast.Call)
+            and cond.right.func == "size" and len(cond.right.args) == 1
+            and isinstance(cond.right.args[0], ast.Var) and body):
+        return None
+    index, seq = cond.left.name, cond.right.args[0].name
+    kind, slot = ctx.resolve(index)
+    if (kind != "local" or index in ctx.code.trigger_names
+            or "size" in ctx.code.functions
+            or ctx.resolve(seq)[0] is None):
+        return None
+    step = body[-1]
+    if not (isinstance(step, ast.Assign) and step.target == index
+            and step.fieldname is None
+            and isinstance(step.value, ast.BinOp) and step.value.op == "+"
+            and isinstance(step.value.left, ast.Var)
+            and step.value.left.name == index
+            and isinstance(step.value.right, ast.Lit)
+            and type(step.value.right.value) is int
+            and step.value.right.value == 1):
+        return None
+    if {index, seq} & _written_names(body[:-1]):
+        return None
+    return slot, seq
+
+
+def _compile_counted_loop(line: int, ctx: _Ctx, cond_fn: Callable,
+                          body: Tuple[Callable, ...], index_slot: int,
+                          seq_name: str) -> Callable:
+    """The loop with ``i < len(L)`` and ``i + 1`` inline.
+
+    An iteration takes the inline test while ``i`` is an int, ``L`` a list
+    and ``size`` still the stdlib's own; otherwise it evaluates the
+    generic condition closure, and a non-int ``i`` steps through the
+    generic increment.  ``L`` and ``len(L)`` are re-read every iteration,
+    so a body that grows ``L`` through an alias behaves as the generic
+    loop does, iteration cap and error messages included.
+    """
+    # A local ``L`` is read from its frame slot, any other through its load
+    # closure (which raises the generic path's "undefined variable").
+    kind, seq_slot = ctx.resolve(seq_name)
+    load_seq = _compile_load(seq_name, ctx) if kind != "local" else None
+    inner, step_fn = body[:-1], body[-1]
+    record = _CountedLoop(line)
+    ctx.code.counted_loops.append(record)
+
+    def counted_loop(rt, frame):
+        record.entries += 1
+        builtins = rt.builtins
+        iterations = 0
+        while True:
+            i = frame[index_slot]
+            seq = frame[seq_slot] if load_seq is None else load_seq(rt, frame)
+            if (type(i) is int and type(seq) is list
+                    and builtins.get("size") is _STDLIB_SIZE):
+                if not i < len(seq):
+                    break
+            else:
+                record.fallbacks += 1
+                cond = cond_fn(rt, frame)
+                if cond is not True and (cond is False or not _truthy(cond)):
+                    break
+            iterations += 1
+            if iterations > MAX_LOOP_ITERATIONS:
+                raise AlmanacRuntimeError(
+                    f"while loop exceeded {MAX_LOOP_ITERATIONS} "
+                    f"iterations (line {line})")
+            for s in inner:
+                s(rt, frame)
+            # The body writes no ``i``: it still holds the tested value.
+            if type(i) is int:
+                frame[index_slot] = i + 1
+            else:
+                step_fn(rt, frame)
+    return counted_loop
 
 
 # ---------------------------------------------------------------------------

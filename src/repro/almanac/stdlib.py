@@ -94,62 +94,12 @@ def _entropy(values: List[Any]) -> float:
 
 
 def pure_builtins() -> Dict[str, Callable[..., Any]]:
-    """Host-independent builtins available to every seed and harvester."""
-    return {
-        # arithmetic
-        "min": lambda *xs: min(xs),
-        "max": lambda *xs: max(xs),
-        "abs": abs,
-        "floor": math.floor,
-        "ceil": math.ceil,
-        "sqrt": math.sqrt,
-        "log2": math.log2,
-        "pow": pow,
-        # lists
-        "size": lambda x: len(x),
-        "is_list_empty": lambda l: len(_need_list(l, "is_list_empty")) == 0,
-        "append": lambda l, x: (_need_list(l, "append").append(x), l)[1],
-        "clear": lambda l: (_need_list(l, "clear").clear(), l)[1],
-        "contains": lambda l, x: x in l,
-        "get": lambda l, i: _need_list(l, "get")[int(i)],
-        "remove_at": lambda l, i: _need_list(l, "remove_at").pop(int(i)),
-        "sorted_copy": lambda l: sorted(_need_list(l, "sorted_copy")),
-        "concat_lists": lambda a, b: list(a) + list(b),
-        # strings
-        "tostring": str,
-        "toint": lambda x: int(float(x)),
-        "tofloat": float,
-        "strlen": lambda s: len(str(s)),
-        "match": lambda s, pattern: re.search(pattern, str(s)) is not None,
-        "split": lambda s, sep: str(s).split(sep),
-        # stats helpers
-        "entropy": _entropy,
-        "sum_list": lambda l: sum(_need_list(l, "sum_list")),
-        "mean": lambda l: (sum(l) / len(l)) if l else 0.0,
-        # associative maps (counters keyed by IPs, ports, prefixes)
-        "makeMap": dict,
-        "mapInc": _map_inc,
-        "mapGet": lambda m, k: m.get(k, 0),
-        "mapSet": lambda m, k, v: (m.__setitem__(k, v), m)[1],
-        "mapDel": lambda m, k: (m.pop(k, None), m)[1],
-        "mapHas": lambda m, k: k in m,
-        "mapSize": lambda m: len(m),
-        "mapKeys": lambda m: list(m.keys()),
-        "mapValues": lambda m: list(m.values()),
-        "mapClear": lambda m: (m.clear(), m)[1],
-        # IP helpers
-        "ipstr": _ipstr,
-        "prefixOf": _prefix_of,
-        # struct constructors used by tasks
-        "makeRule": lambda pattern, act: make_struct(
-            "Rule", pattern=pattern, act=act),
-        "makeDropAction": lambda: {"action": "drop"},
-        "makeRateLimitAction": lambda rate: {"action": "rate_limit",
-                                             "rate_bps": float(rate)},
-        "makeQosAction": lambda cls: {"action": "set_qos", "qos_class": cls},
-        "makeMirrorAction": lambda: {"action": "mirror"},
-        "makeCountAction": lambda: {"action": "count"},
-    }
+    """Host-independent builtins available to every seed and harvester.
+
+    A fresh dict of the same module-level functions on every call, so the
+    closure compiler can recognise the stdlib's own ``size`` by identity.
+    """
+    return dict(_PURE_BUILTINS)
 
 
 def _map_inc(m: Dict[Any, Any], key: Any, amount: Any = 1) -> Any:
@@ -171,6 +121,63 @@ def _prefix_of(ip: Any, length: Any) -> int:
         raise AlmanacRuntimeError(f"prefix length out of range: {length}")
     mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
     return int(ip) & mask
+
+
+_PURE_BUILTINS: Dict[str, Callable[..., Any]] = {
+    # arithmetic
+    "min": lambda *xs: min(xs),
+    "max": lambda *xs: max(xs),
+    "abs": abs,
+    "floor": math.floor,
+    "ceil": math.ceil,
+    "sqrt": math.sqrt,
+    "log2": math.log2,
+    "pow": pow,
+    # lists
+    "size": lambda x: len(x),
+    "is_list_empty": lambda l: len(_need_list(l, "is_list_empty")) == 0,
+    "append": lambda l, x: (_need_list(l, "append").append(x), l)[1],
+    "clear": lambda l: (_need_list(l, "clear").clear(), l)[1],
+    "contains": lambda l, x: x in l,
+    "get": lambda l, i: _need_list(l, "get")[int(i)],
+    "remove_at": lambda l, i: _need_list(l, "remove_at").pop(int(i)),
+    "sorted_copy": lambda l: sorted(_need_list(l, "sorted_copy")),
+    "concat_lists": lambda a, b: list(a) + list(b),
+    # strings
+    "tostring": str,
+    "toint": lambda x: int(float(x)),
+    "tofloat": float,
+    "strlen": lambda s: len(str(s)),
+    "match": lambda s, pattern: re.search(pattern, str(s)) is not None,
+    "split": lambda s, sep: str(s).split(sep),
+    # stats helpers
+    "entropy": _entropy,
+    "sum_list": lambda l: sum(_need_list(l, "sum_list")),
+    "mean": lambda l: (sum(l) / len(l)) if l else 0.0,
+    # associative maps (counters keyed by IPs, ports, prefixes)
+    "makeMap": dict,
+    "mapInc": _map_inc,
+    "mapGet": lambda m, k: m.get(k, 0),
+    "mapSet": lambda m, k, v: (m.__setitem__(k, v), m)[1],
+    "mapDel": lambda m, k: (m.pop(k, None), m)[1],
+    "mapHas": lambda m, k: k in m,
+    "mapSize": lambda m: len(m),
+    "mapKeys": lambda m: list(m.keys()),
+    "mapValues": lambda m: list(m.values()),
+    "mapClear": lambda m: (m.clear(), m)[1],
+    # IP helpers
+    "ipstr": _ipstr,
+    "prefixOf": _prefix_of,
+    # struct constructors used by tasks
+    "makeRule": lambda pattern, act: make_struct(
+        "Rule", pattern=pattern, act=act),
+    "makeDropAction": lambda: {"action": "drop"},
+    "makeRateLimitAction": lambda rate: {"action": "rate_limit",
+                                         "rate_bps": float(rate)},
+    "makeQosAction": lambda cls: {"action": "set_qos", "qos_class": cls},
+    "makeMirrorAction": lambda: {"action": "mirror"},
+    "makeCountAction": lambda: {"action": "count"},
+}
 
 
 def host_builtins(host: HostInterface) -> Dict[str, Callable[..., Any]]:

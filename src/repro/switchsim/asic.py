@@ -97,7 +97,8 @@ class Asic:
     only its frozen counter integral.  What is derived from the table is
     memoised and dropped by three signals: an attach or detach, the TCAM's
     ``version``, and the :class:`~repro.net.packet.FlowWatch` that every
-    live flow's ``set_rate`` bumps.
+    live flow's ``set_rate`` bumps; a sample plan also re-reads the
+    ``rate_bps`` of the rate limits it was shaped by.
     """
 
     def __init__(self, sim: Simulator, num_ports: int = 48,
@@ -117,6 +118,10 @@ class Asic:
         self._flow_watch = FlowWatch()
         # Probe filter -> matching live rows; dropped by attach/detach.
         self._probe_memo: Dict[Filter, List[_Attachment]] = {}
+        # (probe filter, budget) -> sample plan: (TCAM version, flow-watch
+        # changes, (winning RATE_LIMIT rule, its rate_bps) pairs, the flow
+        # of each sample in output order); dropped by attach/detach.
+        self._plans: Dict[Tuple[Filter, int], tuple] = {}
         # TCAM rules by priority with their switch-port scope, per version.
         self._scoped_rules: List[Tuple[TcamRule, Optional[frozenset]]] = []
         self._scoped_version = -1
@@ -159,6 +164,7 @@ class Asic:
 
     def _table_changed(self) -> None:
         self._probe_memo = {}
+        self._plans = {}
         self._columns = None
 
     def _check_port(self, port: int) -> None:
@@ -352,11 +358,24 @@ class Asic:
         is distributed.  Equal-rate flows split the budget evenly (breadth
         for scan/flood detectors); a dominant flow crowds the batch (rate
         concentration for entropy/volume detectors).
+
+        The apportioned plan — which flows, how many samples each — is
+        memoised per ``(fil, max_packets)`` and reused while the table,
+        ``Tcam.version``, the flow watch and every winning ``RATE_LIMIT``
+        rule's ``rate_bps`` are unchanged; a hit only stamps the packets.
+        A plan is stored only when no matching flow has a rate segment
+        starting after ``now``: until then the rates depend on the clock.
         """
         if max_packets < 1:
             raise SwitchError(
                 f"sample budget must be at least one packet: {max_packets}")
         now = self.sim.now
+        plan = self._plans.get((fil, max_packets))
+        if (plan is not None and plan[0] == self.tcam.version
+                and plan[1] == self._flow_watch.changes
+                and all(rule.params.get("rate_bps") == limit
+                        for rule, limit in plan[2])):
+            return [flow.sample_packet(now) for flow in plan[3]]
         matching = self._probe_memo.get(fil)
         if matching is None:
             # Kept in tie-break order (source, then attach order), so that
@@ -366,33 +385,47 @@ class Asic:
                  if fil.matches_key(a.flow.key,
                                     tcp_flags=a.flow.default_tcp_flags)),
                 key=lambda a: (a.flow.key.src_ip, a.flow.key.src_port))
-        # (-raw rate, effective rate, row) per flow still passing traffic.
+        # (-raw rate, effective rate, flow) per flow still passing traffic.
         sampled = []
+        limits = {}  # id -> (winning RATE_LIMIT rule, its rate_bps now)
+        timeless = True
         for attachment in matching:
-            raw = attachment.flow.rate_at(now)
+            flow = attachment.flow
+            timeless = timeless and flow._segments[-1][0] <= now
+            raw = flow.rate_at(now)
             rule = self._winning_rule(attachment)
-            rate = raw if rule is None else self._shaped(raw, rule)
+            if rule is None:
+                rate = raw
+            else:
+                rate = self._shaped(raw, rule)
+                if rule.action is RuleAction.RATE_LIMIT:
+                    limits[id(rule)] = (rule, rule.params.get("rate_bps"))
             if rate > 0:
-                sampled.append((-raw, rate, attachment))
-        if not sampled:
-            return []
+                sampled.append((-raw, rate, flow))
         sampled.sort(key=_first)  # stable: heaviest first, ties as memoised
         if len(sampled) >= max_packets:
             # More flows than budget: one sample each for the heaviest.
-            return [attachment.flow.sample_packet(now)
-                    for _, _, attachment in sampled[:max_packets]]
-        total_rate = sum(rate for _, rate, _ in sampled)
-        shares = [rate / total_rate * max_packets for _, rate, _ in sampled]
-        counts = [int(share) for share in shares]
-        remainders = sorted(range(len(sampled)),
-                            key=lambda i: shares[i] - counts[i],
-                            reverse=True)
-        leftover = max_packets - sum(counts)
-        for index in remainders[:leftover]:
-            counts[index] += 1
-        return [attachment.flow.sample_packet(now)
-                for (_, _, attachment), count in zip(sampled, counts)
-                for _ in range(count)]
+            chosen = [flow for _, _, flow in sampled[:max_packets]]
+        elif sampled:
+            total_rate = sum(rate for _, rate, _ in sampled)
+            shares = [rate / total_rate * max_packets
+                      for _, rate, _ in sampled]
+            counts = [int(share) for share in shares]
+            remainders = sorted(range(len(sampled)),
+                                key=lambda i: shares[i] - counts[i],
+                                reverse=True)
+            leftover = max_packets - sum(counts)
+            for index in remainders[:leftover]:
+                counts[index] += 1
+            chosen = [flow for (_, _, flow), count in zip(sampled, counts)
+                      for _ in range(count)]
+        else:
+            chosen = []
+        if timeless:
+            self._plans[fil, max_packets] = (
+                self.tcam.version, self._flow_watch.changes,
+                tuple(limits.values()), chosen)
+        return [flow.sample_packet(now) for flow in chosen]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -8,11 +8,34 @@ executable specification.
 """
 
 import copy
+import random
+import re
 
 from repro.almanac import MachineInstance, codegen, flatten_machine
+from repro.almanac import interpreter as interpreter_module
 from repro.almanac.interpreter import ReferenceInterpreter
 from repro.almanac.parser import parse
 from repro.errors import AlmanacRuntimeError
+from repro.net.addresses import parse_ip
+from repro.net.packet import PROTO_TCP, PROTO_UDP, TCP_SYN, Flow, FlowKey
+from repro.sim.engine import Simulator
+from repro.switchsim.asic import Asic
+from repro.tasks import (
+    ALMANAC_SOURCES,
+    make_ddos_task,
+    make_dns_reflection_task,
+    make_entropy_task,
+    make_flood_defender_task,
+    make_flow_size_dist_task,
+    make_hierarchical_hh_task,
+    make_new_tcp_conn_task,
+    make_partial_tcp_task,
+    make_port_scan_task,
+    make_slowloris_task,
+    make_ssh_brute_force_task,
+    make_superspreader_task,
+    make_syn_flood_task,
+)
 from repro.tasks.heavy_hitter import ALMANAC_SOURCE as HH_SOURCE
 
 class RecordingHost:
@@ -66,13 +89,20 @@ class RecordingHost:
 
 
 def run_machine(source, script=(), machine=None, externals=None,
-                executor=MachineInstance):
-    """Run a trigger script against a fresh instance; return its outcome."""
+                executor=MachineInstance, extra_builtins=None):
+    """Run a trigger script against a fresh instance; return its outcome.
+
+    ``loops`` maps each counted loop the closure compiler lowered to
+    ``(entries, fallbacks)``: how often it ran, and how many condition
+    tests took the generic closures.  Only the production executor runs
+    closures, so :func:`assert_backends_identical` compares without it.
+    """
     program = parse(source)
     name = machine or program.machines[-1].name
     compiled = flatten_machine(program, name)
     host = RecordingHost()
-    instance = executor(compiled, host, externals=externals)
+    instance = executor(compiled, host, externals=externals,
+                        extra_builtins=extra_builtins)
     errors = []
     try:
         instance.start()
@@ -100,16 +130,23 @@ def run_machine(source, script=(), machine=None, externals=None,
         "transitions": instance.transitions,
         "events_handled": instance.events_handled,
         "errors": errors,
+        "loops": {loop.line: (loop.entries, loop.fallbacks) for loop in
+                  codegen.compile_closures(compiled).counted_loops},
     }
 
 
 def assert_backends_identical(source, script=(), machine=None,
-                              externals=None):
+                              externals=None, extra_builtins=None):
     interpreted = run_machine(source, script, machine, externals,
-                              executor=ReferenceInterpreter)
+                              executor=ReferenceInterpreter,
+                              extra_builtins=extra_builtins)
     compiled = run_machine(source, script, machine, externals,
-                           executor=MachineInstance)
+                           executor=MachineInstance,
+                           extra_builtins=extra_builtins)
+    loops = compiled.pop("loops")
+    interpreted.pop("loops")
     assert compiled == interpreted
+    compiled["loops"] = loops
     return compiled
 
 
@@ -407,3 +444,267 @@ machine M {
   state b { when (enter) do { transit a; } }
 }""")
         assert outcome["errors"] and "transit chain" in outcome["errors"][0][1]
+
+
+# ----------------------------------------------------------------------
+# Counted loops: ``while (i < size(L)) { B; i = i + 1; }`` is lowered to an
+# inline test and step.  Each scenario runs on both executors and pins the
+# engagement it expects; the comment names a mutation of
+# ``codegen._compile_counted_loop`` / ``_counted_loop_vars`` it catches.
+# ----------------------------------------------------------------------
+def _loop_machine(body, decls="", functions=""):
+    return functions + """
+machine Loop {
+  place all;
+  list L;
+""" + decls + """
+  state s {
+    when (recv long n from harvester) do {
+""" + body + """
+    }
+  }
+}"""
+
+
+class TestCountedLoops:
+    def test_body_growing_the_list_through_an_alias(self):
+        # Mutation caught: len(L) read once at loop entry (3 iterations).
+        outcome = assert_backends_identical(_loop_machine("""
+      list A = L;
+      append(L, 0); append(L, 1); append(L, 2);
+      int i = 0;
+      while (i < size(L)) {
+        if (size(A) < n) then { append(A, i); }
+        i = i + 1;
+      }
+      send i to harvester;"""), (("recv", 6), ("recv", 11)))
+        assert [e[1] for e in outcome["trace"]] == [6, 11]
+        assert list(outcome["loops"].values()) == [(2, 0)]
+
+    def test_body_that_writes_the_index_is_not_lowered(self):
+        # Mutation caught: no written-names check (the inline step would
+        # add 1 to the tested value and lose the body's write).
+        outcome = assert_backends_identical(_loop_machine("""
+      list l = [1, 2, 3, 4, 5, 6, 7];
+      int i = 0;
+      while (i < size(l)) {
+        i = i + n;
+        i = i + 1;
+      }
+      send i to harvester;"""), (("recv", 2),))
+        assert outcome["trace"] == [("harvester", 9)]
+        assert outcome["loops"] == {}
+
+    def test_float_index_takes_the_generic_closures(self):
+        # Mutation caught: the guard accepts floats (no fallback counted).
+        outcome = assert_backends_identical(_loop_machine("""
+      list l = [1, 2, 3];
+      float i = 0.5;
+      while (i < size(l)) { i = i + 1; }
+      send i to harvester;"""), (("recv", 0),))
+        assert outcome["trace"] == [("harvester", 3.5)]
+        assert list(outcome["loops"].values()) == [(1, 4)]
+
+    def test_map_string_and_int_sequences(self):
+        # Mutation caught: no ``type(L) is list`` guard (``len`` of an int
+        # escapes as a raw TypeError instead of the builtin's error).
+        outcome = assert_backends_identical(_loop_machine("""
+      list m = makeMap();
+      mapSet(m, 1, 1);
+      mapSet(m, 2, 2);
+      int i = 0;
+      while (i < size(m)) { i = i + 1; }
+      string text = "abc";
+      int j = 0;
+      while (j < size(text)) { j = j + 1; }
+      send [i, j] to harvester;
+      int k = 0;
+      while (k < size(n)) { k = k + 1; }"""), (("recv", 5),))
+        assert outcome["trace"] == [("harvester", [2, 3])]
+        assert len(outcome["errors"]) == 1
+        assert "builtin size() failed" in outcome["errors"][0][1]
+        assert sorted(outcome["loops"].values()) == [(1, 1), (1, 3), (1, 4)]
+
+    def test_size_overridden_by_an_extra_builtin(self):
+        # Mutation caught: no identity check on ``rt.builtins["size"]``.
+        outcome = assert_backends_identical(_loop_machine("""
+      list l = [1, 2, 3];
+      int i = 0;
+      while (i < size(l)) { i = i + 1; }
+      send i to harvester;"""), (("recv", 0),),
+            extra_builtins={"size": lambda value: 2 * len(value)})
+        assert outcome["trace"] == [("harvester", 6)]
+        assert list(outcome["loops"].values()) == [(1, 7)]
+
+    def test_size_overridden_by_a_user_function_is_not_lowered(self):
+        # Mutation caught: no check for a user ``function size``.
+        outcome = assert_backends_identical(_loop_machine("""
+      list l = [1, 2, 3, 4, 5];
+      int i = 0;
+      while (i < size(l)) { i = i + 1; }
+      send i to harvester;""", functions="""
+function long size(list l) { return 2; }
+"""), (("recv", 0),))
+        assert outcome["trace"] == [("harvester", 2)]
+        assert outcome["loops"] == {}
+
+    def test_runaway_counted_loop_hits_the_cap(self, monkeypatch):
+        # Mutation caught: the cap tested with ``>=`` (one append fewer).
+        for module in (codegen, interpreter_module):
+            monkeypatch.setattr(module, "MAX_LOOP_ITERATIONS", 50)
+        outcome = assert_backends_identical(_loop_machine("""
+      list A = L;
+      append(A, 0);
+      int i = 0;
+      while (i < size(L)) { append(A, i); i = i + 1; }"""), (("recv", 0),))
+        assert outcome["errors"] == [
+            ("recv", "while loop exceeded 50 iterations (line 12)")]
+        assert len(outcome["snapshot"]["machine_vars"]["L"]) == 51
+        assert list(outcome["loops"].values()) == [(1, 0)]
+
+
+# ----------------------------------------------------------------------
+# Every probe machine of the task library on real probe batches: packet
+# lists sampled by a seeded ASIC whose traffic runs through three incidents.
+# ----------------------------------------------------------------------
+PROBE_TASKS = [
+    make_ddos_task(), make_flow_size_dist_task(),
+    make_hierarchical_hh_task(inherited=False), make_flood_defender_task(),
+    make_superspreader_task(), make_ssh_brute_force_task(),
+    make_port_scan_task(), make_dns_reflection_task(), make_slowloris_task(),
+    make_entropy_task(), make_new_tcp_conn_task(), make_syn_flood_task(),
+    make_partial_tcp_task(),
+]
+
+_SAMPLES_LOOP = re.compile(r"while \(i < size\(samples\)\)")
+
+
+def _trigger_kinds(task):
+    compiled = flatten_machine(parse(task.source),
+                               task.machines[0].machine_name)
+    return {decl.name: decl.typ for decl in compiled.trigger_decls}
+
+
+def _probe_filter(task, var):
+    config = task.machines[0]
+    compiled = flatten_machine(parse(task.source), config.machine_name)
+    instance = MachineInstance(compiled, RecordingHost(),
+                               externals=config.externals)
+    return instance.snapshot()["machine_vars"][var]["what"]
+
+
+def _probe_batches(filters, steps=16, seed=3):
+    """``{filter: [packet list per step]}`` from one seeded ASIC: random
+    background traffic and three incidents that each hold for three
+    steps — a SYN flood with DNS reflection onto one victim, then a port
+    scan and a superspreader, then a Slowloris crowd with SSH guessing —
+    then rate churn on the background."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    asic = Asic(sim, num_ports=8)
+    background = []
+
+    def attach(src, dst, sport, dport, proto, rate, size, flags=0):
+        flow = Flow(FlowKey(src, dst, sport, dport, proto), rate_bps=rate,
+                    start_time=sim.now, packet_size=size,
+                    default_tcp_flags=flags)
+        asic.attach_flow(flow, rng.randrange(8), rng.randrange(8))
+        return flow
+
+    client, server = parse_ip("10.0.0.0"), parse_ip("10.1.0.0")
+    for _ in range(60):
+        proto = rng.choice([PROTO_TCP, PROTO_TCP, PROTO_UDP])
+        background.append(attach(
+            client + rng.randrange(256), server + rng.randrange(16),
+            rng.choice([53, 1024 + rng.randrange(60000)]),
+            rng.choice([22, 53, 80, 443, 8080]), proto,
+            rng.choice([1e3, 1e4, 5e4]), rng.choice([64, 500, 1500]),
+            rng.choice([0, 0, TCP_SYN]) if proto == PROTO_TCP else 0))
+    victim = server + 7
+    incidents = {
+        4: lambda: (
+            [attach(parse_ip("10.9.0.0") + k, victim, 2000 + k, 80,
+                    PROTO_TCP, 5e5, 1500, TCP_SYN) for k in range(80)]
+            + [attach(parse_ip("10.7.0.0") + k, victim, 53, 3000 + k,
+                      PROTO_UDP, 1e6, 3000) for k in range(30)]),
+        7: lambda: (
+            [attach(parse_ip("10.8.0.1"), victim, 4444, port, PROTO_TCP,
+                    1e6, 64, TCP_SYN) for port in range(1000, 1050)]
+            + [attach(parse_ip("10.4.0.1"), parse_ip("10.2.0.0") + k,
+                      4000 + k, 80, PROTO_TCP, 1e6, 500)
+               for k in range(60)]),
+        10: lambda: (
+            [attach(parse_ip("10.5.0.0") + k, server + 9, 6000 + k, 80,
+                    PROTO_TCP, 1e5, 100) for k in range(60)]
+            + [attach(parse_ip("10.6.0.0") + k, victim, 5000 + k, 22,
+                      PROTO_TCP, 5e4, 100, TCP_SYN) for k in range(20)]),
+    }
+    running = []
+    batches = {fil: [] for fil in filters}
+    for step in range(steps):
+        sim.run(until=0.05 * step)
+        if step in incidents or step == 13:
+            for flow in running:
+                flow.stop(sim.now)
+            running = incidents[step]() if step in incidents else []
+        if step == 13:
+            for flow in rng.sample(background, 30):
+                flow.set_rate(rng.choice([0.0, 2e3, 3e5]), sim.now)
+        for fil in filters:
+            batches[fil].append(asic.sample_packets(fil, 64))
+    return batches
+
+
+class TestProbeBatches:
+    def test_every_probe_machine_of_the_library_is_covered(self):
+        covered = {task.machines[0].machine_name for task in PROBE_TASKS}
+        with_probe = set()
+        for source, machine in ALMANAC_SOURCES.values():
+            compiled = flatten_machine(parse(source), machine)
+            if any(d.typ == "probe" for d in compiled.trigger_decls):
+                with_probe.add(machine)
+        assert covered == with_probe and len(covered) == 13
+
+    def test_probe_handlers_identical_and_counted_loops_engage(self):
+        kinds = {task.task_id: _trigger_kinds(task) for task in PROBE_TASKS}
+        probe_of = {task.task_id: next(var for var, typ in
+                                       kinds[task.task_id].items()
+                                       if typ == "probe")
+                    for task in PROBE_TASKS}
+        filters = {task.task_id: _probe_filter(task, probe_of[task.task_id])
+                   for task in PROBE_TASKS}
+        batches = _probe_batches(set(filters.values()))
+        stats = [{"__struct__": "PortStat", "port": p, "rate_bps": 1e5}
+                 for p in range(4)]
+        reacted, packets = set(), 0
+        for task in PROBE_TASKS:
+            config = task.machines[0]
+            script = []
+            for step, batch in enumerate(batches[filters[task.task_id]]):
+                script.append(("var", probe_of[task.task_id], batch))
+                packets += len(batch)
+                if step % 4 == 3:
+                    for var, typ in kinds[task.task_id].items():
+                        if typ != "probe":
+                            script.append(
+                                ("var", var, stats if typ == "poll" else None))
+            outcome = assert_backends_identical(
+                task.source, script, machine=config.machine_name,
+                externals=config.externals)
+            assert outcome["errors"] == []
+            if any(entry[0] == "rule+" for entry in outcome["trace"]):
+                reacted.add(task.task_id)
+            lines = task.source.splitlines()
+            sample_loops = {number for number, text in
+                            enumerate(lines, start=1)
+                            if _SAMPLES_LOOP.search(text)}
+            assert sample_loops, task.task_id
+            loops = outcome["loops"]
+            # Every `while (i < size(samples))` was lowered and ran inline
+            # on every iteration; so did every other lowered loop it entered.
+            assert sample_loops <= set(loops), task.task_id
+            assert all(loops[line][0] > 0 for line in sample_loops)
+            assert all(fallbacks == 0 for _, fallbacks in loops.values())
+        # The batches carried the incidents far enough to trip reactions.
+        assert packets == 13 * 16 * 64
+        assert len(reacted) >= 7

@@ -1,7 +1,7 @@
 """Cross-solver properties: the MILP is an upper bound on the heuristic."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.placement import (
     generate_problem,
@@ -32,10 +32,12 @@ def test_milp_dominates_heuristic_on_tiny_instances(rng_seed, num_seeds,
 
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 10_000))
+@example(1)  # does not prove optimality in 2 s: a time-limited incumbent
 def test_solution_objective_is_reproducible(rng_seed):
-    """The reported objective equals recomputing MU from the placement."""
+    """The reported objective equals recomputing MU from the placement,
+    for a time-limited MILP incumbent as much as for a proven optimum."""
     problem = generate_problem(30, 6, num_tasks=3, seed=rng_seed)
-    for solver in (solve_heuristic, lambda p: solve_milp(p, 15.0)):
+    for solver in (solve_heuristic, lambda p: solve_milp(p, 2.0)):
         solution = solver(problem)
         recomputed = compute_objective(problem, solution.placement,
                                        solution.allocations)

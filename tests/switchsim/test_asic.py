@@ -330,7 +330,7 @@ def test_flow_table_matches_brute_force_under_churn(seed):
         live = [r for r in rows if r.t1 is None]
         op = rng.choice(["attach", "attach", "detach", "reattach", "rate",
                          "rate", "replace", "stop", "install", "install",
-                         "remove", "params", "advance", "advance"])
+                         "remove", "params", "advance", "advance", "future"])
         if op == "attach":
             attach(new_flow())
         elif op == "detach" and live:
@@ -368,6 +368,15 @@ def test_flow_table_matches_brute_force_under_churn(seed):
                 rng.choice([0.0, 20.0, 400.0])
         elif op == "advance":
             sim.run(until=now + rng.choice([0.25, 1.0]))
+        elif op == "future" and live:
+            # A rate change scheduled ahead of the clock: the flow's rate
+            # moves at that instant with no further signal, so probes
+            # before it must not leave a plan that probes after it reuse.
+            flow = rng.choice(live).flow
+            at = max(now, flow._segments[-1][0]) + rng.choice([0.25, 0.5])
+            flow.set_rate(rng.choice([0.0, 40.0, 3000.0]), at)
+            _check_against_oracle(asic, rows, now)
+            sim.run(until=at)
         _check_against_oracle(asic, rows, sim.now)
 
 
@@ -422,6 +431,43 @@ class TestFlowTableEngagement:
         asic.detach_flow(flows[1])  # a table change drops the memo
         asic.sample_packets(fil)
         assert fil.calls == 9
+
+    def test_repeat_probe_of_unchanged_table_reads_no_rate(self, sim, asic,
+                                                           monkeypatch):
+        flows = [make_flow(rate=10.0 * (i + 1), sport=1000 + i)
+                 for i in range(5)]
+        for flow in flows:
+            asic.attach_flow(flow, 0, 1)
+        limit = TcamRule(flt.SrcPortFilter(1004), RuleAction.RATE_LIMIT,
+                         params={"rate_bps": 25.0}, region=MONITORING)
+        asic.tcam.install(limit)
+        reads = []
+        rate_at = Flow.rate_at
+        monkeypatch.setattr(Flow, "rate_at", lambda flow, time: (
+            reads.append(flow), rate_at(flow, time))[1])
+        fil = flt.TrueFilter()
+        first = asic.sample_packets(fil)
+        assert len(reads) == 5
+        sim.run(until=1.0)
+        again = asic.sample_packets(fil)
+        assert len(reads) == 5  # the plan was reused: only stamped anew
+        assert again == [packet.at(1.0) for packet in first]
+        limit.params["rate_bps"] = 5.0  # edited in place, no signal
+        limited = asic.sample_packets(fil)
+        assert len(reads) == 10 and limited != again
+        assert asic.sample_packets(fil) == limited and len(reads) == 10
+        flows[0].set_rate(400.0, sim.now)
+        assert asic.sample_packets(fil)[0].src_port == 1000
+        assert len(reads) == 15
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected_with_a_plan_memoised(self, asic,
+                                                            budget):
+        asic.attach_flow(make_flow(rate=10.0), 0, 1)
+        fil = flt.TrueFilter()
+        assert asic.sample_packets(fil) == asic.sample_packets(fil)
+        with pytest.raises(SwitchError):
+            asic.sample_packets(fil, max_packets=budget)
 
     def test_probe_work_follows_live_flows_not_attach_history(self, sim):
         def probe_calls(churn):
