@@ -36,11 +36,6 @@ from repro.almanac.poly import (
     UtilityPiece,
 )
 from repro.almanac.stdlib import HostInterface, is_struct, make_struct
-from repro.almanac.printer import (
-    format_expr,
-    format_machine,
-    format_program,
-)
 from repro.almanac.typecheck import (
     Diagnostic,
     assert_well_formed,
@@ -66,6 +61,5 @@ __all__ = [
     "UtilityPiece",
     "HostInterface", "is_struct", "make_struct",
     "Diagnostic", "assert_well_formed", "check_program",
-    "format_expr", "format_machine", "format_program",
     "decode_machine", "decode_program", "encode_machine", "encode_program",
 ]

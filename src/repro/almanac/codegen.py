@@ -23,10 +23,10 @@ pre-bound Python closures, and a :class:`MachineInstance` runs them:
   otherwise.
 
 Every deployment runs on this executor.  The tree-walker in
-:mod:`repro.almanac.interpreter` is the executable specification: it
-subclasses :class:`MachineInstance`, replaces every evaluation step with an
-AST walk, and ``tests/almanac/test_codegen.py`` asserts byte-identical
-traces between the two.  Machine and state variables are plain dicts on
+``tests/almanac/reference_interpreter.py`` is the executable
+specification: it subclasses :class:`MachineInstance`, replaces every
+evaluation step with an AST walk, and ``tests/almanac/test_codegen.py``
+asserts byte-identical traces between the two.  Machine and state variables are plain dicts on
 both, so snapshots (migration, crash restart) move freely between them.
 """
 

@@ -2,8 +2,8 @@
 
 A :class:`CompiledMachine` is the inheritance-resolved form of a ``machine``
 declaration.  The production executor (:mod:`repro.almanac.codegen`) and the
-reference tree-walker (:mod:`repro.almanac.interpreter`) both run it, and
-both take their limits, defaults and value helpers from here.
+reference tree-walker (``tests/almanac/reference_interpreter.py``) both run
+it, and both take their limits, defaults and value helpers from here.
 """
 
 from __future__ import annotations

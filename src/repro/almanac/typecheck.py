@@ -35,13 +35,6 @@ _HOST_BUILTINS = frozenset({
 })
 
 
-def _optional_builtins() -> frozenset:
-    """Names soils may inject (sketch API); accepted by the checker since
-    their absence is a deployment-time concern, not a program error."""
-    from repro.sketches.almanac_bridge import sketch_builtins
-    return frozenset(sketch_builtins())
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """One problem found by the checker."""
@@ -63,8 +56,7 @@ class _MachineChecker:
         self.diagnostics = diagnostics
         self.machine_names = {m.name for m in program.machines}
         self.functions = {f.name: f for f in program.functions}
-        self.builtins = (set(pure_builtins()) | _HOST_BUILTINS
-                         | _optional_builtins())
+        self.builtins = set(pure_builtins()) | _HOST_BUILTINS
         try:
             compiled = flatten_machine(program, machine.name)
             self.state_names = set(compiled.states)

@@ -13,15 +13,14 @@ to the scalar closures:
 
 * exactly one handler for the ``(state, trigger var)`` pair;
 * every statement is an assignment to a numeric machine/state/local
-  variable, a numeric local declaration, an ``if`` whose condition is a
-  boolean combination of comparisons, or a ``send ... to harvester`` (at
-  most one send in the whole body, so cross-seed message order is
+  variable, a numeric local declaration, or a ``send ... to harvester``
+  (at most one send in the whole body, so cross-seed message order is
   preserved);
 * every expression is **affine** in the numeric variables — certified by
   lowering it onto :class:`repro.almanac.poly.LinPoly` whose coefficient
   items also give a worst-case magnitude bound;
-* no division (`_sem_div` has exact-int semantics), no transits, loops,
-  calls, field accesses, or trigger-variable writes.
+* no division (`_sem_div` has exact-int semantics), no branches,
+  transits, loops, calls, field accesses, or trigger-variable writes.
 
 Bit-exactness: expressions are *certified* affine via ``LinPoly`` but
 *evaluated* in original AST order with float64 numpy ops, so float
@@ -38,10 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-try:  # numpy is a hard dependency of the repo, but degrade gracefully
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro.almanac import astnodes as ast
 from repro.almanac.poly import LinPoly
@@ -54,8 +50,6 @@ INT_INPUT_LIMIT = 2 ** 31
 _EXACT_LIMIT = 2.0 ** 53
 
 _NUMERIC_TYPES = ("int", "long", "float")
-
-_CMP_OPS = {"==", "<>", "<", ">", "<=", ">="}
 
 
 class _Ineligible(Exception):
@@ -90,7 +84,6 @@ class _Env:
         self.trigger_names = trigger_names
         self.cols: Dict[str, _Col] = {}
         self.sends = 0
-        self.data_written = False
 
     def resolve(self, name: str) -> _Col:
         col = self.cols.get(name)
@@ -200,7 +193,7 @@ def _emit(expr: ast.Expr, env: _Env) -> Callable:
 def _emit_int_flag(expr: ast.Expr, env: _Env,
                    integral: bool) -> Callable:
     """Per-element "result is a Python int" flag for an affine expr."""
-    names = sorted(_col_names(expr, env))
+    names = sorted(_expr_names(expr))
 
     def flags(cols, int_flags, n):
         if not integral:
@@ -215,16 +208,6 @@ def _emit_int_flag(expr: ast.Expr, env: _Env,
     return flags
 
 
-def _col_names(expr: ast.Expr, env: _Env) -> set:
-    if isinstance(expr, ast.Var):
-        return {expr.name}
-    if isinstance(expr, ast.UnaryOp):
-        return _col_names(expr.operand, env)
-    if isinstance(expr, ast.BinOp):
-        return _col_names(expr.left, env) | _col_names(expr.right, env)
-    return set()
-
-
 def _true_flags(n: int):
     return np.ones(n, dtype=bool)
 
@@ -233,68 +216,12 @@ def _false_flags(n: int):
     return np.zeros(n, dtype=bool)
 
 
-def _certify_cond(expr: ast.Expr, env: _Env) -> Callable:
-    """Boolean combination of affine comparisons -> mask evaluator.
-
-    Both branches of ``and``/``or`` are always evaluated — sound because
-    certified-affine operands are side-effect free and total.
-    """
-    if isinstance(expr, ast.UnaryOp) and expr.op == "not":
-        inner = _certify_cond(expr.operand, env)
-
-        def not_mask(cols):
-            return ~inner(cols)
-        return not_mask
-    if isinstance(expr, ast.BinOp) and expr.op in ("and", "or"):
-        left = _certify_cond(expr.left, env)
-        right = _certify_cond(expr.right, env)
-        if expr.op == "and":
-            def and_mask(cols):
-                return left(cols) & right(cols)
-            return and_mask
-
-        def or_mask(cols):
-            return left(cols) | right(cols)
-        return or_mask
-    if isinstance(expr, ast.BinOp) and expr.op in _CMP_OPS:
-        _certify(expr.left, env)
-        _certify(expr.right, env)
-        left = _emit(expr.left, env)
-        right = _emit(expr.right, env)
-        op = expr.op
-        if op == "==":
-            def eq(cols):
-                return left(cols) == right(cols)
-            return eq
-        if op == "<>":
-            def ne(cols):
-                return left(cols) != right(cols)
-            return ne
-        if op == "<":
-            def lt(cols):
-                return left(cols) < right(cols)
-            return lt
-        if op == ">":
-            def gt(cols):
-                return left(cols) > right(cols)
-            return gt
-        if op == "<=":
-            def le(cols):
-                return left(cols) <= right(cols)
-            return le
-
-        def ge(cols):
-            return left(cols) >= right(cols)
-        return ge
-    raise _Ineligible(f"condition {type(expr).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Statement compilation
 # ---------------------------------------------------------------------------
 
 
-def _compile_stmt(stmt: ast.Stmt, env: _Env, top_level: bool) -> Callable:
+def _compile_stmt(stmt: ast.Stmt, env: _Env) -> Callable:
     """Compile one statement into ``op(state)`` where ``state`` is the
     runtime :class:`_BatchState`."""
     if isinstance(stmt, ast.Assign):
@@ -306,30 +233,14 @@ def _compile_stmt(stmt: ast.Stmt, env: _Env, top_level: bool) -> Callable:
         value_fn = _emit(stmt.value, env)
         flags_fn = _emit_int_flag(stmt.value, env, integral)
         target = env.resolve(stmt.target)
-        # Masked assigns leave some elements at their prior value, so the
-        # column's magnitude bound is the max of old and new.
         target.bound = max(target.bound, bound)
-        if target.kind == "data":
-            env.data_written = True
         name = target.name
 
         def assign(bs):
-            value = _as_array(value_fn(bs.cols), bs.n)
-            flags = flags_fn(bs.cols, bs.int_flags, bs.n)
-            mask = bs.mask
-            if mask is None:
-                bs.cols[name] = value
-                bs.int_flags[name] = flags
-            else:
-                bs.cols[name] = np.where(mask, value, bs.cols[name])
-                bs.int_flags[name] = np.where(mask, flags,
-                                              bs.int_flags[name])
+            bs.cols[name] = _as_array(value_fn(bs.cols), bs.n)
+            bs.int_flags[name] = flags_fn(bs.cols, bs.int_flags, bs.n)
         return assign
     if isinstance(stmt, ast.VarDecl):
-        if not top_level:
-            # Branch-scoped declarations would need masked initialization
-            # plus scope teardown; not worth the complexity.
-            raise _Ineligible("declaration inside a branch")
         if stmt.typ not in _NUMERIC_TYPES:
             raise _Ineligible(f"local of type {stmt.typ!r}")
         if stmt.init is not None:
@@ -352,29 +263,6 @@ def _compile_stmt(stmt: ast.Stmt, env: _Env, top_level: bool) -> Callable:
             bs.cols[name] = _as_array(value_fn(bs.cols), bs.n)
             bs.int_flags[name] = flags_fn(bs.cols, bs.int_flags, bs.n)
         return declare
-    if isinstance(stmt, ast.If):
-        cond_fn = _certify_cond(stmt.cond, env)
-        then_ops = tuple(_compile_stmt(s, env, False)
-                         for s in stmt.then_body)
-        else_ops = tuple(_compile_stmt(s, env, False)
-                         for s in stmt.else_body)
-
-        def if_stmt(bs):
-            cond = _as_mask(cond_fn(bs.cols), bs.n)
-            outer = bs.mask
-            then_mask = cond if outer is None else (outer & cond)
-            if then_ops and then_mask.any():
-                bs.mask = then_mask
-                for op in then_ops:
-                    op(bs)
-            if else_ops:
-                else_mask = ~cond if outer is None else (outer & ~cond)
-                if else_mask.any():
-                    bs.mask = else_mask
-                    for op in else_ops:
-                        op(bs)
-            bs.mask = outer
-        return if_stmt
     if isinstance(stmt, ast.Send):
         if stmt.dest_machine != "":
             raise _Ineligible("send to machine")
@@ -390,14 +278,9 @@ def _compile_stmt(stmt: ast.Stmt, env: _Env, top_level: bool) -> Callable:
         def send(bs):
             values = _as_array(value_fn(bs.cols), bs.n)
             flags = flags_fn(bs.cols, bs.int_flags, bs.n)
-            mask = bs.mask
-            indices = (range(bs.n) if mask is None
-                       else np.nonzero(mask)[0])
-            hosts = bs.hosts
-            for i in indices:
-                value = values[i]
-                hosts[i].send_to_harvester(
-                    int(value) if flags[i] else float(value))
+            for host, value, is_int in zip(bs.hosts, values, flags):
+                host.send_to_harvester(int(value) if is_int
+                                       else float(value))
         return send
     raise _Ineligible(f"statement {type(stmt).__name__}")
 
@@ -411,12 +294,6 @@ def _as_array(value, n: int):
     return np.full(n, value, dtype=np.float64)
 
 
-def _as_mask(value, n: int):
-    if isinstance(value, np.ndarray):
-        return value
-    return np.full(n, bool(value), dtype=bool)
-
-
 # ---------------------------------------------------------------------------
 # Kernel
 # ---------------------------------------------------------------------------
@@ -425,12 +302,11 @@ def _as_mask(value, n: int):
 class _BatchState:
     """Mutable execution state threaded through the compiled ops."""
 
-    __slots__ = ("cols", "int_flags", "mask", "hosts", "n")
+    __slots__ = ("cols", "int_flags", "hosts", "n")
 
     def __init__(self, cols, int_flags, hosts, n):
         self.cols = cols
         self.int_flags = int_flags
-        self.mask = None
         self.hosts = hosts
         self.n = n
 
@@ -438,21 +314,15 @@ class _BatchState:
 class VectorKernel:
     """A compiled, batch-capable handler for one ``(state, var)`` pair."""
 
-    __slots__ = ("state", "var", "needs_data", "gather_cols", "write_cols",
-                 "local_cols", "ops", "data_name")
+    __slots__ = ("state", "var", "gather_cols", "ops", "data_name")
 
-    def __init__(self, state: str, var: str, needs_data: bool,
+    def __init__(self, state: str, var: str,
                  gather_cols: Tuple[_Col, ...],
-                 write_cols: Tuple[_Col, ...],
-                 local_cols: Tuple[str, ...],
                  ops: Tuple[Callable, ...],
                  data_name: Optional[str]) -> None:
         self.state = state
         self.var = var
-        self.needs_data = needs_data
         self.gather_cols = gather_cols
-        self.write_cols = write_cols
-        self.local_cols = local_cols
         self.ops = ops
         self.data_name = data_name
 
@@ -506,7 +376,9 @@ class VectorKernel:
         bs = _BatchState(cols, int_flags, hosts, n)
         for op in self.ops:
             op(bs)
-        for col in self.write_cols:
+        # Read-only columns go back unchanged: every gathered value
+        # round-trips float64 exactly.
+        for col in self.gather_cols:
             name = col.name
             values = bs.cols[name]
             flags = bs.int_flags[name]
@@ -537,25 +409,24 @@ def compile_vector_kernels(compiled: Any) -> Dict[Tuple[str, str],
     if cache is not None:
         return cache
     kernels: Dict[Tuple[str, str], VectorKernel] = {}
-    if np is not None:
-        trigger_names = frozenset(d.name for d in compiled.trigger_decls)
-        machine_vars = frozenset(d.name for d in compiled.var_decls)
-        for sname, state in compiled.states.items():
-            state_vars = frozenset(
-                d.name for d in state.var_decls if not d.is_trigger)
-            by_var: Dict[str, List[ast.Event]] = {}
-            for event in state.events:
-                trigger = event.trigger
-                if isinstance(trigger, ast.VarTrigger):
-                    by_var.setdefault(trigger.var, []).append(event)
-            for var, events in by_var.items():
-                if len(events) != 1:
-                    continue  # multi-handler dispatch order is scalar-only
-                kernel = _compile_handler(sname, var, events[0],
-                                          machine_vars, state_vars,
-                                          trigger_names)
-                if kernel is not None:
-                    kernels[(sname, var)] = kernel
+    trigger_names = frozenset(d.name for d in compiled.trigger_decls)
+    machine_vars = frozenset(d.name for d in compiled.var_decls)
+    for sname, state in compiled.states.items():
+        state_vars = frozenset(
+            d.name for d in state.var_decls if not d.is_trigger)
+        by_var: Dict[str, List[ast.Event]] = {}
+        for event in state.events:
+            trigger = event.trigger
+            if isinstance(trigger, ast.VarTrigger):
+                by_var.setdefault(trigger.var, []).append(event)
+        for var, events in by_var.items():
+            if len(events) != 1:
+                continue  # multi-handler dispatch order is scalar-only
+            kernel = _compile_handler(sname, var, events[0],
+                                      machine_vars, state_vars,
+                                      trigger_names)
+            if kernel is not None:
+                kernels[(sname, var)] = kernel
     compiled._vector_kernels = kernels
     return kernels
 
@@ -565,42 +436,24 @@ def _compile_handler(state: str, var: str, event: ast.Event,
                      trigger_names: frozenset) -> Optional[VectorKernel]:
     env = _Env(machine_vars, state_vars, trigger_names)
     bind = event.trigger.bind
-    data_col = None
     if bind:
-        data_col = _Col(bind, "data")
-        env.cols[bind] = data_col
+        env.cols[bind] = _Col(bind, "data")
     try:
-        ops = tuple(_compile_stmt(s, env, True) for s in event.actions)
+        ops = tuple(_compile_stmt(s, env) for s in event.actions)
     except _Ineligible:
         return None
     gather = tuple(c for c in env.cols.values()
                    if c.kind in ("machine", "state"))
-    writes = tuple(c for c in gather)  # scatter everything we gathered:
-    # assignments may be masked, so even read-only gathers are written
-    # back unchanged (cheap, and keeps the scatter loop branch-free).
-    locals_ = tuple(c.name for c in env.cols.values() if c.kind == "local")
-    # The data column must be materialized when the handler reads the
-    # bound value *or* assigns it under a mask (the unmasked lanes keep
-    # the incoming datum).
-    data_used = data_col is not None and (
-        _name_used(event.actions, bind) or env.data_written)
-    return VectorKernel(
-        state=state, var=var, needs_data=data_used,
-        gather_cols=gather, write_cols=writes, local_cols=locals_,
-        ops=ops, data_name=bind if data_used else None)
+    # The data column is materialized only when the handler reads it.
+    data_used = bool(bind) and _name_used(event.actions, bind)
+    return VectorKernel(state=state, var=var, gather_cols=gather, ops=ops,
+                        data_name=bind if data_used else None)
 
 
 def _name_used(stmts: List[ast.Stmt], name: str) -> bool:
     """Whether ``name`` is referenced anywhere in the handler body."""
-    for stmt in stmts:
-        for expr in _stmt_exprs(stmt):
-            if name in _expr_names(expr):
-                return True
-        if isinstance(stmt, ast.If):
-            if (_name_used(stmt.then_body, name)
-                    or _name_used(stmt.else_body, name)):
-                return True
-    return False
+    return any(name in _expr_names(expr)
+               for stmt in stmts for expr in _stmt_exprs(stmt))
 
 
 def _stmt_exprs(stmt: ast.Stmt) -> List[ast.Expr]:
@@ -608,8 +461,6 @@ def _stmt_exprs(stmt: ast.Stmt) -> List[ast.Expr]:
         return [stmt.value]
     if isinstance(stmt, ast.VarDecl):
         return [stmt.init] if stmt.init is not None else []
-    if isinstance(stmt, ast.If):
-        return [stmt.cond]
     if isinstance(stmt, ast.Send):
         return [stmt.value]
     return []

@@ -243,9 +243,6 @@ class Soil:
         self.externals: Dict[str, Callable[[Any], Any]] = {}
         #: exec() CPU cost per call, per command (seconds of one core).
         self.external_costs: Dict[str, float] = {}
-        #: Additional builtins injected into every seed deployed here
-        #: (e.g. the sketch API, repro.sketches.install_sketch_builtins).
-        self.extra_builtins: Dict[str, Callable[..., Any]] = {}
         self._poll_cache: Dict[Any, _PollCacheEntry] = {}
         self._transition_listeners: List[Callable[[str, str, str], None]] = []
         self.endpoint = f"soil/{switch.switch_id}"
@@ -344,9 +341,7 @@ class Soil:
             event_cpu_s=event_cpu_s, deployed_at=self.sim.now)
         host = _SeedHost(self, deployment)
         instance = MachineInstance(compiled, host, externals=externals,
-                                   instance_id=seed_id,
-                                   extra_builtins=self.extra_builtins,
-                                   tracer=self.tracer)
+                                   instance_id=seed_id, tracer=self.tracer)
         deployment.instance = instance
         self.deployments[seed_id] = deployment
         self.bus.register(self._seed_endpoint(seed_id),
@@ -753,9 +748,7 @@ class Soil:
                      if name in machine_vars}
         host = _SeedHost(self, deployment)
         fresh = MachineInstance(compiled, host, externals=externals,
-                                instance_id=seed_id,
-                                extra_builtins=self.extra_builtins,
-                                tracer=self.tracer)
+                                instance_id=seed_id, tracer=self.tracer)
         deployment.instance = fresh
         self._roster_epoch += 1
         fresh.start()

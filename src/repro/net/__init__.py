@@ -33,7 +33,6 @@ from repro.net.packet import (
     Packet,
 )
 from repro.net.topology import Topology, linear_topology, spine_leaf
-from repro.net.trace import TraceProfile, TraceWorkload
 
 __all__ = [
     "ANY_PREFIX", "Prefix", "format_ip", "parse_ip",
@@ -44,5 +43,4 @@ __all__ = [
     "and_", "dst_ip", "flow_filter", "or_", "src_ip", "switch_port",
     "PROTO_ICMP", "PROTO_TCP", "PROTO_UDP", "Flow", "FlowKey", "Packet",
     "Topology", "linear_topology", "spine_leaf",
-    "TraceProfile", "TraceWorkload",
 ]

@@ -7,11 +7,9 @@ Everything an alert rule or a dashboard panel needs, nothing more:
 * **range queries** — :meth:`QueryEngine.range_query` returns stored
   :class:`~repro.obs.tsdb.Point` rows (raw and downsampled alike);
 * **over-time functions** — ``rate`` / ``delta`` / ``avg_over_time`` /
-  ``min_over_time`` / ``max_over_time`` / ``quantile_over_time``;
-* **instant vectors and binary ops** — an instant query evaluates to a
-  :data:`Vector` (``{frozen labels: value}``); two vectors combine with
-  :meth:`QueryEngine.binop` joined on their common labels, so
-  cross-series expressions like *cache hits / polls* are one call.
+  ``min_over_time`` / ``max_over_time`` over a trailing ``window_s``;
+* **instant vectors** — an instant query evaluates to a :data:`Vector`
+  (``{frozen labels: value}``); :meth:`QueryEngine.sum` collapses one.
 
 All timestamps are sim-seconds; ``at``/``t1`` default to the newest
 sample so alert rules can just ask "now".
@@ -19,8 +17,7 @@ sample so alert rules can just ask "now".
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.metrics import LabelValues
 from repro.obs.tsdb import Point, Series, TimeSeriesStore
@@ -74,6 +71,11 @@ def parse_selector(selector: str) -> Tuple[str, Dict[str, str]]:
 
 def _resolve(selector: Union[str, Tuple[str, Optional[Mapping[str, Any]]]],
              match: Optional[Mapping[str, Any]]) -> Tuple[str, Optional[Mapping[str, Any]]]:
+    if match is not None and not isinstance(match, Mapping):
+        # The usual slip: a window passed positionally lands here.
+        raise TypeError(f"match must be a label mapping, not "
+                        f"{type(match).__name__} (pass a window as "
+                        f"window_s=)")
     if isinstance(selector, str) and (match is None and "{" in selector):
         return parse_selector(selector)
     return selector, match
@@ -203,71 +205,7 @@ class QueryEngine:
                 for labels, points in self._windows(selector, match,
                                                     window_s, at).items()}
 
-    def quantile_over_time(self, q: float, selector: str,
-                           match: Optional[Mapping[str, Any]] = None,
-                           window_s: Optional[float] = None,
-                           at: Optional[float] = None) -> Vector:
-        """Linear-interpolated quantile of the per-point means.
-
-        Downsampled points contribute their mean once per original
-        sample (count-weighted), so the quantile is stable across
-        compaction for flat series and conservative for spiky ones (the
-        envelope, not the quantile, preserves extremes exactly).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1]: {q}")
-        out: Vector = {}
-        for labels, points in self._windows(selector, match, window_s,
-                                            at).items():
-            values: List[float] = []
-            for point in points:
-                values.extend([point.mean] * point.count)
-            values.sort()
-            if len(values) == 1:
-                out[labels] = values[0]
-                continue
-            pos = q * (len(values) - 1)
-            lo = math.floor(pos)
-            hi = math.ceil(pos)
-            frac = pos - lo
-            out[labels] = values[lo] * (1 - frac) + values[hi] * frac
-        return out
-
-    # -- vector arithmetic -------------------------------------------------
-    @staticmethod
-    def binop(op: Union[str, Callable[[float, float], float]],
-              left: Vector, right: Union[Vector, float]) -> Vector:
-        """Combine two instant vectors element-wise, joined on labels.
-
-        ``right`` may be a scalar (applied to every element).  Vector /
-        vector joins match on the labels both sides share (so a
-        per-switch vector divides cleanly by an unlabeled total).
-        Division by zero yields 0, keeping ratio alerts well-defined on
-        idle systems.
-        """
-        ops: Dict[str, Callable[[float, float], float]] = {
-            "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
-            "*": lambda a, b: a * b,
-            "/": lambda a, b: a / b if b else 0.0,
-        }
-        fn = ops[op] if isinstance(op, str) else op
-        if isinstance(right, (int, float)):
-            return {labels: fn(value, float(right))
-                    for labels, value in left.items()}
-        out: Vector = {}
-        for labels, value in left.items():
-            if labels in right:  # exact join
-                out[labels] = fn(value, right[labels])
-                continue
-            # Subset join: a right side whose labels are all present on
-            # the left (e.g. an unlabeled fleet total) broadcasts.
-            candidates = [rvalue for rlabels, rvalue in right.items()
-                          if all(item in labels for item in rlabels)]
-            if len(candidates) == 1:
-                out[labels] = fn(value, candidates[0])
-        return out
-
+    # -- aggregation -------------------------------------------------------
     @staticmethod
     def sum(vector: Vector) -> float:
         """Collapse an instant vector to a scalar total."""

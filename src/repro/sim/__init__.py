@@ -7,8 +7,7 @@ from repro.sim.engine import (
     PeriodicTimer,
     Simulator,
 )
-from repro.sim.process import Process, Signal, Sleep, WaitFor, spawn
-from repro.sim.resources import CapacityMeter, TokenPool, UtilizationSample
+from repro.sim.resources import CapacityMeter, UtilizationSample
 
 __all__ = [
     "MICROS",
@@ -16,12 +15,6 @@ __all__ = [
     "Event",
     "PeriodicTimer",
     "Simulator",
-    "Process",
-    "Signal",
-    "Sleep",
-    "WaitFor",
-    "spawn",
     "CapacityMeter",
-    "TokenPool",
     "UtilizationSample",
 ]

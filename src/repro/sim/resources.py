@@ -1,11 +1,7 @@
-"""Capacity-accounting primitives shared by the switch emulator.
+"""Capacity accounting for the switch emulator's *rate* resources.
 
-Two abstractions cover every hardware resource in the paper's evaluation:
-
-* :class:`CapacityMeter` — a *rate* resource (PCIe polling bandwidth, CPU
-  cycles): usage is integrated over time and reported as utilization.
-* :class:`TokenPool` — a *space* resource (TCAM entries, RAM megabytes):
-  discrete allocate/release with hard capacity.
+:class:`CapacityMeter` covers PCIe polling bandwidth and ASIC fabric
+capacity: demand is integrated over time and reported as utilization.
 """
 
 from __future__ import annotations
@@ -124,56 +120,3 @@ class CapacityMeter:
     def history(self) -> list[UtilizationSample]:
         return list(self._history)
 
-
-class TokenPool:
-    """A discrete resource pool with hard capacity (TCAM slots, RAM MB)."""
-
-    def __init__(self, capacity: int, name: str = "") -> None:
-        if capacity < 0:
-            raise SimulationError(f"capacity must be non-negative: {capacity}")
-        self.capacity = capacity
-        self.name = name
-        self._used = 0
-        self.peak = 0
-
-    @property
-    def used(self) -> int:
-        return self._used
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._used
-
-    def try_acquire(self, amount: int = 1) -> bool:
-        """Acquire ``amount`` tokens if available; returns success."""
-        if amount < 0:
-            raise SimulationError(f"amount must be non-negative: {amount}")
-        if self._used + amount > self.capacity:
-            return False
-        self._used += amount
-        self.peak = max(self.peak, self._used)
-        return True
-
-    def acquire(self, amount: int = 1) -> None:
-        """Acquire or raise :class:`SimulationError` on exhaustion."""
-        if not self.try_acquire(amount):
-            raise SimulationError(
-                f"{self.name or 'pool'} exhausted: need {amount}, "
-                f"have {self.available} of {self.capacity}")
-
-    def release(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise SimulationError(f"amount must be non-negative: {amount}")
-        if amount > self._used:
-            raise SimulationError(
-                f"{self.name or 'pool'}: releasing {amount} but only "
-                f"{self._used} in use")
-        self._used -= amount
-
-    def resize(self, new_capacity: int) -> None:
-        """Grow or shrink capacity; shrinking below usage is rejected."""
-        if new_capacity < self._used:
-            raise SimulationError(
-                f"{self.name or 'pool'}: cannot shrink to {new_capacity}, "
-                f"{self._used} tokens in use")
-        self.capacity = new_capacity

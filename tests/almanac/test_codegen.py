@@ -12,8 +12,6 @@ import random
 import re
 
 from repro.almanac import MachineInstance, codegen, flatten_machine
-from repro.almanac import interpreter as interpreter_module
-from repro.almanac.interpreter import ReferenceInterpreter
 from repro.almanac.parser import parse
 from repro.errors import AlmanacRuntimeError
 from repro.net.addresses import parse_ip
@@ -37,6 +35,8 @@ from repro.tasks import (
     make_syn_flood_task,
 )
 from repro.tasks.heavy_hitter import ALMANAC_SOURCE as HH_SOURCE
+from tests.almanac import reference_interpreter as interpreter_module
+from tests.almanac.reference_interpreter import ReferenceInterpreter
 
 class RecordingHost:
     """Deterministic host that journals every interaction.

@@ -6,8 +6,8 @@ The imported classes are collected a second time under this module, with
 
 import pytest
 
-from repro.almanac.interpreter import ReferenceInterpreter
 from tests.almanac import test_interpreter
+from tests.almanac.reference_interpreter import ReferenceInterpreter
 from tests.almanac.test_interpreter import (  # noqa: F401
     TestBasicExecution,
     TestInheritance,

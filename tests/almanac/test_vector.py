@@ -75,7 +75,7 @@ machine Affine {
     when (tick as v) do {
       count = count + 1;
       total = total + 2 * v - 1;
-      if (total > 100) then { send total to harvester; }
+      send total to harvester;
     }
   }
 }
@@ -106,8 +106,9 @@ machine M {{
     def test_affine_body_accepted(self):
         assert self._kernels("acc = acc + v;")
 
-    def test_masked_if_accepted(self):
-        assert self._kernels(
+    def test_if_rejected(self):
+        # A branch runs on the scalar closures; no lane masks here.
+        assert not self._kernels(
             "if (v > 3 and acc < 10) then { acc = acc + 1; }"
             " else { acc = acc - 1; }")
 
@@ -181,11 +182,6 @@ class TestBitParity:
 
     def test_mixed_int_float_lanes(self):
         self._parity([1, 2.5, 3, -4.25, 0, 0.0])
-
-    def test_masked_send_fires_for_right_lanes(self):
-        # total > 100 only on some lanes; send must hit exactly those.
-        self._parity([60, 1, 55, 0],
-                     mutate=lambda inst: None)
 
     def test_prior_state_participates(self):
         def bump(inst):

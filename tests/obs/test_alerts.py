@@ -118,9 +118,9 @@ class TestThresholdLifecycle:
         store, _, manager = _manager()
         manager.add_rule(ThresholdRule(
             "ratio", op=">", threshold=0.5,
-            expr=lambda engine, now: QueryEngine.binop(
-                "/", engine.instant("hits", at=now),
-                engine.instant("total", at=now))))
+            expr=lambda engine, now: {
+                (): engine.instant("hits", at=now)[()]
+                / engine.instant("total", at=now)[()]}))
         store.append("hits", None, 1.0, 8.0)
         store.append("total", None, 1.0, 10.0)
         manager.evaluate(1.0)

@@ -1,4 +1,4 @@
-"""Query engine: selectors, over-time functions, vector arithmetic."""
+"""Query engine: selectors, instant and range queries, over-time functions."""
 
 import pytest
 
@@ -113,45 +113,22 @@ class TestOverTime:
         assert engine.max_over_time("m")[()] == 500.0
         assert engine.min_over_time("m")[()] == 1.0
 
-    def test_quantile(self):
-        store = _store_with({("m", None): [(float(t), float(t))
-                                           for t in range(11)]})
-        engine = QueryEngine(store)
-        assert engine.quantile_over_time(0.5, "m")[()] == pytest.approx(5.0)
-        assert engine.quantile_over_time(1.0, "m")[()] == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            engine.quantile_over_time(1.5, "m")
+    @pytest.mark.parametrize("function", [
+        "rate", "delta", "avg_over_time", "min_over_time", "max_over_time"])
+    @pytest.mark.parametrize("selector", ["c", 'c{sw="1"}'])
+    def test_positional_window_is_rejected(self, function, selector):
+        # The window is the third parameter; passed second it lands in
+        # ``match``, which must say so instead of failing on ``.items()``.
+        store = _store_with({("c", (("sw", "1"),)): [(0.0, 0.0),
+                                                     (10.0, 5.0)]})
+        query = getattr(QueryEngine(store), function)
+        with pytest.raises(TypeError, match="window_s="):
+            query(selector, 5.0)
+        assert query(selector, window_s=20.0) \
+            == query(selector, None, 20.0)
 
 
-class TestBinop:
-    def test_scalar(self):
-        left = {freeze_labels({"sw": 1}): 10.0}
-        assert QueryEngine.binop("*", left, 3.0) \
-            == {freeze_labels({"sw": 1}): 30.0}
-
-    def test_exact_label_join(self):
-        one = freeze_labels({"sw": 1})
-        two = freeze_labels({"sw": 2})
-        out = QueryEngine.binop("/", {one: 10.0, two: 20.0},
-                                {one: 2.0, two: 4.0})
-        assert out == {one: 5.0, two: 5.0}
-
-    def test_subset_broadcast_join(self):
-        # Per-switch vector divided by one unlabeled fleet total.
-        one = freeze_labels({"sw": 1})
-        two = freeze_labels({"sw": 2})
-        out = QueryEngine.binop("/", {one: 30.0, two: 70.0}, {(): 100.0})
-        assert out[one] == pytest.approx(0.3)
-        assert out[two] == pytest.approx(0.7)
-
-    def test_unmatched_labels_dropped(self):
-        one = freeze_labels({"sw": 1})
-        other = freeze_labels({"sw": 9})
-        assert QueryEngine.binop("+", {one: 1.0}, {other: 2.0}) == {}
-
-    def test_division_by_zero_is_zero(self):
-        assert QueryEngine.binop("/", {(): 5.0}, 0.0) == {(): 0.0}
-
+class TestAggregation:
     def test_sum(self):
         assert QueryEngine.sum({(): 1.0, freeze_labels({"a": 1}): 2.0}) \
             == 3.0

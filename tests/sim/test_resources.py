@@ -1,10 +1,10 @@
-"""Tests for capacity meters and token pools."""
+"""Tests for capacity meters."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.resources import CapacityMeter, TokenPool
+from repro.sim.resources import CapacityMeter
 
 
 class TestCapacityMeter:
@@ -72,45 +72,3 @@ class TestCapacityMeter:
         assert [s.used for s in history] == [1.0, 3.0]
         assert history[-1].fraction == pytest.approx(0.3)
 
-
-class TestTokenPool:
-    def test_acquire_release_cycle(self):
-        pool = TokenPool(10)
-        pool.acquire(4)
-        assert pool.used == 4
-        assert pool.available == 6
-        pool.release(2)
-        assert pool.used == 2
-
-    def test_try_acquire_refuses_past_capacity(self):
-        pool = TokenPool(3)
-        assert pool.try_acquire(3)
-        assert not pool.try_acquire(1)
-        assert pool.used == 3
-
-    def test_acquire_raises_on_exhaustion(self):
-        pool = TokenPool(1)
-        pool.acquire()
-        with pytest.raises(SimulationError):
-            pool.acquire()
-
-    def test_release_more_than_used_rejected(self):
-        pool = TokenPool(5)
-        pool.acquire(2)
-        with pytest.raises(SimulationError):
-            pool.release(3)
-
-    def test_peak_tracking(self):
-        pool = TokenPool(10)
-        pool.acquire(7)
-        pool.release(5)
-        pool.acquire(1)
-        assert pool.peak == 7
-
-    def test_resize_guards_usage(self):
-        pool = TokenPool(10)
-        pool.acquire(6)
-        with pytest.raises(SimulationError):
-            pool.resize(5)
-        pool.resize(6)
-        assert pool.available == 0

@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.placement",
     "repro.baselines",
     "repro.tasks",
-    "repro.sketches",
     "repro.eval",
 ]
 
@@ -84,15 +83,18 @@ def test_every_registered_metric_is_in_the_catalogue():
 
 def test_ci_names_existing_paths_and_nothing_names_the_deleted_harness():
     # Plain text scan (CI does not install a YAML parser).
-    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    ci = "\n".join(path.read_text() for path in sorted(
+        (REPO / ".github" / "workflows").glob("*.yml")))
     named = {path.rstrip(".") for path in re.findall(
-        r"\b((?:benchmarks|examples|src|tests)/[\w./-]+)", ci)}
+        r"\b((?:benchmarks|examples|src|tests|tools)/[\w./-]+)", ci)}
     assert "benchmarks/farmbench/run.py" in named
+    assert "tools/reachability.py" in named
     assert sorted(p for p in named if not (REPO / p).exists()) == []
     # benchmarks/perf/ went in PR 18: farmbench measures, tier-1 gates
     # (docs/performance.md, "Measuring").  Prose may keep the history.
     code = [REPO / ".gitignore", *REPO.glob("*.py")]
-    for top in (".github", "benchmarks", "examples", "src", "tests"):
+    for top in (".github", "benchmarks", "examples", "src", "tests",
+                "tools"):
         code += [path for path in (REPO / top).rglob("*")
                  if path.suffix in (".py", ".yml")]
     offenders = [
@@ -105,11 +107,11 @@ def test_ci_names_existing_paths_and_nothing_names_the_deleted_harness():
 
 def test_production_never_reaches_the_tree_walker(monkeypatch):
     from repro.almanac import MachineInstance
-    from repro.almanac.interpreter import ReferenceInterpreter
     from repro.core import FarmDeployment
     from repro.net.topology import spine_leaf
     from repro.net.traffic import HeavyHitterWorkload
     from repro.tasks import make_heavy_hitter_task
+    from tests.almanac.reference_interpreter import ReferenceInterpreter
 
     def unreachable(*args, **kwargs):
         raise AssertionError("tree-walker reached from a deployment")
