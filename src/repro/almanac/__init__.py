@@ -27,7 +27,7 @@ from repro.almanac.machine import (
     CompiledState,
     flatten_machine,
 )
-from repro.almanac.parser import parse, parse_machine
+from repro.almanac.parser import parse
 from repro.almanac.poly import (
     ConcaveUtility,
     LinPoly,
@@ -41,12 +41,7 @@ from repro.almanac.typecheck import (
     assert_well_formed,
     check_program,
 )
-from repro.almanac.xmlcodec import (
-    decode_machine,
-    decode_program,
-    encode_machine,
-    encode_program,
-)
+from repro.almanac.xmlcodec import decode_program, encode_program
 
 __all__ = [
     "ConstEnv", "PollVarInfo", "ResolvedSeedSite", "analyze_poll_var",
@@ -56,10 +51,10 @@ __all__ = [
     "VectorKernel", "compile_vector_kernels",
     "MachineBlueprint", "compile_machine", "compile_source",
     "CompiledMachine", "CompiledState", "MachineInstance", "flatten_machine",
-    "parse", "parse_machine",
+    "parse",
     "ConcaveUtility", "LinPoly", "PiecewiseUtility", "RationalFunc",
     "UtilityPiece",
     "HostInterface", "is_struct", "make_struct",
     "Diagnostic", "assert_well_formed", "check_program",
-    "decode_machine", "decode_program", "encode_machine", "encode_program",
+    "decode_program", "encode_program",
 ]

@@ -443,10 +443,6 @@ class PollVarInfo:
     def interval_at(self, resources: Mapping[str, float]) -> float:
         return self.ival.evaluate(resources)
 
-    @property
-    def resource_dependent(self) -> bool:
-        return not self.ival.is_constant
-
 
 class _IvalAnalyzer:
     """Evaluates an interval expression to a :class:`RationalFunc`."""

@@ -352,12 +352,6 @@ class Program:
                 return machine
         raise KeyError(name)
 
-    def function(self, name: str) -> FunctionDecl:
-        for function in self.functions:
-            if function.name == name:
-                return function
-        raise KeyError(name)
-
 
 # Names of the trigger types (tty in the grammar).
 TRIGGER_TYPES = ("time", "poll", "probe")

@@ -56,14 +56,6 @@ class MachineBlueprint:
                 f"machine {self.machine_name!r} has no state {state!r}"
             ) from None
 
-    def min_utility(self) -> float:
-        """Minimum utility across states — Alg. 1 orders tasks by this."""
-        return min(pw.min_utility() for pw in self.state_utilities.values())
-
-    @property
-    def num_seeds(self) -> int:
-        return len(self.sites)
-
 
 def compile_machine(program: ast.Program, machine_name: str,
                     controller,

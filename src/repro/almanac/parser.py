@@ -562,12 +562,3 @@ class Parser:
 def parse(source: str) -> ast.Program:
     """Parse Almanac source into a :class:`~repro.almanac.astnodes.Program`."""
     return Parser(tokenize(source)).parse_program()
-
-
-def parse_machine(source: str) -> ast.MachineDecl:
-    """Parse source expected to contain exactly one machine."""
-    program = parse(source)
-    if len(program.machines) != 1:
-        raise AlmanacSyntaxError(
-            f"expected exactly one machine, found {len(program.machines)}")
-    return program.machines[0]

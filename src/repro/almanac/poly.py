@@ -105,17 +105,6 @@ class LinPoly:
                     f"no value for resource variable {var!r}") from None
         return total
 
-    def substitute(self, env: Mapping[str, float]) -> "LinPoly":
-        """Partially evaluate: replace known variables by constants."""
-        coeffs = {}
-        const = self.const
-        for var, c in self.coeffs.items():
-            if var in env:
-                const += c * env[var]
-            else:
-                coeffs[var] = c
-        return LinPoly(coeffs, const)
-
     # -- comparisons -------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LinPoly) and self.coeffs == other.coeffs
@@ -149,9 +138,6 @@ class RationalFunc:
                                        "(zero denominator)")
         return self.numerator.evaluate(env) / den
 
-    def inverse(self) -> "RationalFunc":
-        return RationalFunc(self.denominator, self.numerator)
-
     def inverse_linear(self) -> LinPoly:
         """The inverse as a LinPoly; requires a constant numerator."""
         if not self.numerator.is_constant:
@@ -161,10 +147,6 @@ class RationalFunc:
         if self.numerator.const == 0.0:
             raise AlmanacAnalysisError("poll interval is identically zero")
         return self.denominator.scale(1.0 / self.numerator.const)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.numerator.is_constant and self.denominator.is_constant
 
     def __repr__(self) -> str:
         return f"({self.numerator}) / ({self.denominator})"
@@ -267,7 +249,6 @@ class PiecewiseUtility:
         self.pieces: List[UtilityPiece] = list(pieces)
         if not self.pieces:
             raise AlmanacAnalysisError("utility must have at least one piece")
-        self._vars: Optional[Tuple[str, ...]] = None  # lazy, see variables()
         self._min_utility: Optional[float] = None  # lazy, see min_utility()
 
     def evaluate(self, env: Mapping[str, float]) -> float:
@@ -280,12 +261,6 @@ class PiecewiseUtility:
 
     def feasible(self, env: Mapping[str, float]) -> bool:
         return any(piece.feasible(env) for piece in self.pieces)
-
-    def variables(self) -> Tuple[str, ...]:
-        if self._vars is None:
-            self._vars = tuple(sorted(
-                {v for piece in self.pieces for v in piece.variables()}))
-        return self._vars
 
     def min_utility(self) -> float:
         """A quick lower bound: min over pieces of utility at the piece's

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import xml.etree.ElementTree as ET
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Tuple, Type
 
 from repro.almanac import astnodes as ast
 from repro.errors import AlmanacError
@@ -83,19 +83,6 @@ def encode_program(program: ast.Program) -> str:
     return ET.tostring(encode_node(program), encoding="unicode")
 
 
-def encode_machine(machine: ast.MachineDecl,
-                   functions: Optional[List[ast.FunctionDecl]] = None) -> str:
-    """Serialize one machine (plus the functions it may call) for shipping
-    to a soil — this is the deployment payload format."""
-    root = ET.Element("seed-package")
-    machine_el = ET.SubElement(root, "machine-def")
-    machine_el.append(encode_node(machine))
-    functions_el = ET.SubElement(root, "functions")
-    for function in functions or []:
-        functions_el.append(encode_node(function))
-    return ET.tostring(root, encoding="unicode")
-
-
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
@@ -148,28 +135,3 @@ def decode_program(xml_text: str) -> ast.Program:
         raise XmlCodecError("XML does not contain a Program")
     return program
 
-
-def decode_machine(xml_text: str) -> Tuple[ast.MachineDecl,
-                                           List[ast.FunctionDecl]]:
-    """Parse a deployment payload written by :func:`encode_machine`."""
-    try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        raise XmlCodecError(f"malformed XML: {exc}") from exc
-    if root.tag != "seed-package":
-        raise XmlCodecError(f"expected <seed-package>, got <{root.tag}>")
-    machine_el = root.find("machine-def")
-    if machine_el is None or len(machine_el) != 1:
-        raise XmlCodecError("missing <machine-def>")
-    machine = decode_node(machine_el[0])
-    if not isinstance(machine, ast.MachineDecl):
-        raise XmlCodecError("<machine-def> does not contain a machine")
-    functions: List[ast.FunctionDecl] = []
-    functions_el = root.find("functions")
-    if functions_el is not None:
-        for child in functions_el:
-            function = decode_node(child)
-            if not isinstance(function, ast.FunctionDecl):
-                raise XmlCodecError("<functions> contains a non-function")
-            functions.append(function)
-    return machine, functions

@@ -64,11 +64,6 @@ class SflowAgent:
             "sflow-agent",
             len(self.monitored_ports) * SFLOW_SAMPLE_BYTES / probe_period_s)
 
-    def stop(self) -> None:
-        self._timer.stop()
-        self.switch.cpu.clear_standing_load("sflow-agent")
-        self.switch.pcie.unregister_poller("sflow-agent")
-
     def _export(self) -> None:
         stats, latency = self.driver.read_port_counters(self.monitored_ports)
         for stat in stats:
@@ -139,9 +134,6 @@ class SflowCollector:
             else:
                 self._detected.discard(key)
 
-    def heavy_ports(self) -> Set[Tuple[int, int]]:
-        return set(self._detected)
-
     def first_detection_time(self) -> Optional[float]:
         return self.detections[0][0] if self.detections else None
 
@@ -160,7 +152,3 @@ class SflowDeployment:
             SflowAgent(sim, switch, driver, bus, self.collector.endpoint,
                        probe_period_s=probe_period_s)
             for switch, driver in switches]
-
-    @property
-    def total_samples(self) -> int:
-        return sum(agent.samples_sent for agent in self.agents)

@@ -78,10 +78,6 @@ class SonataSwitchPipeline:
             "sonata-pipeline",
             switch.asic.num_ports * RECORD_BYTES / tuple_window_s)
 
-    def stop(self) -> None:
-        self._timer.stop()
-        self.switch.pcie.unregister_poller("sonata-pipeline")
-
     def update_query(self, query: SonataQuery) -> None:
         """Sonata requires recompiling the data plane for a new query; the
         pipeline restarts and loses its window state (Newton avoids this)."""
@@ -197,10 +193,6 @@ class SonataDeployment:
                                  self.collector.endpoint, query,
                                  tuple_window_s=tuple_window_s)
             for switch, driver in switches]
-
-    @property
-    def total_records(self) -> int:
-        return sum(p.records_sent for p in self.pipelines)
 
 
 class NewtonDeployment(SonataDeployment):

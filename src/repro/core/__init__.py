@@ -16,12 +16,7 @@ from repro.core.comm import (
     seed_soil_cpu_cost,
     seed_soil_latency,
 )
-from repro.core.harvester import (
-    Harvester,
-    RecordingHarvester,
-    SeedReport,
-    ThresholdHarvester,
-)
+from repro.core.harvester import Harvester, SeedReport
 from repro.core.seeder import ActiveTask, ManagedSeed, Seeder
 from repro.core.soil import (
     DEFAULT_EVENT_CPU_S,
@@ -33,7 +28,7 @@ from repro.core.task import MachineConfig, TaskDefinition
 __all__ = [
     "CommScheme", "ControlBus", "ExecutionMode", "SoilCommConfig",
     "seed_soil_cpu_cost", "seed_soil_latency",
-    "Harvester", "RecordingHarvester", "SeedReport", "ThresholdHarvester",
+    "Harvester", "SeedReport",
     "ActiveTask", "ManagedSeed", "Seeder",
     "DEFAULT_EVENT_CPU_S", "SeedDeployment", "Soil",
     "MachineConfig", "TaskDefinition",

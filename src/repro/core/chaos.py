@@ -115,14 +115,6 @@ class GrayFailure:
     end: float
     rules: Tuple[FaultRule, ...] = ()
 
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
-    @property
-    def dropped(self) -> int:
-        """Messages eaten by this gray failure so far (diagnostics)."""
-        return sum(rule.dropped for rule in self.rules)
-
     def heal(self, now: float) -> None:
         """Close the degradation window at ``now``."""
         self.end = now
@@ -154,16 +146,10 @@ class FaultInjector:
         if getattr(bus, "fault_injector", None) is not None:
             raise ChaosError("bus already has a fault injector attached")
         if self.bus is not None:
-            raise ChaosError(
-                "injector is already attached to a bus; detach() first")
+            raise ChaosError("injector is already attached to a bus")
         bus.fault_injector = self
         self.bus = bus
         return self
-
-    def detach(self) -> None:
-        if self.bus is not None:
-            self.bus.fault_injector = None
-            self.bus = None
 
     # ------------------------------------------------------------------
     # Scenario scripting
@@ -216,8 +202,8 @@ class FaultInjector:
         (heartbeats, lifecycle reports, seed telemetry) without cutting it
         off.  ``inbound_loss`` additionally degrades commands *toward*
         the switch (default 0: a gray switch usually hears fine and
-        answers badly).  Returns a :class:`GrayFailure` handle with a
-        per-failure drop count and a :meth:`GrayFailure.heal` switch.
+        answers badly).  Returns a :class:`GrayFailure` handle whose
+        :meth:`GrayFailure.heal` closes the window early.
         """
         if not 0.0 <= loss <= 1.0:
             raise ChaosError(f"loss must be a probability: {loss}")
@@ -255,7 +241,7 @@ class FaultInjector:
                 part.end = now
                 healed += 1
         for gray in self.gray_failures:
-            if gray.active(now):
+            if gray.start <= now < gray.end:
                 gray.heal(now)
                 healed += 1
         return healed
@@ -303,9 +289,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def active_partitions(self) -> List[Partition]:
-        return [p for p in self.partitions if p.active(self.sim.now)]
-
     def stats(self) -> dict:
         return {
             "seen": self.messages_seen,

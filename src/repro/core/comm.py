@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import CommError
 from repro.obs.metrics import MetricsRegistry
@@ -96,7 +96,7 @@ BUS_PER_KB_LATENCY_S = 8e-6
 
 @dataclass
 class BusMessage:
-    """One delivered control-plane message (also the audit record)."""
+    """One control-plane message, as sent and (once it arrives) delivered."""
 
     msg_id: int
     src: str
@@ -139,27 +139,16 @@ class ControlBus:
     """Topic-less named-endpoint message bus with delivery latency.
 
     Endpoints register a handler; :meth:`send` schedules delivery on the
-    simulator.  All traffic is recorded so benchmarks can account network
-    load (Fig. 4 counts control-plane bytes).
+    simulator.  Deliveries are counted, not retained: the registry's
+    ``farm_bus_messages_total`` / ``farm_bus_bytes_total`` are the network
+    load Fig. 4 accounts.
     """
-
-    #: Default bound on the retained delivery history; aggregate counters
-    #: (total_bytes / total_messages / rates) live on the metrics registry
-    #: and are exact regardless of trimming.  High-rate collection
-    #: baselines (sFlow at 1 ms over hundreds of ports) push millions of
-    #: messages — keeping them all would eat the heap.
-    HISTORY_LIMIT = 100_000
-
-    #: Length (sim-seconds) of the windowed byte/message rate estimator.
-    RATE_WINDOW_S = 5.0
 
     def __init__(self, sim: Simulator,
                  base_latency_s: float = BUS_BASE_LATENCY_S,
                  unknown_dst: str = "raise",
                  registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 history_limit: Optional[int] = None) -> None:
-        from collections import deque
+                 tracer: Optional[Tracer] = None) -> None:
         if unknown_dst not in UNKNOWN_DST_POLICIES:
             raise CommError(f"unknown-destination policy must be one of "
                             f"{UNKNOWN_DST_POLICIES}, got {unknown_dst!r}")
@@ -174,24 +163,19 @@ class ControlBus:
         self.unknown_dst_policy = unknown_dst
         self._handlers: Dict[str, Callable[[BusMessage], None]] = {}
         self._ids = itertools.count(1)
-        self.history_limit = (history_limit if history_limit is not None
-                              else self.HISTORY_LIMIT)
-        self.delivered: "deque[BusMessage]" = deque(maxlen=self.history_limit)
         #: Shared deployment registry, or a private one for standalone use.
         #: Components downstream of the bus (reliable endpoints, soils,
         #: the seeder) default to this registry, so wiring one registry
         #: into the bus observes the whole control plane.
         self.metrics = registry if registry is not None \
-            else MetricsRegistry(clock=lambda: sim.now)
+            else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._m_messages = self.metrics.counter(
             "farm_bus_messages_total",
-            "Control-plane messages delivered to a handler.",
-            window_s=self.RATE_WINDOW_S)
+            "Control-plane messages delivered to a handler.")
         self._m_bytes = self.metrics.counter(
             "farm_bus_bytes_total",
-            "Control-plane bytes delivered (Fig. 4 network load).",
-            window_s=self.RATE_WINDOW_S)
+            "Control-plane bytes delivered (Fig. 4 network load).")
         self._m_undeliverable = self.metrics.counter(
             "farm_bus_undeliverable_total",
             "Messages discarded: destination not registered.")
@@ -272,7 +256,6 @@ class ControlBus:
             self._m_undeliverable.inc()
             return
         message.delivered_at = self.sim.now
-        self.delivered.append(message)
         self._m_bytes.inc(message.size_bytes)
         self._m_messages.inc()
         tracer = self.tracer
@@ -281,32 +264,6 @@ class ControlBus:
                              span_id=f"msg{message.msg_id}",
                              track="bus", cat="bus")
         handler(message)
-
-    # -- accounting --------------------------------------------------------
-    def messages_between(self, t0: float, t1: float) -> List[BusMessage]:
-        """Delivered messages in ``[t0, t1]`` — bounded by
-        :attr:`history_limit`; use the registry counters for exact totals."""
-        return [m for m in self.delivered if t0 <= m.delivered_at <= t1]
-
-    def bytes_per_second(self, horizon: Optional[float] = None) -> float:
-        """Delivered-byte rate.
-
-        Without ``horizon``: the lifetime average (total bytes over total
-        elapsed sim-time).  With ``horizon``: the rate over the trailing
-        ``horizon`` seconds, computed from the registry's sim-time rate
-        window — **not** from the :attr:`delivered` history, so it stays
-        correct after trimming.  (The old implementation divided all-time
-        bytes by the window length, wildly overestimating short windows.)
-        Horizons are clamped to :attr:`RATE_WINDOW_S`.
-        """
-        if horizon is None:
-            elapsed = self.sim.now
-            if elapsed <= 0:
-                return 0.0
-            return self._m_bytes.value / elapsed
-        if horizon <= 0:
-            return 0.0
-        return self._m_bytes.rate(min(horizon, self.RATE_WINDOW_S))
 
 
 def estimate_size_bytes(payload: Any) -> int:

@@ -18,7 +18,6 @@ from repro.net.controller import SdnController
 from repro.net.topology import Topology, spine_leaf
 from repro.net.traffic import Workload
 from repro.obs import Observability
-from repro.obs.profiler import ProfilingBundle
 from repro.obs.scarecrow import Scarecrow
 from repro.obs.tsdb import Retention
 from repro.sim.engine import Simulator
@@ -52,7 +51,6 @@ class FarmDeployment:
         self.chaos: Optional[FaultInjector] = None
         self.scarecrow: Optional[Scarecrow] = None
         self.remediation = None
-        self.profiling: Optional[ProfilingBundle] = None
 
     @property
     def metrics(self):
@@ -89,8 +87,6 @@ class FarmDeployment:
                                        interval_s=interval_s,
                                        retention=retention)
             self.scarecrow.start()
-            if self.profiling is not None:
-                self.profiling.watch_alerts(self.scarecrow.alerts)
         return self.scarecrow
 
     def enable_remediation(self, fault_tolerance=None, config=None,
@@ -108,51 +104,13 @@ class FarmDeployment:
             self.remediation.attach(scarecrow)
         return self.remediation
 
-    def enable_profiling(self, mode: str = "exact", sample_every: int = 32,
-                         flight_recorder: bool = True,
-                         ring_capacity: int = 2048,
-                         snapshot_interval_s: Optional[float] = None,
-                         counter_interval_s: Optional[float] = None
-                         ) -> ProfilingBundle:
-        """Attach Surveyor: dispatch-level cost attribution (``mode`` in
-        {exact, sampling}) plus, by default, a flight recorder that keeps
-        a bounded ring of recent trace events and dumps a postmortem
-        bundle when a Scarecrow alert fires (arm via the returned
-        bundle's ``watch_alerts`` — done automatically when Scarecrow is
-        already enabled) or an exception escapes ``run``.  Note the
-        recorder turns tracing on (ring-only if it was off), which
-        disables the vector-kernel fast path for the rest of the run;
-        pass ``flight_recorder=False`` for pure profiling with
-        bit-identical outputs.  Idempotent; returns the bundle.
-        """
-        if self.profiling is None:
-            self.profiling = ProfilingBundle(
-                self.sim, self.obs, mode=mode, sample_every=sample_every,
-                flight_recorder=flight_recorder,
-                ring_capacity=ring_capacity,
-                snapshot_interval_s=snapshot_interval_s,
-                counter_interval_s=counter_interval_s)
-            if self.scarecrow is not None:
-                self.profiling.watch_alerts(self.scarecrow.alerts)
-        return self.profiling
-
     def start_workload(self, workload: Workload, switch_id: int) -> Workload:
         """Attach a workload's flows to one switch's ASIC."""
         workload.start(self.sim, self.fleet.get(switch_id).asic)
         return workload
 
     def run(self, until: float) -> float:
-        profiling = self.profiling
-        if profiling is None:
-            return self.sim.run(until=until)
-        # Don't charge the first event with host time spent outside the
-        # kernel (between run calls); dump the black box if the run dies.
-        profiling.reanchor()
-        try:
-            return self.sim.run(until=until)
-        except Exception as exc:
-            profiling.on_exception(exc)
-            raise
+        return self.sim.run(until=until)
 
     def submit(self, definition, reoptimize: bool = True):
         return self.seeder.submit(definition, reoptimize=reoptimize)

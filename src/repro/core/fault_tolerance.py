@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.core.comm import BusMessage, ControlBus
 from repro.core.seeder import Seeder
 from repro.errors import DeploymentError
-from repro.sim.engine import PeriodicTimer, Simulator
+from repro.sim.engine import Simulator
 
 HEARTBEAT_ENDPOINT = "seeder/heartbeats"
 
@@ -109,7 +109,6 @@ class FaultToleranceManager:
             "farm_ft_escalations_total",
             "Failovers forced by escalated external evidence.")
         self.bus.register(HEARTBEAT_ENDPOINT, self._on_heartbeat)
-        self._timers: List[PeriodicTimer] = []
         #: Per-switch received-heartbeat counters, pre-created so the
         #: series exists from t=0 (a rate() over a gray switch must see
         #: the healthy baseline, not start at the first surviving beat).
@@ -121,17 +120,17 @@ class FaultToleranceManager:
                 "farm_ft_heartbeats_total",
                 "Heartbeats received, per switch.",
                 labels={"switch": str(switch_id)})
-            self._timers.append(self.sim.every(
+            self.sim.every(
                 heartbeat_interval_s, self._emit_heartbeat, switch_id,
                 label=f"heartbeat sw{switch_id}",
-                cost_key=("ft", switch_id, None, "heartbeat")))
-        self._timers.append(self.sim.every(
+                cost_key=("ft", switch_id, None, "heartbeat"))
+        self.sim.every(
             heartbeat_interval_s, self._check_health,
             start_after=heartbeat_interval_s * 1.5, label="ft-check",
-            cost_key=("ft", None, None, "ft-check")))
-        self._timers.append(self.sim.every(
+            cost_key=("ft", None, None, "ft-check"))
+        self.sim.every(
             checkpoint_interval_s, self._checkpoint_all, label="ft-ckpt",
-            cost_key=("ft", None, None, "ft-ckpt")))
+            cost_key=("ft", None, None, "ft-ckpt"))
 
     # ------------------------------------------------------------------
     # Heartbeats
@@ -304,9 +303,6 @@ class FaultToleranceManager:
             for seed_id in list(soil.deployments):
                 self.checkpoints[seed_id] = soil.snapshot_seed(seed_id)
 
-    def checkpoint_of(self, seed_id: str) -> Optional[Dict[str, Any]]:
-        return self.checkpoints.get(seed_id)
-
     # ------------------------------------------------------------------
     # Failover
     # ------------------------------------------------------------------
@@ -381,19 +377,10 @@ class FaultToleranceManager:
         self.seeder.reoptimize(restore_snapshots=snapshots)
 
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        for timer in self._timers:
-            timer.stop()
-        self.bus.unregister(HEARTBEAT_ENDPOINT)
-
     # -- test/ops hooks -----------------------------------------------
     def alive_switches(self) -> List[int]:
         return sorted(h.switch_id for h in self.health.values()
                       if not h.failed and not h.quarantined)
-
-    def suspected_switch_ids(self) -> List[int]:
-        return sorted(h.switch_id for h in self.health.values()
-                      if h.suspected and not h.failed)
 
     def failed_switch_ids(self) -> List[int]:
         return sorted(h.switch_id for h in self.health.values() if h.failed)

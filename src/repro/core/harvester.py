@@ -9,7 +9,7 @@ configuration (thresholds, reaction policies) back down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.comm import BusMessage, ControlBus
 from repro.errors import DeploymentError
@@ -132,44 +132,3 @@ class Harvester:
         return self._seeder.broadcast_to_seeds(
             self.task_id, machine, dst, value,
             source=f"harvester/{self.task_id}")
-
-    def log(self, message: str) -> None:  # pragma: no cover - debug aid
-        pass
-
-
-class RecordingHarvester(Harvester):
-    """A harvester that simply records reports (tests, simple tasks)."""
-
-    def __init__(self, name: str = "",
-                 callback: Optional[Callable[[SeedReport], None]] = None
-                 ) -> None:
-        super().__init__(name)
-        self.callback = callback
-
-    def on_seed_report(self, report: SeedReport) -> None:
-        if self.callback is not None:
-            self.callback(report)
-
-    @property
-    def values(self) -> List[Any]:
-        return [report.value for report in self.reports]
-
-
-class ThresholdHarvester(Harvester):
-    """The HH-style harvester: pushes a threshold on attach and can adapt
-    it at runtime (List. 2's ``recv long newTh from harvester``)."""
-
-    def __init__(self, machine: str, threshold: float,
-                 name: str = "") -> None:
-        super().__init__(name or f"{machine}-threshold")
-        self.machine = machine
-        self.threshold = threshold
-
-    def on_attached(self) -> None:
-        self.send_to_seeds(self.machine, int(self.threshold))
-
-    def update_threshold(self, threshold: float) -> int:
-        """Dynamically adjust the detection threshold network-wide;
-        returns the number of seeds that received it."""
-        self.threshold = threshold
-        return self.send_to_seeds(self.machine, int(threshold))

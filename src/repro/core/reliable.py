@@ -239,10 +239,6 @@ class ReliableEndpoint:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def reset(self) -> int:
         """Abandon every in-flight message (power-off); returns how many."""
         abandoned = len(self._pending)
@@ -251,8 +247,3 @@ class ReliableEndpoint:
                 pending.timer.cancel()
         self._pending.clear()
         return abandoned
-
-    def close(self) -> None:
-        """Reset and unregister from the bus."""
-        self.reset()
-        self.bus.unregister(self.name)

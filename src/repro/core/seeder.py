@@ -16,7 +16,7 @@ from repro.almanac.analysis import encode_polling_subjects
 from repro.almanac.compiler import MachineBlueprint, compile_machine
 from repro.almanac.parser import parse
 from repro.almanac.poly import LinPoly
-from repro.errors import DeploymentError
+from repro.errors import AlmanacAnalysisError, DeploymentError
 from repro.net.controller import SdnController
 from repro.placement.heuristic import solve_heuristic
 from repro.placement.incremental import solve_incremental
@@ -315,7 +315,7 @@ class Seeder:
             subjects = encode_polling_subjects(info.what, num_ports)
             try:
                 inv = info.ival.inverse_linear()
-            except Exception:
+            except AlmanacAnalysisError:
                 # Non-linear inverse: pin to the interval at zero resources.
                 interval = max(info.ival.evaluate(
                     {r: 0.0 for r in self.resource_types}), 1e-3)
@@ -746,13 +746,6 @@ class Seeder:
 
     def deployed_seed_count(self) -> int:
         return sum(soil.num_seeds for soil in self.soils.values())
-
-    def seed_location(self, seed_id: str) -> Optional[int]:
-        for task in self.tasks.values():
-            for seed in task.seeds:
-                if seed.seed_id == seed_id:
-                    return seed.switch
-        return None
 
 
 def _alloc_close(a: Mapping[str, float], b: Mapping[str, float],

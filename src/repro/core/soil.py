@@ -1082,14 +1082,6 @@ class Soil:
     def num_seeds(self) -> int:
         return len(self.deployments)
 
-    def resource_usage(self) -> Dict[str, float]:
-        """Soil's own view of allocated resources (for seeder telemetry)."""
-        usage = {r: 0.0 for r in self.resource_types}
-        for deployment in self.deployments.values():
-            for r in self.resource_types:
-                usage[r] += deployment.allocation.get(r, 0.0)
-        return usage
-
 
 def _flat_decl(compiled: CompiledMachine):
     """Synthetic MachineDecl view of a flattened machine (for ConstEnv)."""

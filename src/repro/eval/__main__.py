@@ -1,22 +1,23 @@
-"""Command-line runner for the paper's experiments.
+"""Command-line runner for the observability scenarios.
 
 Usage::
 
-    python -m repro.eval tab4
-    python -m repro.eval fig8 fig9 fig10
-    python -m repro.eval all              # everything (slow)
-    python -m repro.eval fig4 --json out.json
+    python -m repro.eval scarecrow
     python -m repro.eval dashboard --out dashboard.html
+    python -m repro.eval remediation [--out remediation.html]
+    python -m repro.eval profile --out profile.html
 
-Each experiment prints the paper-style rows via the same drivers the
-benchmark suite uses.  ``--json PATH`` additionally dumps every result
-row as structured JSON (via :mod:`repro.eval.reporting`), for plotting
-or regression diffing without re-running the simulations.
+The paper's tables and figures are printed by their tests instead:
+``pytest benchmarks/test_fig4_network_load.py -s --benchmark-disable``
+(one ``benchmarks/test_fig*`` / ``test_tab*`` file per artifact) prints
+the rows beside the paper's and asserts their shape; programmatic
+equivalents are the ``repro.eval.run_*`` drivers.
 
-``dashboard`` runs the Scarecrow chaos scenario (one switch partitioned
-mid-run, alert rules watching) and writes the whole run as one
-self-contained HTML dashboard (``--out``, default ``dashboard.html`` —
-no external assets, opens from file:// or a CI artifact).
+``scarecrow`` runs the Scarecrow chaos scenario (one switch partitioned
+mid-run, alert rules watching) and prints the alert log; ``dashboard``
+runs the same scenario and writes it as one self-contained HTML
+dashboard (``--out``, default ``dashboard.html`` — no external assets,
+opens from file:// or a CI artifact).
 
 ``remediation`` runs the closed-loop gray-failure comparison (engine
 off / dry-run / active); with ``--out PATH`` the active run's dashboard
@@ -33,122 +34,14 @@ Gini/max-mean skew — the shard-partitioner inputs).
 from __future__ import annotations
 
 import sys
-import time
 
 from repro.eval import (
     format_latency,
-    format_rate,
     format_table,
-    run_fig4_network_load,
-    run_fig5_cpu_load,
-    run_fig6_seed_scaling,
-    run_fig7_placement,
-    run_fig8_pcie,
-    run_fig9_aggregation,
-    run_fig10_comm_latency,
     run_profile,
     run_remediation_loop,
     run_scarecrow_chaos,
-    run_tab4_responsiveness,
 )
-from repro.eval.reporting import write_json
-
-
-def _tab4():
-    print("Tab. 4 — HH detection time")
-    results = run_tab4_responsiveness(trials=3)
-    print(format_table(
-        ["System", "Type", "Time"],
-        [(r.system, r.kind, format_latency(r.latency_s)) for r in results]))
-    return results
-
-
-def _fig4():
-    print("Fig. 4 — control-plane network load")
-    points = run_fig4_network_load()
-    print(format_table(
-        ["system", "ports", "bytes/s", "msgs/s"],
-        [(p.system, p.ports, format_rate(p.control_bytes_per_s),
-          f"{p.control_msgs_per_s:.1f}") for p in points]))
-    return points
-
-
-def _fig5():
-    print("Fig. 5 — switch CPU load vs flows (10 ms accuracy)")
-    points = run_fig5_cpu_load()
-    print(format_table(
-        ["system", "flows", "CPU %"],
-        [(p.system, p.flows, f"{p.cpu_load_percent:.2f}") for p in points]))
-    return points
-
-
-def _fig6():
-    print("Fig. 6 — CPU load vs seeds")
-    results = {}
-    for label, kwargs in (
-            ("a: HH 1 ms", dict(task="hh", accuracy_ms=1.0)),
-            ("b: HH 10 ms", dict(task="hh", accuracy_ms=10.0)),
-            ("c: ML 1 ms x1", dict(task="ml", accuracy_ms=1.0,
-                                   iterations=1,
-                                   seed_counts=(10, 20, 30, 40, 50))),
-            ("d: ML 10 ms x10", dict(task="ml", accuracy_ms=10.0,
-                                     iterations=10,
-                                     seed_counts=(50, 100, 150, 200, 250)))):
-        points = run_fig6_seed_scaling(**kwargs)
-        results[label] = points
-        print(f"  ({label})")
-        print(format_table(
-            ["seeds", "CPU %", "accuracy"],
-            [(p.seeds, f"{p.cpu_load_percent:.1f}",
-              "ok" if p.polling_accuracy_met else "LOST")
-             for p in points]))
-    return results
-
-
-def _fig7():
-    print("Fig. 7 — placement utility and runtime (small + full scale)")
-    points = run_fig7_placement(seed_counts=(50, 100, 200),
-                                num_switches=30, runs_per_size=2,
-                                milp_time_limits=(1.0, 60.0))
-    print(format_table(
-        ["solver", "seeds", "utility", "runtime"],
-        [(p.solver, p.num_seeds, f"{p.utility:.0f}",
-          f"{p.runtime_s:.2f}s") for p in points]))
-    big = run_fig7_placement(seed_counts=(10200,), num_switches=1040,
-                             runs_per_size=1, include_milp=False)[0]
-    print(f"  full scale (10200 seeds / 1040 switches): utility "
-          f"{big.utility:.0f} in {big.runtime_s:.1f}s")
-    return {"small": points, "full_scale": big}
-
-
-def _fig8():
-    print("Fig. 8 — PCIe vs ASIC congestion")
-    points = run_fig8_pcie()
-    print(format_table(
-        ["seeds", "PCIe x capacity", "ASIC util"],
-        [(p.seeds, f"{p.pcie_oversubscription:.2f}",
-          f"{p.asic_utilization * 100:.3f}%") for p in points]))
-    return points
-
-
-def _fig9():
-    print("Fig. 9 — aggregation cost")
-    points = run_fig9_aggregation()
-    print(format_table(
-        ["mode", "aggregation", "seeds", "CPU %"],
-        [(p.mode, "on" if p.aggregation else "off", p.seeds,
-          f"{p.soil_cpu_percent:.1f}") for p in points]))
-    return points
-
-
-def _fig10():
-    print("Fig. 10 — seed<->soil latency")
-    points = run_fig10_comm_latency()
-    print(format_table(
-        ["scheme", "seeds", "latency"],
-        [(p.scheme, p.seeds, format_latency(p.latency_s))
-         for p in points]))
-    return points
 
 
 def _scarecrow(dashboard_path=None):
@@ -204,72 +97,44 @@ def _profile(out_path=None):
     return point
 
 
-EXPERIMENTS = {
-    "tab4": _tab4, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6,
-    "fig7": _fig7, "fig8": _fig8, "fig9": _fig9, "fig10": _fig10,
-    "scarecrow": _scarecrow, "remediation": _remediation,
-    "profile": _profile,
-}
+VERBS = ("dashboard", "remediation", "profile", "scarecrow")
+
+#: Where ``--out`` goes when the verb writes a file but none was given.
+_DEFAULT_OUT = {"dashboard": "dashboard.html", "profile": "profile.html"}
 
 
 def main(argv) -> int:
     args = list(argv[1:])
-    json_path = None
-    if "--json" in args:
-        index = args.index("--json")
+    out = None
+    if "--out" in args:
+        index = args.index("--out")
         if index + 1 >= len(args):
-            print("--json requires a path", file=sys.stderr)
+            print("--out requires a path", file=sys.stderr)
             return 2
-        json_path = args[index + 1]
+        out = args[index + 1]
         del args[index:index + 2]
-    if args and args[0] in ("dashboard", "remediation", "profile"):
-        which = args[0]
-        out = f"{which}.html" if "--out" in args else None
-        if "--out" in args:
-            index = args.index("--out")
-            if index + 1 >= len(args):
-                print("--out requires a path", file=sys.stderr)
-                return 2
-            out = args[index + 1]
-            del args[index:index + 2]
-        elif which == "dashboard":
-            out = "dashboard.html"
-        elif which == "profile":
-            out = "profile.html"
-        if which == "dashboard":
-            _scarecrow(dashboard_path=out)
-            print(f"[dashboard written to {out}]")
-            return 0
-        if which == "profile":
-            _profile(out_path=out)
-            print(f"[flame graph written to {out}]")
-            return 0
-        if out is not None:
-            _remediation(dashboard_path=out)
-            print(f"[dashboard written to {out}]")
-            return 0
-        # plain "remediation" (no --out) falls through to EXPERIMENTS
-    names = args or ["--help"]
-    if names in (["--help"], ["-h"]):
+    if not args or args[0] in ("--help", "-h"):
         print(__doc__)
-        print("experiments:", ", ".join(sorted(EXPERIMENTS)), "| all",
-              "| dashboard --out PATH | remediation --out PATH",
-              "| profile --out PATH")
+        print("verbs:", " | ".join(VERBS))
         return 0
-    if names == ["all"]:
-        names = sorted(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {unknown}", file=sys.stderr)
+    if len(args) != 1 or args[0] not in VERBS:
+        print(f"unknown verb(s): {args}; expected one of {', '.join(VERBS)}",
+              file=sys.stderr)
         return 2
-    results = {}
-    for name in names:
-        start = time.perf_counter()
-        results[name] = EXPERIMENTS[name]()
-        print(f"[{name} done in {time.perf_counter() - start:.1f}s]\n")
-    if json_path is not None:
-        write_json(json_path, results)
-        print(f"[results written to {json_path}]")
+    which = args[0]
+    out = out or _DEFAULT_OUT.get(which)
+    if which == "scarecrow":
+        _scarecrow()
+    elif which == "dashboard":
+        _scarecrow(dashboard_path=out)
+        print(f"[dashboard written to {out}]")
+    elif which == "profile":
+        _profile(out_path=out)
+        print(f"[flame graph written to {out}]")
+    else:
+        _remediation(dashboard_path=out)
+        if out is not None:
+            print(f"[dashboard written to {out}]")
     return 0
 
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from typing import Any, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str],
@@ -41,26 +39,6 @@ def format_rate(value: float, unit: str = "B/s") -> str:
         if value >= scale:
             return f"{value / scale:.2f} {prefix}{unit}"
     return f"{value:.1f} {unit}"
-
-
-def to_jsonable(value: Any) -> Any:
-    """Recursively convert experiment results (dataclass rows, lists,
-    dicts) into plain JSON-serializable structures."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
-
-
-def write_json(path: str, payload: Any) -> None:
-    """Dump experiment results as pretty-printed JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_jsonable(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def series_by(points: Iterable, key_attr: str,

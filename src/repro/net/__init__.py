@@ -18,11 +18,7 @@ from repro.net.filters import (
     TcpFlagsFilter,
     TrueFilter,
     and_,
-    dst_ip,
-    flow_filter,
     or_,
-    src_ip,
-    switch_port,
 )
 from repro.net.packet import (
     PROTO_ICMP,
@@ -32,7 +28,7 @@ from repro.net.packet import (
     FlowKey,
     Packet,
 )
-from repro.net.topology import Topology, linear_topology, spine_leaf
+from repro.net.topology import Topology, spine_leaf
 
 __all__ = [
     "ANY_PREFIX", "Prefix", "format_ip", "parse_ip",
@@ -40,7 +36,7 @@ __all__ = [
     "ANY_PORT", "AndFilter", "DstIpFilter", "DstPortFilter", "FalseFilter",
     "Filter", "NotFilter", "OrFilter", "ProtoFilter", "SrcIpFilter",
     "SrcPortFilter", "SwitchPortFilter", "TcpFlagsFilter", "TrueFilter",
-    "and_", "dst_ip", "flow_filter", "or_", "src_ip", "switch_port",
+    "and_", "or_",
     "PROTO_ICMP", "PROTO_TCP", "PROTO_UDP", "Flow", "FlowKey", "Packet",
-    "Topology", "linear_topology", "spine_leaf",
+    "Topology", "spine_leaf",
 ]

@@ -9,7 +9,7 @@ several times faster while being ~100 lines of obviously-correct code.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from repro.errors import FarmError
 
@@ -80,32 +80,9 @@ class Prefix:
         value = parse_ip(ip) if isinstance(ip, str) else ip
         return cls(value, 32)
 
-    @property
-    def mask(self) -> int:
-        return self._mask
-
-    @property
-    def num_addresses(self) -> int:
-        return 1 << (32 - self.length)
-
     def contains(self, ip: int) -> bool:
         """True if the address falls inside this prefix."""
         return (ip & self._mask) == self.network
-
-    def contains_prefix(self, other: "Prefix") -> bool:
-        """True if ``other`` is a (non-strict) sub-prefix of this one."""
-        return (self.length <= other.length
-                and (other.network & self._mask) == self.network)
-
-    def overlaps(self, other: "Prefix") -> bool:
-        """True if the two prefixes share at least one address."""
-        return self.contains_prefix(other) or other.contains_prefix(self)
-
-    def hosts(self, limit: int = 1 << 16) -> Iterator[int]:
-        """Iterate host addresses in the prefix (bounded by ``limit``)."""
-        count = min(self.num_addresses, limit)
-        for offset in range(count):
-            yield self.network + offset
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Prefix)

@@ -5,16 +5,12 @@ The seeder consults the controller for two things (SIII-B):
 * ``phi_path`` — the set of switch paths carrying traffic matching a closed
   boolean filter formula (used to resolve ``place ... range`` directives);
 * the global set of switches (used for ``place all`` / ``place any``).
-
-The controller also exposes latency estimates between switches and a
-collector node, which the collection-centric baselines (sFlow, Sonata)
-charge on every report.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.net.filters import Filter
@@ -62,29 +58,7 @@ class SdnController:
         return sorted(hosts)
 
     # ------------------------------------------------------------------
-    # Switch inventory and latency estimates
+    # Switch inventory
     # ------------------------------------------------------------------
     def all_switches(self) -> List[int]:
         return sorted(self.topology.switch_ids)
-
-    def switches_on_paths(self, paths: Set[Tuple[int, ...]]) -> Set[int]:
-        return {node for path in paths for node in path}
-
-    def control_latency(self, switch_id: int,
-                        collector_id: Optional[int] = None) -> float:
-        """One-way control-plane latency from a switch to the collector.
-
-        When no explicit collector is modeled, a conventional in-DC RTT/2 of
-        ~50 us plus per-hop latency to the nearest spine is charged.
-        """
-        spec = self.topology.node(switch_id)
-        if not spec.is_switch:
-            raise TopologyError(f"node {switch_id} is not a switch")
-        base = 50e-6
-        if collector_id is not None:
-            import networkx as nx
-            length = nx.shortest_path_length(
-                self.topology.graph, switch_id, collector_id)
-            return base + length * 5e-6
-        hops = 0 if spec.kind == "spine" else 1
-        return base + hops * 5e-6

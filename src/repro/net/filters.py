@@ -16,9 +16,8 @@ three masters, so they are immutable, hashable, and canonicalizable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, Optional, Tuple
 
-from repro.errors import FarmError
 from repro.net.addresses import Prefix
 from repro.net.packet import FlowKey, Packet
 
@@ -285,30 +284,3 @@ def or_(*operands: Filter) -> Filter:
     if len(flat) == 1:
         return flat[0]
     return OrFilter(tuple(flat))
-
-
-def src_ip(prefix: Union[str, Prefix]) -> SrcIpFilter:
-    return SrcIpFilter(Prefix.parse(prefix) if isinstance(prefix, str) else prefix)
-
-
-def dst_ip(prefix: Union[str, Prefix]) -> DstIpFilter:
-    return DstIpFilter(Prefix.parse(prefix) if isinstance(prefix, str) else prefix)
-
-
-def switch_port(port: Union[int, str]) -> SwitchPortFilter:
-    if isinstance(port, str):
-        if port.upper() != "ANY":
-            raise FarmError(f"unknown switch-port specifier: {port!r}")
-        return SwitchPortFilter(ANY_PORT)
-    return SwitchPortFilter(port)
-
-
-def flow_filter(key: FlowKey) -> Filter:
-    """The exact-match filter for one 5-tuple."""
-    return and_(
-        SrcIpFilter(Prefix.host(key.src_ip)),
-        DstIpFilter(Prefix.host(key.dst_ip)),
-        SrcPortFilter(key.src_port),
-        DstPortFilter(key.dst_port),
-        ProtoFilter(key.proto),
-    )

@@ -40,11 +40,6 @@ class FlowKey:
     dst_port: int
     proto: int
 
-    def reversed(self) -> "FlowKey":
-        """The key of the reverse direction (for bidirectional protocols)."""
-        return FlowKey(self.dst_ip, self.src_ip, self.dst_port,
-                       self.src_port, self.proto)
-
     def __str__(self) -> str:
         from repro.net.addresses import format_ip
         name = PROTO_NAMES.get(self.proto, str(self.proto))
@@ -117,11 +112,6 @@ class Packet:
     @property
     def is_rst(self) -> bool:
         return bool(self.tcp_flags & TCP_RST)
-
-    def at(self, timestamp: float) -> "Packet":
-        """A copy stamped with a new timestamp."""
-        return Packet(self.key, self.size, self.tcp_flags, self.ttl,
-                      timestamp)
 
 
 class FlowWatch:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -40,8 +40,7 @@ class Topology:
     """A data center network topology.
 
     Node ids are dense ints assigned at insertion.  Links carry bandwidth
-    (bytes/s) and latency (seconds) attributes used by the baselines'
-    collection-path modeling.
+    (bytes/s) and latency (seconds) attributes.
     """
 
     def __init__(self, name: str = "topology") -> None:
@@ -104,32 +103,13 @@ class Topology:
         return [n for n, spec in self._nodes.items() if spec.kind == LEAF]
 
     @property
-    def spine_ids(self) -> List[int]:
-        return [n for n, spec in self._nodes.items() if spec.kind == SPINE]
-
-    @property
     def host_ids(self) -> List[int]:
         return [n for n, spec in self._nodes.items() if spec.kind == HOST]
-
-    def host_by_ip(self, ip: int) -> Optional[int]:
-        return self._ip_index.get(ip)
 
     def hosts_in_prefix(self, prefix: Prefix) -> List[int]:
         """Host node ids whose address lies inside ``prefix``."""
         return [node_id for ip, node_id in sorted(self._ip_index.items())
                 if prefix.contains(ip)]
-
-    def neighbors(self, node_id: int) -> List[int]:
-        return sorted(self.graph.neighbors(node_id))
-
-    def degree(self, node_id: int) -> int:
-        return self.graph.degree(node_id)
-
-    def link_latency(self, u: int, v: int) -> float:
-        try:
-            return self.graph.edges[u, v]["latency"]
-        except KeyError:
-            raise TopologyError(f"no link {u}-{v}") from None
 
     # ------------------------------------------------------------------
     # Paths
@@ -158,11 +138,6 @@ class Topology:
         except nx.NetworkXNoPath:
             return []
 
-    def path_latency(self, path: Iterable[int]) -> float:
-        """Sum of link latencies along a node path."""
-        nodes = list(path)
-        return sum(self.link_latency(u, v) for u, v in zip(nodes, nodes[1:]))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Topology {self.name!r}: {len(self.switch_ids)} switches, "
                 f"{len(self.host_ids)} hosts>")
@@ -179,8 +154,8 @@ def spine_leaf(num_spines: int = 2, num_leaves: int = 4,
     each leaf with addresses drawn from the leaf's /24.
 
     >>> topo = spine_leaf(2, 3, 2)
-    >>> len(topo.spine_ids), len(topo.leaf_ids), len(topo.host_ids)
-    (2, 3, 6)
+    >>> len(topo.switch_ids), len(topo.leaf_ids), len(topo.host_ids)
+    (5, 3, 6)
     """
     if num_spines < 1 or num_leaves < 1 or hosts_per_leaf < 0:
         raise TopologyError("spine/leaf/host counts must be positive")
@@ -199,24 +174,4 @@ def spine_leaf(num_spines: int = 2, num_leaves: int = 4,
             ip = format_ip(prefix.network + host_index + 1)
             host = topo.add_host(ip, f"h{leaf_index + 1}-{host_index + 1}")
             topo.add_link(leaf, host, link_bandwidth_bps, link_latency_s)
-    return topo
-
-
-def linear_topology(num_switches: int, hosts_at_ends: bool = True) -> Topology:
-    """A chain of switches, optionally with one host at each end.
-
-    Used by tests exercising path-range placement directives, where the
-    switch path between the end hosts is the full chain.
-    """
-    if num_switches < 1:
-        raise TopologyError("need at least one switch")
-    topo = Topology(name=f"chain-{num_switches}")
-    switches = [topo.add_switch(LEAF, f"s{i + 1}") for i in range(num_switches)]
-    for u, v in zip(switches, switches[1:]):
-        topo.add_link(u, v)
-    if hosts_at_ends:
-        left = topo.add_host("10.1.1.4", "sender")
-        right = topo.add_host("10.0.1.1", "receiver")
-        topo.add_link(left, switches[0])
-        topo.add_link(right, switches[-1])
     return topo

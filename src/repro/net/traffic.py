@@ -155,13 +155,6 @@ class HeavyHitterWorkload(Workload):
         self.current_heavy_ports = new_heavy
         self.stats.churn_events += 1
 
-    def make_port_heavy(self, port: int) -> None:
-        """Force one specific port heavy *now* (used by latency benchmarks)."""
-        assert self._sim is not None
-        self._port_flows[port].set_rate(self.hh_rate_bps, self._sim.now)
-        self.current_heavy_ports.add(port)
-        self.stats.rate_changes += 1
-
     def true_heavy_ports(self) -> Set[int]:
         """Ground truth for accuracy scoring."""
         return set(self.current_heavy_ports)
@@ -226,11 +219,6 @@ class SynFloodWorkload(Workload):
             self._make_flow(key, per_source_pps * 60, in_port=i % 48,
                             out_port=0, packet_size=60, label=f"syn{i}",
                             tcp_flags=TCP_SYN)
-
-    def sample_syn_packet(self, timestamp: float, source_index: int = 0):
-        """A representative SYN packet for probing paths."""
-        flow = self.flows[source_index % len(self.flows)]
-        return flow.sample_packet(timestamp, tcp_flags=TCP_SYN)
 
 
 class PortScanWorkload(Workload):

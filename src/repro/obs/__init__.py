@@ -26,11 +26,9 @@ from typing import Any, Callable, Optional
 from repro.obs.exporters import (
     parse_prometheus_text,
     to_chrome_trace,
-    to_jsonl,
     to_prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
     write_prometheus,
 )
 from repro.obs.metrics import (
@@ -38,7 +36,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    RateWindow,
     freeze_labels,
 )
 from repro.obs.alerts import (
@@ -71,7 +68,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.query import QueryEngine, Vector, parse_selector
 from repro.obs.scarecrow import Scarecrow
-from repro.obs.trace import MAX_TRACE_EVENTS, NULL_SPAN, NULL_TRACER, Span, Tracer
+from repro.obs.trace import MAX_TRACE_EVENTS, NULL_TRACER, Tracer
 from repro.obs.tsdb import (
     SCRAPE_PRIORITY,
     Point,
@@ -96,29 +93,9 @@ class Observability:
         clock: Optional[Callable[[], float]] = (
             (lambda: sim.now) if sim is not None else None)
         self.sim = sim
-        self.registry = MetricsRegistry(clock=clock)
+        self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=clock, enabled=trace,
                              max_events=max_trace_events)
-
-    def start_tracing(self) -> None:
-        """Enable event tracing from this sim-instant on."""
-        self.tracer.enabled = True
-
-    def stop_tracing(self) -> None:
-        self.tracer.enabled = False
-
-    def trace_kernel(self, sim: Any) -> None:
-        """Opt-in: record every fired DES event as an instant on the
-        ``kernel`` track.  Very high volume — use on short runs."""
-        tracer = self.tracer
-
-        def hook(when: float, label: str) -> None:
-            if tracer.enabled:
-                tracer._emit({"ph": "i", "name": label or "event",
-                              "cat": "kernel", "track": "kernel",
-                              "ts": when, "args": None})
-
-        sim.set_trace_hook(hook)
 
 
 __all__ = [
@@ -136,7 +113,6 @@ __all__ = [
     "ImbalanceReport",
     "MAX_TRACE_EVENTS",
     "MetricsRegistry",
-    "NULL_SPAN",
     "NULL_TRACER",
     "Observability",
     "PENDING",
@@ -145,7 +121,6 @@ __all__ = [
     "ProfilingBundle",
     "QueryEngine",
     "RESOLVED",
-    "RateWindow",
     "Retention",
     "SCARECROW_TRACK",
     "SCRAPE_PRIORITY",
@@ -153,7 +128,6 @@ __all__ = [
     "Scarecrow",
     "Scraper",
     "Series",
-    "Span",
     "ThresholdRule",
     "TimeSeriesStore",
     "Tracer",
@@ -170,10 +144,8 @@ __all__ = [
     "write_flamegraph",
     "parse_prometheus_text",
     "to_chrome_trace",
-    "to_jsonl",
     "to_prometheus_text",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "write_prometheus",
 ]

@@ -227,10 +227,6 @@ class EwmaAnomalyRule(AlertRule):
         self._state: Dict[LabelValues, _EwmaState] = {}
         self._z: Dict[LabelValues, float] = {}
 
-    def zscore(self, labels: LabelValues = ()) -> float:
-        """Latest computed z-score for one series (diagnostics)."""
-        return self._z.get(labels, 0.0)
-
     def _signed_z(self, state: _EwmaState, value: float) -> float:
         std = max(math.sqrt(max(state.var, 0.0)), self.min_std)
         z = (value - state.mean) / std
@@ -383,9 +379,6 @@ class AlertManager:
     # -- reading -----------------------------------------------------------
     def firing(self) -> List[ActiveAlert]:
         return [a for a in self.active.values() if a.state == FIRING]
-
-    def pending(self) -> List[ActiveAlert]:
-        return [a for a in self.active.values() if a.state == PENDING]
 
     def events_for(self, rule_name: str) -> List[AlertEvent]:
         return [e for e in self.log if e.rule == rule_name]

@@ -1,10 +1,9 @@
-"""Exporters: Prometheus text, JSONL event log, Chrome trace_event JSON.
+"""Exporters: Prometheus text and Chrome trace_event JSON.
 
-Three output formats, one per consumer:
+Two output formats, one per consumer:
 
 * :func:`to_prometheus_text` — the Prometheus exposition format (scrape-able,
   diff-able in CI artifacts);
-* :func:`to_jsonl` — one JSON object per trace event, for ad-hoc ``jq``;
 * :func:`to_chrome_trace` — the Chrome ``trace_event`` JSON array format,
   keyed on **sim-time** (1 sim-microsecond = 1 trace-microsecond) so a DES
   run opens in ``chrome://tracing`` or https://ui.perfetto.dev as a
@@ -145,21 +144,6 @@ def write_prometheus(registry: MetricsRegistry, path: str,
                      tracer: Optional[Tracer] = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_prometheus_text(registry, tracer=tracer))
-
-
-# ---------------------------------------------------------------------------
-# JSONL event log
-# ---------------------------------------------------------------------------
-
-def to_jsonl(tracer: Tracer) -> str:
-    """One compact JSON object per trace event, newline-delimited."""
-    return "".join(json.dumps(event, sort_keys=True, default=str) + "\n"
-                   for event in tracer.events)
-
-
-def write_jsonl(tracer: Tracer, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_jsonl(tracer))
 
 
 # ---------------------------------------------------------------------------

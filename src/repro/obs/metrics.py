@@ -10,16 +10,15 @@ exporters in :mod:`repro.obs.exporters` render it as Prometheus text or JSON.
 
 Design notes
 ------------
-* **Cheap increments.**  ``Counter.inc`` is one float add plus (when a rate
-  window is configured) one ring-bucket add.  Components therefore keep
-  their metrics *always on*; only event tracing has an enable switch.
-* **Sim-time aware.**  The registry carries a ``clock`` callable (normally
-  ``lambda: sim.now``).  Windowed rates and rate buckets are keyed on
-  simulation time, not wall time, so a 5-second DES run reports the same
-  rates no matter how fast the host executed it.
-* **Bounded memory.**  Windowed rates use a fixed ring of time buckets
-  (:class:`RateWindow`), not a sample log, so a million-message-per-sim-second
-  baseline costs O(buckets), not O(messages).
+* **Cheap increments.**  ``Counter.inc`` is one float add and nothing
+  else, so components keep their metrics *always on*; only event tracing
+  has an enable switch.  A counter keeps its running total, never a
+  sample log, so a million-message-per-sim-second baseline costs one
+  float per series.
+* **Rates are a query.**  A windowed rate is computed from scraped
+  samples by :meth:`repro.obs.query.QueryEngine.rate` (the reducer every
+  alert rule uses), on simulation time, so a 5-second DES run reports the
+  same rates no matter how fast the host executed it.
 * **Label keys are frozen** to sorted ``(key, str(value))`` tuples, giving
   deterministic iteration order for exporters and tests.
 """
@@ -29,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -53,107 +51,35 @@ def freeze_labels(labels: Optional[Mapping[str, Any]]) -> LabelValues:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class RateWindow:
-    """Sim-time windowed rate with O(1) memory (ring of time buckets).
-
-    ``record(t, amount)`` adds ``amount`` to the bucket covering ``t``;
-    buckets older than ``window_s`` are zeroed lazily as time advances.
-    ``rate(now)`` returns amount-per-second over the trailing window.
-    """
-
-    __slots__ = ("window_s", "_bucket_s", "_buckets", "_base_index")
-
-    def __init__(self, window_s: float, buckets: int = 20) -> None:
-        if window_s <= 0 or buckets <= 0:
-            raise ValueError("window and bucket count must be positive")
-        self.window_s = window_s
-        self._bucket_s = window_s / buckets
-        self._buckets = [0.0] * buckets
-        self._base_index = 0  # absolute index of the newest occupied bucket
-
-    def _advance(self, t: float) -> int:
-        index = int(t / self._bucket_s)
-        if index > self._base_index:
-            gap = index - self._base_index
-            n = len(self._buckets)
-            if gap >= n:
-                for i in range(n):
-                    self._buckets[i] = 0.0
-            else:
-                for i in range(self._base_index + 1, index + 1):
-                    self._buckets[i % n] = 0.0
-            self._base_index = index
-        return index
-
-    def record(self, t: float, amount: float) -> None:
-        index = self._advance(t)
-        if index == self._base_index:  # ignore records from the stale past
-            self._buckets[index % len(self._buckets)] += amount
-
-    def rate(self, now: float, horizon: Optional[float] = None) -> float:
-        """Amount per second over the trailing ``horizon`` (full window by
-        default; horizons are clamped to ``[bucket, window]`` — the ring
-        cannot see further back than it is long)."""
-        self._advance(now)
-        n = len(self._buckets)
-        if horizon is None:
-            return sum(self._buckets) / self.window_s
-        k = max(1, min(n, int(round(horizon / self._bucket_s))))
-        total = 0.0
-        for i in range(self._base_index - k + 1, self._base_index + 1):
-            total += self._buckets[i % n]
-        return total / (k * self._bucket_s)
-
-
 class Counter:
-    """Monotonically increasing counter (optionally rate-windowed)."""
+    """Monotonically increasing counter."""
 
-    __slots__ = ("name", "labels", "_value", "_window", "_clock")
+    __slots__ = ("name", "labels", "_value")
 
-    def __init__(self, name: str, labels: LabelValues = (),
-                 clock: Optional[Callable[[], float]] = None,
-                 window: Optional[RateWindow] = None) -> None:
+    def __init__(self, name: str, labels: LabelValues = ()) -> None:
         self.name = name
         self.labels = labels
         self._value = 0.0
-        self._clock = clock
-        self._window = window
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-        w = self._window
-        if w is not None:
-            w.record(self._clock() if self._clock is not None else 0.0, amount)
 
     def inc_repeated(self, amounts: Sequence[float], repeats: int) -> None:
         """``repeats`` rounds of ``inc(a) for a in amounts`` in one call.
 
-        The value (and the rate window) advance through the identical
-        float-add sequence, so a counter mirroring an integral add for add
-        keeps its bits when the caller batches its increments.
+        The value advances through the identical float-add sequence, so a
+        counter mirroring an integral add for add keeps its bits when the
+        caller batches its increments.
         """
         value = self._value
         for _ in range(repeats):
             for amount in amounts:
                 value += amount
         self._value = value
-        w = self._window
-        if w is not None:
-            t = self._clock() if self._clock is not None else 0.0
-            for _ in range(repeats):
-                for amount in amounts:
-                    w.record(t, amount)
 
     @property
     def value(self) -> float:
         return self._value
-
-    def rate(self, horizon: Optional[float] = None) -> float:
-        """Amount per second over the trailing window (0 if no window)."""
-        if self._window is None:
-            return 0.0
-        now = self._clock() if self._clock is not None else 0.0
-        return self._window.rate(now, horizon)
 
 
 class Gauge:
@@ -168,9 +94,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self._value = value
-
-    def add(self, amount: float) -> None:
-        self._value += amount
 
     @property
     def value(self) -> float:
@@ -230,8 +153,7 @@ class MetricsRegistry:
     components can share one registry without coordination.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
 
     # -- get-or-create -----------------------------------------------------
@@ -247,14 +169,12 @@ class MetricsRegistry:
         return family
 
     def counter(self, name: str, help_text: str = "",
-                labels: Optional[Mapping[str, Any]] = None,
-                window_s: Optional[float] = None) -> Counter:
+                labels: Optional[Mapping[str, Any]] = None) -> Counter:
         family = self._family(name, "counter", help_text)
         key = freeze_labels(labels)
         child = family.children.get(key)
         if child is None:
-            window = RateWindow(window_s) if window_s is not None else None
-            child = Counter(name, key, clock=self.clock, window=window)
+            child = Counter(name, key)
             family.children[key] = child
         return child
 

@@ -34,10 +34,11 @@ On top of the raw attribution:
   and max/mean skew: exactly the numbers a shard partitioner needs (see
   the sharding item in ROADMAP.md).
 * :class:`FlightRecorder` keeps a bounded ring of recent trace events
-  plus periodic registry snapshots and dumps a postmortem bundle when a
-  Scarecrow alert fires or an exception escapes the kernel.
-* :class:`ProfilingBundle` wires all of it into one deployment via
-  :meth:`repro.core.deployment.FarmDeployment.enable_profiling`.
+  plus periodic registry snapshots and dumps a postmortem bundle on
+  request.
+* :class:`ProfilingBundle` wires all of it onto one simulator and its
+  :class:`~repro.obs.Observability` (``repro.eval.run_profile`` builds
+  one).
 """
 
 from __future__ import annotations
@@ -132,13 +133,6 @@ class Profiler:
         to the first event of the next run.
         """
         self._last_ns = None
-
-    def clear(self) -> None:
-        self.costs.clear()
-        self._dispatch_base = 0
-        self._sample_base = 0
-        self._last_ns = None
-        self._countdown = 1
 
     # -- hot path ----------------------------------------------------------
     def _key_for(self, event: Any) -> tuple:
@@ -340,9 +334,6 @@ class CostModel:
     def by_component(self) -> Dict[str, int]:
         return self._group(lambda e: e.component)
 
-    def by_label(self) -> Dict[str, int]:
-        return self._group(lambda e: e.label)
-
     def _top(self, groups: Dict[Any, int], k: int
              ) -> List[Tuple[Any, int]]:
         return sorted(groups.items(),
@@ -415,8 +406,7 @@ class FlightRecorder:
     tracer's previous configuration.
 
     :meth:`dump` freezes the rings plus the current registry snapshot
-    into one JSON-able postmortem bundle; :meth:`watch_alerts` arms an
-    automatic dump on every alert that transitions to firing.
+    into one JSON-able postmortem bundle.
     """
 
     def __init__(self, sim: Any, tracer: Tracer,
@@ -462,19 +452,6 @@ class FlightRecorder:
             self.snapshot_ring.append(
                 {"t": self.sim.now, "metrics": self.registry.snapshot()})
 
-    def watch_alerts(self, alert_manager: Any) -> None:
-        """Dump a postmortem whenever an alert transitions to firing."""
-        from repro.obs.alerts import FIRING
-
-        def hook(event: Any) -> None:
-            if event.state == FIRING:
-                self.dump(reason=f"alert {event.rule} firing",
-                          context={"rule": event.rule,
-                                   "labels": dict(event.labels),
-                                   "value": event.value})
-
-        alert_manager.on_transition.append(hook)
-
     # -- dumping -----------------------------------------------------------
     def dump(self, reason: str = "manual",
              context: Optional[Dict[str, Any]] = None,
@@ -508,10 +485,6 @@ class FlightRecorder:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(bundle, fh, default=str)
 
-    @property
-    def last_dump(self) -> Optional[Dict[str, Any]]:
-        return self.dumps[-1] if self.dumps else None
-
 
 # ---------------------------------------------------------------------------
 # Deployment bundle
@@ -519,7 +492,7 @@ class FlightRecorder:
 
 class ProfilingBundle:
     """Profiler + flight recorder + counter-track publisher for one
-    deployment (created by ``FarmDeployment.enable_profiling``).
+    simulator and its :class:`~repro.obs.Observability`.
 
     ``counter_interval_s`` arms a sim-time timer that publishes the
     cumulative per-switch attributed cost as a Chrome/Perfetto counter
@@ -563,27 +536,9 @@ class ProfilingBundle:
             self._counter_timer.stop()
             self._counter_timer = None
 
-    def watch_alerts(self, alert_manager: Any) -> None:
-        if self.recorder is not None:
-            self.recorder.watch_alerts(alert_manager)
-
-    def on_exception(self, exc: BaseException) -> None:
-        """Kernel-escape hook: dump a postmortem before the raise
-        propagates (wired by ``FarmDeployment.run``)."""
-        if self.recorder is not None:
-            self.recorder.dump(reason=f"exception: {exc!r}",
-                               cost_model=self.cost_model())
-
     # -- reading -----------------------------------------------------------
     def cost_model(self) -> CostModel:
         return self.profiler.cost_model()
-
-    def imbalance_report(self) -> ImbalanceReport:
-        return self.cost_model().imbalance_report()
-
-    def write_flamegraph(self, path: str, **kwargs: Any) -> None:
-        from repro.obs.flamegraph import write_flamegraph
-        write_flamegraph(path, self.cost_model(), **kwargs)
 
     def write_postmortem(self, path: str,
                          reason: str = "manual") -> Dict[str, Any]:

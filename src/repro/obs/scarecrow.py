@@ -19,10 +19,10 @@ and store size are published back into the same registry it scrapes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.obs.alerts import AlertEvent, AlertManager, AlertRule
-from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro.obs.dashboard import write_dashboard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.query import QueryEngine
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -62,12 +62,6 @@ class Scarecrow:
     def add_rule(self, rule: AlertRule) -> AlertRule:
         return self.alerts.add_rule(rule)
 
-    def add_collector(self, collector: Callable[
-            [], Iterable[Tuple[str, dict, float]]]) -> None:
-        """Register an extra sample source scraped alongside the
-        registry (for state not kept as a metric)."""
-        self.scraper.collectors.append(collector)
-
     def feed_fault_tolerance(self, manager, label: str = "switch") -> None:
         self.alerts.feed_fault_tolerance(manager, label=label)
 
@@ -75,9 +69,6 @@ class Scarecrow:
     def start(self) -> "Scarecrow":
         self.scraper.start()
         return self
-
-    def stop(self) -> None:
-        self.scraper.stop()
 
     def scrape_once(self) -> None:
         """One manual scrape + rule evaluation at the current sim time
@@ -91,10 +82,6 @@ class Scarecrow:
 
     def events_for(self, rule_name: str) -> List[AlertEvent]:
         return self.alerts.events_for(rule_name)
-
-    def render_dashboard(self, **kwargs) -> str:
-        kwargs.setdefault("tracer", self.tracer)
-        return render_dashboard(self.store, alerts=self.alerts, **kwargs)
 
     def write_dashboard(self, path: str, **kwargs) -> None:
         kwargs.setdefault("tracer", self.tracer)

@@ -1,14 +1,14 @@
 """Causal event tracing keyed on simulation time.
 
 A :class:`Tracer` records lightweight span/instant/async events that the
-exporters render as JSONL or Chrome ``trace_event`` JSON (openable in
+exporters render as Chrome ``trace_event`` JSON (openable in
 ``chrome://tracing`` / Perfetto).  Trace semantics:
 
 * **tracks** play the role of Chrome *threads*: one per switch
   (``switch/3``), plus ``seeder``, ``bus``, ``kernel`` — so a whole DES run
   reads as a per-switch timeline;
-* **spans** (``ph="X"``) cover an interval of sim-time (a poll round trip,
-  a seed handler);
+* **spans** (``ph="X"``) cover an interval of sim-time whose duration is
+  known when it is recorded (a poll round trip, a seed handler);
 * **instants** (``ph="i"``) mark lifecycle moments (deploy, migrate,
   failover);
 * **async spans** (``ph="b"``/``"e"`` with an id) stitch causally related
@@ -19,9 +19,9 @@ exporters render as JSONL or Chrome ``trace_event`` JSON (openable in
 Near-zero cost when disabled
 ----------------------------
 Hot paths guard on ``tracer.enabled`` (or on a ``None`` tracer attribute)
-before building any event, and a disabled tracer's :meth:`Tracer.span`
-returns the shared :data:`NULL_SPAN` singleton — no per-event allocation
-happens unless tracing is actually on.  That the dispatch loop never
+before building any event, and every recording method returns at once on
+a disabled tracer — no per-event allocation happens unless tracing is
+actually on.  That the dispatch loop never
 enters the traced path under a disabled tracer is asserted in
 ``tests/obs/test_trace.py`` (``TestDisabledFastPath``).
 """
@@ -34,44 +34,6 @@ from typing import Any, Callable, Dict, List, Optional
 #: ``Tracer.dropped`` instead of stored (a runaway trace should not eat
 #: the heap of a long chaos run).
 MAX_TRACE_EVENTS = 500_000
-
-
-class _NullSpan:
-    """Shared do-nothing span handed out while tracing is disabled."""
-
-    __slots__ = ()
-
-    def finish(self, **args: Any) -> None:
-        return None
-
-
-#: The singleton null span: identity-checkable in tests, allocation-free.
-NULL_SPAN = _NullSpan()
-
-
-class Span:
-    """An open interval on a track; call :meth:`finish` to record it."""
-
-    __slots__ = ("_tracer", "name", "track", "cat", "start", "args")
-
-    def __init__(self, tracer: "Tracer", name: str, track: str, cat: str,
-                 start: float, args: Optional[Dict[str, Any]]) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.track = track
-        self.cat = cat
-        self.start = start
-        self.args = args
-
-    def finish(self, **extra: Any) -> None:
-        tracer = self._tracer
-        args = self.args
-        if extra:
-            args = dict(args or ())
-            args.update(extra)
-        tracer._emit({"ph": "X", "name": self.name, "cat": self.cat,
-                      "track": self.track, "ts": self.start,
-                      "dur": tracer.now() - self.start, "args": args})
 
 
 class Tracer:
@@ -113,10 +75,6 @@ class Tracer:
             return
         self.events.append(event)
 
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped = 0
-
     # -- recording ---------------------------------------------------------
     def instant(self, name: str, track: str, cat: str = "event",
                 args: Optional[Dict[str, Any]] = None) -> None:
@@ -125,13 +83,6 @@ class Tracer:
             return
         self._emit({"ph": "i", "name": name, "cat": cat, "track": track,
                     "ts": self.now(), "args": args})
-
-    def span(self, name: str, track: str, cat: str = "span",
-             args: Optional[Dict[str, Any]] = None) -> Any:
-        """Open a span; returns :data:`NULL_SPAN` while disabled."""
-        if not self.enabled:
-            return NULL_SPAN
-        return Span(self, name, track, cat, self.now(), args)
 
     def complete(self, name: str, track: str, start: float, duration: float,
                  cat: str = "span",

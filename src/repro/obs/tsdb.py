@@ -260,27 +260,15 @@ class Scraper:
         self._g_points = registry.gauge(
             "scarecrow_points", "Points currently stored across stages.")
 
-    @property
-    def running(self) -> bool:
-        return self._timer is not None and self._timer.running
-
     def start(self, first_at: Optional[float] = None) -> "Scraper":
         """Arm the periodic scrape (first pass after one interval by
         default); returns self for chaining."""
-        if self._timer is None or not self._timer.running:
+        if self._timer is None:
             self._timer = self.sim.every(
                 self.interval_s, self.scrape_once, start_after=first_at,
                 priority=SCRAPE_PRIORITY, label="scarecrow-scrape",
                 cost_key=("scarecrow", None, None, "scrape"))
         return self
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-
-    def add_collector(self, collector: Collector) -> None:
-        self.collectors.append(collector)
 
     def scrape_once(self) -> int:
         """One scrape pass; returns the number of samples written."""

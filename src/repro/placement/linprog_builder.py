@@ -64,10 +64,6 @@ class LinProgram:
     def num_vars(self) -> int:
         return len(self._names)
 
-    @property
-    def num_constraints(self) -> int:
-        return len(self._rows)
-
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 integer: bool = False) -> int:
         if name in self.name_index:

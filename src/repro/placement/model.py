@@ -120,12 +120,6 @@ class PlacementProblem:
                     return seed
         raise PlacementError(f"unknown seed {seed_id!r}")
 
-    def task(self, task_id: str) -> TaskSpec:
-        for task in self.tasks:
-            if task.task_id == task_id:
-                return task
-        raise PlacementError(f"unknown task {task_id!r}")
-
     def alpha(self, switch: int) -> float:
         return self.alpha_poll.get(switch, 1.0)
 

@@ -15,8 +15,6 @@ from repro.remediation.policies import (
     DrainPolicy,
     EscalatePolicy,
     Policy,
-    QuarantinePolicy,
-    TargetedResolvePolicy,
 )
 
 __all__ = [
@@ -26,9 +24,7 @@ __all__ = [
     "GuardrailConfig",
     "Guardrails",
     "Policy",
-    "QuarantinePolicy",
     "RemediationEngine",
     "RemediationLog",
     "RemediationRecord",
-    "TargetedResolvePolicy",
 ]

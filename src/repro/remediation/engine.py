@@ -42,14 +42,10 @@ class RemediationEngine:
         self.fault_tolerance = fault_tolerance
         self.dry_run = dry_run
         self._clock = clock or (lambda: seeder.sim.now)
-        self.guardrails = guardrails or Guardrails(
-            config=config, clock=self._clock)
-        if self.guardrails._clock is None:
-            self.guardrails._clock = self._clock
+        self.guardrails = guardrails or Guardrails(config=config)
         self.policies: List[Policy] = []
         self.log = RemediationLog(registry=seeder.metrics,
                                   tracer=seeder.tracer)
-        self._attached: List[Any] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -66,16 +62,7 @@ class RemediationEngine:
                 f"cannot attach to {type(source).__name__}: no "
                 f"on_transition hook (need an AlertManager)")
         alerts.on_transition.append(self._on_alert_event)
-        self._attached.append(alerts)
         return self
-
-    def detach(self) -> None:
-        for alerts in self._attached:
-            try:
-                alerts.on_transition.remove(self._on_alert_event)
-            except ValueError:
-                pass
-        self._attached.clear()
 
     # ------------------------------------------------------------------
     # The loop

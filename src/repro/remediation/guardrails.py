@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 #: Actions that take capacity away from a switch (and therefore consume
 #: the concurrency budget and blast radius); "restore" undoes one and
@@ -50,17 +50,12 @@ class GuardrailConfig:
     flap_limit: int = 2
     flap_window_s: float = 30.0
 
-    def cooldown_for(self, action: str) -> float:
-        return self.cooldown_s.get(action, self.default_cooldown_s)
-
 
 class Guardrails:
     """Stateful admission control for remediation actions."""
 
-    def __init__(self, config: Optional[GuardrailConfig] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, config: Optional[GuardrailConfig] = None) -> None:
         self.config = config or GuardrailConfig()
-        self._clock = clock
         #: Last commit time per (action, switch) — cooldown bookkeeping.
         self.last_committed: Dict[Tuple[str, Optional[int]], float] = {}
         #: Open disruptive interventions: switch -> action that opened it.
@@ -70,16 +65,11 @@ class Guardrails:
         #: Recent disruptive-commit times per switch — flap suppression.
         self._flaps: Dict[Optional[int], Deque[float]] = {}
 
-    def now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
-
     # ------------------------------------------------------------------
     def check(self, action: str, switch: Optional[int],
-              now: Optional[float] = None) -> Optional[str]:
-        """Return ``None`` if the action may run, else the name of the
-        guardrail that refuses it."""
-        if now is None:
-            now = self.now()
+              now: float) -> Optional[str]:
+        """Return ``None`` if the action may run at sim-time ``now``, else
+        the name of the guardrail that refuses it."""
         disruptive = action in DISRUPTIVE_ACTIONS
         if action == "restore":
             # Restores only make sense against an open intervention.
@@ -102,10 +92,8 @@ class Guardrails:
         return None
 
     def commit(self, action: str, switch: Optional[int],
-               now: Optional[float] = None) -> None:
+               now: float) -> None:
         """Record that the action was decided (executed or dry-run)."""
-        if now is None:
-            now = self.now()
         self.last_committed[(action, switch)] = now
         if action in DISRUPTIVE_ACTIONS:
             self.active[switch] = action
@@ -118,8 +106,9 @@ class Guardrails:
     def _cooldown_block(self, action: str, switch: Optional[int],
                         now: float) -> Optional[str]:
         last = self.last_committed.get((action, switch))
-        if last is not None and now - last < self.config.cooldown_for(
-                action):
+        cooldown = self.config.cooldown_s.get(
+            action, self.config.default_cooldown_s)
+        if last is not None and now - last < cooldown:
             return "cooldown"
         return None
 

@@ -137,19 +137,11 @@ class RemediationLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def executed(self) -> List[RemediationRecord]:
-        return [r for r in self.records
-                if r.decision == DECISION_EXECUTED]
-
     def decided(self) -> List[RemediationRecord]:
         """Records where the policy *would* act: executed or dry-run
         (blocked records are guardrail refusals, not decisions to act)."""
         return [r for r in self.records
                 if r.decision in (DECISION_EXECUTED, DECISION_DRY_RUN)]
-
-    def blocked(self) -> List[RemediationRecord]:
-        return [r for r in self.records
-                if r.decision == DECISION_BLOCKED]
 
     def decision_keys(self) -> List[Tuple[str, Optional[int], str, str]]:
         """Normalized decision identities, for dry-run parity checks."""

@@ -92,49 +92,6 @@ class DrainPolicy(Policy):
         return []
 
 
-class QuarantinePolicy(Policy):
-    """FIRING → quarantine (park) the labeled switch; RESOLVED → restore.
-
-    Harder than drain: the fault-tolerance manager stops listening to
-    the switch's heartbeats and its seeds are displaced with checkpoint
-    restore — for switches whose telemetry itself is untrustworthy.
-    """
-
-    def __init__(self, rule: str, label: str = "switch",
-                 restore_on_resolve: bool = False) -> None:
-        super().__init__(rule, label)
-        self.restore_on_resolve = restore_on_resolve
-
-    def actions_for(self, event: AlertEvent) -> List[ActionRequest]:
-        if event.rule != self.rule:
-            return []
-        switch = _switch_from(event, self.label)
-        if switch is None:
-            return []
-        if event.state == FIRING:
-            return [self._request(event, "quarantine", switch)]
-        if event.state == RESOLVED and self.restore_on_resolve:
-            return [self._request(event, "restore", switch)]
-        return []
-
-
-class TargetedResolvePolicy(Policy):
-    """FIRING → incremental re-placement scoped to the labeled switch.
-
-    The gentlest response: no capacity is removed; the optimizer simply
-    revisits the impacted switch's seeds (everyone else is pinned) in
-    case the degradation changed what the best local layout is.
-    """
-
-    def actions_for(self, event: AlertEvent) -> List[ActionRequest]:
-        if event.rule != self.rule or event.state != FIRING:
-            return []
-        switch = _switch_from(event, self.label)
-        if switch is None:
-            return []
-        return [self._request(event, "resolve", switch)]
-
-
 @dataclass
 class _BreachWindow:
     times: Deque[float] = field(default_factory=deque)
@@ -155,7 +112,7 @@ class EscalatePolicy(Policy):
         super().__init__(rule, label)
         if breaches < 2:
             raise ValueError("escalation needs at least 2 breaches; "
-                             "use QuarantinePolicy for act-on-first")
+                             "use DrainPolicy to act on the first")
         self.breaches = breaches
         self.window_s = window_s
         self._windows: Dict[int, _BreachWindow] = {}

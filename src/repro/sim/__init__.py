@@ -7,7 +7,7 @@ from repro.sim.engine import (
     PeriodicTimer,
     Simulator,
 )
-from repro.sim.resources import CapacityMeter, UtilizationSample
+from repro.sim.resources import CapacityMeter
 
 __all__ = [
     "MICROS",
@@ -16,5 +16,4 @@ __all__ = [
     "PeriodicTimer",
     "Simulator",
     "CapacityMeter",
-    "UtilizationSample",
 ]

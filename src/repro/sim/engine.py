@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
@@ -115,14 +115,10 @@ class Simulator:
         self._compact_floor = _COMPACT_MIN_DEAD
         #: Number of tombstone compactions performed (diagnostic).
         self.compactions = 0
-        # Optional kernel trace hook: ``hook(when, label)`` called for
-        # every fired event.  Kept as a plain attribute so the disabled
-        # cost in step() is one load + branch (the hot loop budget).
-        self._trace_hook: Optional[Callable[[float, str], None]] = None
         # Optional profiler: when set, step() routes every callback
         # through ``profiler.dispatch(event)`` so wall-clock can be
-        # attributed to the event's cost key.  Same disabled budget as
-        # the trace hook: one load + branch.
+        # attributed to the event's cost key.  Kept as a plain attribute
+        # so the disabled cost in step() is one load + branch.
         self._profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -142,17 +138,6 @@ class Simulator:
         """Number of live events still in the queue.  O(1): the count is
         maintained on schedule/cancel/fire instead of scanning the heap."""
         return self._live
-
-    def set_trace_hook(
-            self, hook: Optional[Callable[[float, str], None]]) -> None:
-        """Install (or clear, with None) the kernel trace hook.
-
-        ``hook(when, label)`` runs right before each event's callback.
-        :meth:`repro.obs.Observability.trace_kernel` uses this to put
-        every fired event on the trace timeline; it is opt-in because the
-        volume is proportional to the whole run.
-        """
-        self._trace_hook = hook
 
     def set_profiler(self, profiler: Optional[Any]) -> None:
         """Install (or clear, with None) the dispatch profiler.
@@ -237,9 +222,6 @@ class Simulator:
             event.fired = True
             self._live -= 1
             self._event_count += 1
-            hook = self._trace_hook
-            if hook is not None:
-                hook(when, event.label)
             profiler = self._profiler
             if profiler is None:
                 event.callback(*event.args)
@@ -328,10 +310,6 @@ class PeriodicTimer:
         self._stopped = True
         self.fire_count = 0
 
-    @property
-    def running(self) -> bool:
-        return not self._stopped
-
     def start(self, start_after: Optional[float] = None) -> None:
         """Arm the timer; first firing after ``start_after`` (default: interval)."""
         self._stopped = False
@@ -392,20 +370,3 @@ def jittered_backoff(base: float, attempt: int, cap: float,
         delay *= 1.0 + jitter_frac * rng.random()
     return delay
 
-
-def iter_times(start: float, interval: float, end: float) -> Iterator[float]:
-    """Yield ``start, start+interval, ...`` up to and including ``end``.
-
-    Each tick is computed as ``start + i*interval`` rather than by repeated
-    addition: accumulating ``t += interval`` loses ulps on every step, and
-    over long runs the drift can skip or duplicate the final tick.
-    """
-    if interval <= 0:
-        raise SimulationError("interval must be positive")
-    i = 0
-    while True:
-        t = start + i * interval
-        if t > end + 1e-12:
-            return
-        yield t
-        i += 1

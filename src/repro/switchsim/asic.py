@@ -36,11 +36,6 @@ class PortStats:
     tx_packets: float
     rate_bps: float  # instantaneous rate at snapshot time
 
-    def as_dict(self) -> Dict[str, float]:
-        return {"port": self.port, "time": self.time,
-                "tx_bytes": self.tx_bytes, "tx_packets": self.tx_packets,
-                "rate_bps": self.rate_bps}
-
 
 @dataclass
 class RuleStats:
@@ -246,9 +241,6 @@ class Asic:
                                      self._classify(attachment))
         return PortStats(port, now, tx_bytes, tx_packets, rate)
 
-    def read_all_port_stats(self) -> List[PortStats]:
-        return self.read_port_stats_batch(range(self.num_ports))
-
     def _counter_columns(self) -> tuple:
         """The table as numpy columns, rebuilt only after it changed."""
         columns = self._columns
@@ -430,9 +422,6 @@ class Asic:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def active_flows(self) -> List[Flow]:
-        return [a.flow for a in self._live.values()]
-
     def ports_with_traffic(self) -> List[int]:
         now = self.sim.now
         return sorted({a.out_port for a in self._live.values()

@@ -88,7 +88,7 @@ class Switch:
         self.name = name or f"{model.name}#{switch_id}"
         # One label set shared by every resource model of this chassis, so
         # a fleet-wide registry can slice per switch.
-        self.metrics = registry or MetricsRegistry(clock=lambda: sim.now)
+        self.metrics = registry or MetricsRegistry()
         labels = {"switch": switch_id}
         self.tcam = Tcam(capacity=model.tcam_entries, monitoring_share=0.25,
                          registry=self.metrics, labels=labels)
@@ -116,7 +116,7 @@ class SwitchFleet:
     def __init__(self, sim: Simulator,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.sim = sim
-        self.metrics = registry or MetricsRegistry(clock=lambda: sim.now)
+        self.metrics = registry or MetricsRegistry()
         self._switches: Dict[int, Switch] = {}
 
     def add(self, switch_id: int,

@@ -16,8 +16,7 @@ baseline agents run here.  The model accounts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SwitchError
 from repro.obs.metrics import MetricsRegistry
@@ -26,12 +25,6 @@ from repro.sim.engine import Simulator
 #: CPU-seconds consumed by one context switch (generous for an Atom-class
 #: part with cold caches; the paper's figures imply switches are expensive).
 CONTEXT_SWITCH_COST_S = 30e-6
-
-
-@dataclass
-class LoadSample:
-    time: float
-    load_percent: float
 
 
 class ManagementCpu:
@@ -54,11 +47,10 @@ class ManagementCpu:
         self._work_integral = 0.0  # cpu-seconds of one-off work
         self._last_accumulate = sim.now
         self._standing_integral = 0.0  # integral of standing load (core*s)
-        self._history: List[LoadSample] = []
         # Registry counters mirror the two integrals with the identical
         # float-add sequence, so load recomputed from the registry matches
         # mean_demand_percent() bit-for-bit (the Fig. 5 cross-check).
-        self.metrics = registry or MetricsRegistry(clock=lambda: sim.now)
+        self.metrics = registry or MetricsRegistry()
         self._m_work = self.metrics.counter(
             "farm_cpu_work_seconds_total",
             "One-off CPU-seconds charged (incl. context-switch tax).",
@@ -85,7 +77,6 @@ class ManagementCpu:
         self._standing[key] = core_fraction
         self._standing_sum = self._sum_standing()
         self._g_standing.set(self.standing_load_cores)
-        self._history.append(LoadSample(self.sim.now, self.load_percent))
 
     def clear_standing_load(self, key: str) -> None:
         self._accumulate()
@@ -100,7 +91,6 @@ class ManagementCpu:
         self._standing.clear()
         self._standing_sum = self._sum_standing()
         self._g_standing.set(0.0)
-        self._history.append(LoadSample(self.sim.now, self.load_percent))
 
     def _sum_standing(self) -> float:
         # A fresh sum() every time (never the old sum adjusted by a
@@ -173,11 +163,6 @@ class ManagementCpu:
             self._m_standing_s.inc(delta)
         self._last_accumulate = self.sim.now
 
-    @property
-    def load_percent(self) -> float:
-        """Instantaneous standing load, percent of one core (can be >100)."""
-        return self.standing_load_cores * 100.0
-
     def mean_demand_percent(self, window: float = 0.0) -> float:
         """Time-averaged *offered* load in percent (may exceed the cores:
         demand beyond capacity means work queues up and deadlines slip).
@@ -185,7 +170,7 @@ class ManagementCpu:
         self._accumulate()
         horizon = self.sim.now if window == 0.0 else window
         if horizon <= 0:
-            return self.load_percent
+            return self.standing_load_cores * 100.0
         mean_cores = (self._standing_integral + self._work_integral) / horizon
         return mean_cores * 100.0
 
@@ -201,14 +186,6 @@ class ManagementCpu:
     def saturated_demand(self) -> bool:
         """Offered load exceeds total capacity (deadlines will slip)."""
         return self.mean_demand_percent() > self.num_cores * 100.0
-
-    @property
-    def overloaded(self) -> bool:
-        """True when standing demand alone exceeds all cores."""
-        return self.standing_load_cores > self.num_cores
-
-    def history(self) -> List[LoadSample]:
-        return list(self._history)
 
 
 def estimate_invocation_load(invocations_per_second: float,

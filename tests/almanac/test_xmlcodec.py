@@ -7,10 +7,8 @@ from repro.almanac import astnodes as ast
 from repro.almanac.parser import parse
 from repro.almanac.xmlcodec import (
     XmlCodecError,
-    decode_machine,
     decode_node,
     decode_program,
-    encode_machine,
     encode_node,
     encode_program,
 )
@@ -45,22 +43,11 @@ class TestProgramRoundtrip:
             xml = encode_program(program)
             assert decode_program(xml) == program, name
 
-    def test_machine_package_roundtrip(self):
-        source, machine_name = ALMANAC_SOURCES["heavy_hitter"]
-        program = parse(source)
-        xml = encode_machine(program.machine(machine_name),
-                             program.functions)
-        machine, functions = decode_machine(xml)
-        assert machine == program.machine(machine_name)
-        assert functions == program.functions
-
     def test_malformed_xml_rejected(self):
         with pytest.raises(XmlCodecError):
             decode_program("<not-closed")
         with pytest.raises(XmlCodecError):
             decode_program("<Unknown/>")
-        with pytest.raises(XmlCodecError):
-            decode_machine("<wrong-root/>")
 
     def test_non_program_root_rejected(self):
         xml = encode_node(ast.Lit(value=1))

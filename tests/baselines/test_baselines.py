@@ -37,7 +37,7 @@ class TestSflow:
         SflowAgent(sim, switch, driver_for(switch), bus, collector.endpoint,
                    probe_period_s=0.001)
         sim.run(until=2.0)
-        detected = {port for _sw, port in collector.heavy_ports()}
+        detected = {port for _t, _sw, port in collector.detections}
         assert detected == workload.true_heavy_ports()
 
     def test_latency_dominated_by_analysis_interval(self):
@@ -69,17 +69,15 @@ class TestSflow:
     def test_agent_cpu_load_flat_in_flow_count(self):
         sim, switch, bus, _workload = rig(num_ports=5)
         collector = SflowCollector(sim, bus, THRESHOLD)
-        agent = SflowAgent(sim, switch, driver_for(switch), bus,
-                           collector.endpoint, probe_period_s=0.01)
-        load_before = switch.cpu.load_percent
+        SflowAgent(sim, switch, driver_for(switch), bus,
+                   collector.endpoint, probe_period_s=0.01)
+        load_before = switch.cpu.standing_load_cores
         # attaching more flows does not change the standing agent load:
         # sFlow's cost is per sample, not per monitored flow (Fig. 5)
         more = HeavyHitterWorkload(num_ports=30, hh_ratio=0.1, seed=9,
                                    churn_interval=None)
         more.start(sim, switch.asic)
-        assert switch.cpu.load_percent == load_before
-        agent.stop()
-        assert switch.cpu.load_percent == 0.0
+        assert switch.cpu.standing_load_cores == load_before > 0.0
 
     def test_deployment_bundles_fleet(self):
         sim = Simulator()
@@ -89,7 +87,7 @@ class TestSflow:
         deployment = SflowDeployment(
             sim, [(sw, driver_for(sw)) for sw in fleet], bus, THRESHOLD)
         sim.run(until=0.1)
-        assert deployment.total_samples > 0
+        assert sum(agent.samples_sent for agent in deployment.agents) > 0
 
 
 class TestSonata:
@@ -112,7 +110,7 @@ class TestSonata:
                 SonataQuery(threshold_bps=THRESHOLD,
                             aggregation_factor=factor))
             sim.run(until=5.0)
-            return deployment.total_records
+            return sum(p.records_sent for p in deployment.pipelines)
 
         assert records(0.75) < records(0.0) * 0.4
 

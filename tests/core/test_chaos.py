@@ -16,27 +16,18 @@ def make_bus(seed=0, unknown_dst="raise"):
 
 
 class TestWiring:
-    def test_attach_detach(self):
-        sim, bus, injector = make_bus()
-        assert bus.fault_injector is injector
-        injector.detach()
-        assert bus.fault_injector is None
-
     def test_double_attach_rejected(self):
         sim, bus, injector = make_bus()
         with pytest.raises(ChaosError):
             FaultInjector(sim).attach(bus)
 
     def test_attached_injector_rejects_second_bus(self):
-        # would leave the first bus's back-pointer dangling on detach()
         sim, bus, injector = make_bus()
         other = ControlBus(Simulator())
         with pytest.raises(ChaosError):
             injector.attach(other)
-        injector.detach()
-        injector.attach(other)
-        assert other.fault_injector is injector
-        assert bus.fault_injector is None
+        assert bus.fault_injector is injector
+        assert other.fault_injector is None
 
     def test_no_injector_no_perturbation(self):
         sim = Simulator()
@@ -186,10 +177,10 @@ class TestPartitions:
 
     def test_heal_closes_active_partitions(self):
         sim, bus, injector = make_bus()
-        injector.partition(("soil/1",))
-        assert len(injector.active_partitions()) == 1
+        part = injector.partition(("soil/1",))
+        assert part.active(sim.now)
         assert injector.heal() == 1
-        assert injector.active_partitions() == []
+        assert not part.active(sim.now)
         received = []
         bus.register("soil/1", lambda m: received.append(m))
         bus.send("x", "soil/1", None)
@@ -235,7 +226,8 @@ class TestGrayFailure:
         # ~40% of outbound survives; every inbound command lands.
         assert 40 <= len(heartbeats) <= 120
         assert len(commands) == 200
-        assert gray.dropped == 200 - len(heartbeats)
+        assert sum(rule.dropped for rule in gray.rules) \
+            == 200 - len(heartbeats)
 
     def test_seed_endpoints_are_degraded_too(self):
         sim, bus, injector = make_bus(seed=1)
@@ -263,14 +255,13 @@ class TestGrayFailure:
         gray = injector.gray_failure(1, loss=1.0, at=10.0, duration=20.0)
         received = []
         bus.register("seeder", lambda m: received.append(m))
-        assert not gray.active(5.0)
-        assert gray.active(10.0)
+        assert (gray.start, gray.end) == (10.0, 30.0)
         sim.run(until=15.0)
         bus.send("soil/1", "seeder", "hb")
         sim.run(until=16.0)
         assert received == []  # inside the window: dropped
         assert injector.heal() == 1
-        assert not gray.active(sim.now)
+        assert gray.end == sim.now
         bus.send("soil/1", "seeder", "hb")
         sim.run(until=17.0)
         assert len(received) == 1  # healed: delivered

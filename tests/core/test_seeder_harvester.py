@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.deployment import FarmDeployment
-from repro.core.harvester import RecordingHarvester
+from repro.core.harvester import Harvester
 from repro.core.task import MachineConfig, TaskDefinition
 from repro.errors import DeploymentError
 from repro.net.topology import spine_leaf
@@ -49,7 +49,7 @@ machine Listener {
 def ping_task(task_id="ping", harvester=None):
     return TaskDefinition.single_machine(
         task_id=task_id, source=PING_SOURCE, machine_name="Ping",
-        harvester=harvester or RecordingHarvester())
+        harvester=harvester or Harvester())
 
 
 class TestSubmit:
@@ -67,7 +67,7 @@ class TestSubmit:
 
     def test_harvester_receives_reports_from_all_seeds(self):
         farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        harvester = RecordingHarvester()
+        harvester = Harvester()
         farm.submit(ping_task(harvester=harvester))
         farm.settle()
         farm.run(until=farm.sim.now + 0.3)
@@ -97,7 +97,7 @@ class TestSubmit:
 class TestSeedMessaging:
     def test_seed_to_seed_via_seeder(self):
         farm = FarmDeployment(topology=spine_leaf(1, 1, 1))
-        harvester = RecordingHarvester()
+        harvester = Harvester()
         task = TaskDefinition(
             task_id="pair", source=CHATTY_PAIR_SOURCE,
             machines=[MachineConfig("Speaker"), MachineConfig("Listener")],
@@ -105,12 +105,13 @@ class TestSeedMessaging:
         farm.submit(task)
         farm.settle()
         farm.run(until=farm.sim.now + 0.5)
-        assert harvester.values
-        assert max(harvester.values) >= 2
+        values = [report.value for report in harvester.reports]
+        assert values
+        assert max(values) >= 2
 
     def test_harvester_broadcast_to_seeds(self):
         farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        harvester = RecordingHarvester()
+        harvester = Harvester()
         source = """
 machine Adj {
   place all;
@@ -131,11 +132,11 @@ machine Adj {
         sent = harvester.send_to_seeds("Adj", 99)
         assert sent == 3
         farm.run(until=farm.sim.now + 0.2)
-        assert 99 in harvester.values
+        assert 99 in [report.value for report in harvester.reports]
 
     def test_broadcast_restricted_to_switch(self):
         farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        harvester = RecordingHarvester()
+        harvester = Harvester()
         farm.submit(ping_task(harvester=harvester))
         farm.settle()
         target = farm.topology.leaf_ids[0]
@@ -208,14 +209,14 @@ machine Flip {
 class TestHarvesterLifecycle:
     def test_double_attach_rejected(self):
         farm = FarmDeployment(topology=spine_leaf(1, 1, 1))
-        harvester = RecordingHarvester()
+        harvester = Harvester()
         farm.submit(ping_task(harvester=harvester))
         with pytest.raises(DeploymentError):
             harvester.attach(farm.sim, farm.bus, "other", farm.seeder)
 
     def test_detached_harvester_stops_receiving(self):
         farm = FarmDeployment(topology=spine_leaf(1, 1, 1))
-        harvester = RecordingHarvester()
+        harvester = Harvester()
         farm.submit(ping_task(harvester=harvester))
         farm.settle()
         farm.run(until=farm.sim.now + 0.12)
@@ -227,4 +228,4 @@ class TestHarvesterLifecycle:
 
     def test_unattached_send_rejected(self):
         with pytest.raises(DeploymentError):
-            RecordingHarvester().send_to_seeds("M", 1)
+            Harvester().send_to_seeds("M", 1)

@@ -73,7 +73,7 @@ machine Anywhere {
 
     def test_path_range_placement_on_chain(self):
         """place any midpoint <filter> range == 0 on a 5-switch chain."""
-        from repro.net.topology import linear_topology
+        from tests.net.test_topology import linear_topology
         farm = FarmDeployment(topology=linear_topology(5))
         source = """
 machine MidBox {
@@ -92,7 +92,7 @@ machine MidBox {
         assert seed.switch == 3
 
     def test_receiver_range_placement(self):
-        from repro.net.topology import linear_topology
+        from tests.net.test_topology import linear_topology
         farm = FarmDeployment(topology=linear_topology(5))
         source = """
 machine NearReceiver {

@@ -1,13 +1,31 @@
-"""ThresholdHarvester and seeder poll-demand derivation tests."""
+"""Harvester-pushed thresholds and seeder poll-demand derivation."""
 
 import pytest
 
+from repro.almanac.poly import RationalFunc
 from repro.core.deployment import FarmDeployment
-from repro.core.harvester import ThresholdHarvester
+from repro.core.harvester import Harvester
 from repro.net.topology import spine_leaf
 from repro.net.traffic import HeavyHitterWorkload
 from repro.tasks.heavy_hitter import ALMANAC_SOURCE, DEFAULT_HITTER_ACTION
 from repro.core.task import TaskDefinition
+
+
+class ThresholdHarvester(Harvester):
+    """Pushes a threshold on attach and on demand (List. 2's ``recv long
+    newTh from harvester``)."""
+
+    def __init__(self, machine, threshold):
+        super().__init__(f"{machine}-threshold")
+        self.machine = machine
+        self.threshold = threshold
+
+    def on_attached(self):
+        self.send_to_seeds(self.machine, int(self.threshold))
+
+    def update_threshold(self, threshold):
+        self.threshold = threshold
+        return self.send_to_seeds(self.machine, int(threshold))
 
 
 def hh_with_threshold_harvester(threshold):
@@ -68,6 +86,19 @@ class TestSeederPollDemands:
         assert len(demand.subject) == num_ports
         # ival = 10/PCIe -> inverse = PCIe/10
         assert demand.inv_interval.coeffs == {"PCIe": pytest.approx(0.1)}
+
+    def test_only_analysis_errors_pin_the_interval(self, monkeypatch):
+        # A non-linear 1/ival raises AlmanacAnalysisError and is pinned to
+        # the interval at zero resources; any other exception is a bug
+        # and must surface instead of becoming a silently pinned demand.
+        def broken(self):
+            raise ZeroDivisionError("bug in the interval analysis")
+
+        monkeypatch.setattr(RationalFunc, "inverse_linear", broken)
+        farm = FarmDeployment(topology=spine_leaf(1, 1, 0))
+        task, _harvester = hh_with_threshold_harvester(1e6)
+        with pytest.raises(ZeroDivisionError):
+            farm.submit(task)
 
     def test_alpha_poll_derived_from_counter_size(self):
         from repro.switchsim.chassis import PCIE_UNIT_BPS

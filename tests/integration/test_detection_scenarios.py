@@ -136,8 +136,6 @@ class TestPortScanScenario:
                  if r.action is RuleAction.DROP]
         assert drops
         # scanner traffic actually dies
-        scanner_flows = [f for f in switch.asic.active_flows()
-                         if f.key.src_ip == parse_ip("172.31.0.9")]
         stats = switch.asic.read_port_stats(0)
         assert stats.rate_bps == 0.0
 

@@ -73,7 +73,7 @@ class TestNetworkWideDetection:
         farm.run(until=farm.sim.now + 0.5)
         assert task.harvester.global_heavy_ports()
         for leaf in farm.topology.leaf_ids:
-            for flow in farm.fleet.get(leaf).asic.active_flows():
-                flow.set_rate(1e3, at_time=farm.sim.now)
+            for row in farm.fleet.get(leaf).asic._live.values():
+                row.flow.set_rate(1e3, at_time=farm.sim.now)
         farm.run(until=farm.sim.now + 0.5)
         assert not task.harvester.global_heavy_ports()

@@ -59,32 +59,11 @@ class TestPrefix:
         assert ANY_PREFIX.contains(0)
         assert ANY_PREFIX.contains(0xFFFFFFFF)
 
-    def test_contains_prefix_hierarchy(self):
-        outer = Prefix.parse("10.0.0.0/8")
-        inner = Prefix.parse("10.5.0.0/16")
-        assert outer.contains_prefix(inner)
-        assert not inner.contains_prefix(outer)
-        assert outer.contains_prefix(outer)
-
-    def test_overlaps_symmetry(self):
-        a = Prefix.parse("10.0.0.0/8")
-        b = Prefix.parse("10.1.0.0/16")
-        c = Prefix.parse("192.168.0.0/16")
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(c)
-
     def test_bad_length_rejected(self):
         with pytest.raises(AddressError):
             Prefix(0, 33)
         with pytest.raises(AddressError):
             Prefix.parse("10.0.0.0/xx")
-
-    def test_hosts_iteration_bounded(self):
-        prefix = Prefix.parse("10.0.0.0/30")
-        assert list(prefix.hosts()) == [parse_ip("10.0.0.0") + i
-                                        for i in range(4)]
-        big = Prefix.parse("10.0.0.0/8")
-        assert len(list(big.hosts(limit=10))) == 10
 
     def test_hashable_and_ordered(self):
         a = Prefix.parse("10.0.0.0/8")
@@ -101,17 +80,10 @@ class TestPrefix:
     def test_membership_matches_mask_arithmetic(self, ip, length):
         prefix = Prefix(ip, length)
         # every address in the range is contained, the one just outside isn't
-        last = prefix.network + prefix.num_addresses - 1
+        last = prefix.network + (1 << (32 - prefix.length)) - 1
         assert prefix.contains(last)
         if last < 0xFFFFFFFF:
             assert not prefix.contains(last + 1)
-
-    @given(ips, prefix_lengths, prefix_lengths)
-    def test_containment_implies_overlap(self, ip, len_a, len_b):
-        a = Prefix(ip, min(len_a, len_b))
-        b = Prefix(ip, max(len_a, len_b))
-        assert a.contains_prefix(b)
-        assert a.overlaps(b)
 
     @given(ips, prefix_lengths)
     def test_str_parse_roundtrip(self, ip, length):

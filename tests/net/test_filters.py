@@ -18,9 +18,9 @@ def make_packet(src="10.0.0.1", dst="10.1.0.1", sport=1000, dport=80,
 class TestAtoms:
     def test_src_dst_ip(self):
         packet = make_packet(src="10.0.0.5", dst="10.1.2.3")
-        assert flt.src_ip("10.0.0.0/24").matches(packet)
-        assert not flt.src_ip("10.9.0.0/24").matches(packet)
-        assert flt.dst_ip("10.1.0.0/16").matches(packet)
+        assert flt.SrcIpFilter(Prefix.parse("10.0.0.0/24")).matches(packet)
+        assert not flt.SrcIpFilter(Prefix.parse("10.9.0.0/24")).matches(packet)
+        assert flt.DstIpFilter(Prefix.parse("10.1.0.0/16")).matches(packet)
 
     def test_l4_ports(self):
         packet = make_packet(sport=1234, dport=443)
@@ -38,12 +38,7 @@ class TestAtoms:
         assert not flt.TcpFlagsFilter(TCP_SYN | 0x10).matches(syn)
 
     def test_switch_port_vacuous_on_packets(self):
-        assert flt.switch_port(3).matches(make_packet())
-        assert flt.switch_port("ANY").port == flt.ANY_PORT
-
-    def test_switch_port_bad_spec(self):
-        with pytest.raises(Exception):
-            flt.switch_port("SOME")
+        assert flt.SwitchPortFilter(3).matches(make_packet())
 
     def test_true_false(self):
         assert flt.TrueFilter().matches(make_packet())
@@ -53,9 +48,9 @@ class TestAtoms:
 class TestCombinators:
     def test_and_or_not(self):
         packet = make_packet(src="10.0.0.5", dport=80)
-        both = flt.and_(flt.src_ip("10.0.0.0/24"), flt.DstPortFilter(80))
+        both = flt.and_(flt.SrcIpFilter(Prefix.parse("10.0.0.0/24")), flt.DstPortFilter(80))
         assert both.matches(packet)
-        either = flt.or_(flt.src_ip("9.9.9.9"), flt.DstPortFilter(80))
+        either = flt.or_(flt.SrcIpFilter(Prefix.parse("9.9.9.9")), flt.DstPortFilter(80))
         assert either.matches(packet)
         assert not (~either).matches(packet)
 
@@ -78,7 +73,7 @@ class TestCombinators:
         assert len(nested.operands) == 3
 
     def test_operator_overloads(self):
-        a = flt.src_ip("10.0.0.0/8")
+        a = flt.SrcIpFilter(Prefix.parse("10.0.0.0/8"))
         b = flt.DstPortFilter(80)
         assert (a & b).matches(make_packet(dport=80))
         assert (a | b).matches(make_packet(src="11.0.0.1", dport=80))
@@ -86,31 +81,24 @@ class TestCombinators:
 
 class TestIntrospection:
     def test_prefix_extraction(self):
-        fil = flt.and_(flt.src_ip("10.1.1.4"), flt.dst_ip("10.0.1.0/24"))
+        fil = flt.and_(flt.SrcIpFilter(Prefix.parse("10.1.1.4")), flt.DstIpFilter(Prefix.parse("10.0.1.0/24")))
         assert fil.src_prefixes() == frozenset({Prefix.parse("10.1.1.4")})
         assert fil.dst_prefixes() == frozenset({Prefix.parse("10.0.1.0/24")})
 
     def test_switch_ports_none_when_absent(self):
-        assert flt.src_ip("10.0.0.0/8").switch_ports() is None
-        fil = flt.and_(flt.switch_port(3), flt.switch_port(5))
+        assert flt.SrcIpFilter(Prefix.parse("10.0.0.0/8")).switch_ports() is None
+        fil = flt.and_(flt.SwitchPortFilter(3), flt.SwitchPortFilter(5))
         assert fil.switch_ports() == frozenset({3, 5})
 
     def test_canonical_order_independent(self):
-        a = flt.and_(flt.src_ip("10.0.0.0/8"), flt.DstPortFilter(80))
-        b = flt.and_(flt.DstPortFilter(80), flt.src_ip("10.0.0.0/8"))
+        a = flt.and_(flt.SrcIpFilter(Prefix.parse("10.0.0.0/8")), flt.DstPortFilter(80))
+        b = flt.and_(flt.DstPortFilter(80), flt.SrcIpFilter(Prefix.parse("10.0.0.0/8")))
         assert a.canonical() == b.canonical()
 
     def test_canonical_distinguishes_and_or(self):
-        a = flt.and_(flt.src_ip("10.0.0.0/8"), flt.DstPortFilter(80))
-        b = flt.or_(flt.src_ip("10.0.0.0/8"), flt.DstPortFilter(80))
+        a = flt.and_(flt.SrcIpFilter(Prefix.parse("10.0.0.0/8")), flt.DstPortFilter(80))
+        b = flt.or_(flt.SrcIpFilter(Prefix.parse("10.0.0.0/8")), flt.DstPortFilter(80))
         assert a.canonical() != b.canonical()
-
-    def test_flow_filter_matches_only_its_flow(self):
-        packet = make_packet()
-        fil = flt.flow_filter(packet.key)
-        assert fil.matches(packet)
-        assert not fil.matches(make_packet(dport=81))
-
 
 # ---------------------------------------------------------------------------
 # Property-based: boolean algebra laws hold under evaluation

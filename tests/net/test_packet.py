@@ -21,13 +21,6 @@ def key(sport=1000, dport=80):
 
 
 class TestFlowKey:
-    def test_reversed_swaps_endpoints(self):
-        k = key(sport=1111, dport=80)
-        r = k.reversed()
-        assert (r.src_ip, r.dst_ip) == (k.dst_ip, k.src_ip)
-        assert (r.src_port, r.dst_port) == (80, 1111)
-        assert r.reversed() == k
-
     def test_str_is_human_readable(self):
         assert "10.0.0.1:1000" in str(key())
         assert "/tcp" in str(key())
@@ -38,10 +31,6 @@ class TestPacketFlags:
         assert Packet(key=key(), tcp_flags=TCP_SYN).is_syn
         assert not Packet(key=key(), tcp_flags=TCP_SYN | TCP_ACK).is_syn
         assert Packet(key=key(), tcp_flags=TCP_SYN | TCP_ACK).is_synack
-
-    def test_at_stamps_time(self):
-        packet = Packet(key=key()).at(3.5)
-        assert packet.timestamp == 3.5
 
 
 class TestFlow:

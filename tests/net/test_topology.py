@@ -3,29 +3,39 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.addresses import parse_ip
+from repro.net.addresses import Prefix, parse_ip
 from repro.net.controller import SdnController
-from repro.net.filters import TrueFilter, and_, dst_ip, src_ip
-from repro.net.topology import (
-    LEAF,
-    SPINE,
-    Topology,
-    linear_topology,
-    spine_leaf,
-)
+from repro.net.filters import DstIpFilter, SrcIpFilter, TrueFilter, and_
+from repro.net.topology import LEAF, SPINE, Topology, spine_leaf
+
+
+def linear_topology(num_switches):
+    """A chain of switches with one host at each end, so the switch path
+    between the two hosts is the whole chain (path-range placement)."""
+    topo = Topology(name=f"chain-{num_switches}")
+    switches = [topo.add_switch(LEAF, f"s{i + 1}")
+                for i in range(num_switches)]
+    for u, v in zip(switches, switches[1:]):
+        topo.add_link(u, v)
+    left = topo.add_host("10.1.1.4", "sender")
+    right = topo.add_host("10.0.1.1", "receiver")
+    topo.add_link(left, switches[0])
+    topo.add_link(right, switches[-1])
+    return topo
 
 
 class TestSpineLeaf:
     def test_structure(self):
         topo = spine_leaf(2, 4, 3)
-        assert len(topo.spine_ids) == 2
+        spines = [n for n in topo.switch_ids if topo.node(n).kind == SPINE]
+        assert len(spines) == 2
         assert len(topo.leaf_ids) == 4
         assert len(topo.host_ids) == 12
         # Full bipartite spine-leaf connectivity.
-        for spine in topo.spine_ids:
-            assert topo.degree(spine) == 4
+        for spine in spines:
+            assert topo.graph.degree(spine) == 4
         for leaf in topo.leaf_ids:
-            assert topo.degree(leaf) == 2 + 3
+            assert topo.graph.degree(leaf) == 2 + 3
 
     def test_host_addressing_per_leaf(self):
         topo = spine_leaf(1, 2, 2)
@@ -85,17 +95,13 @@ class TestPaths:
         assert len(paths) == 1
         assert len(paths[0]) == 5
 
-    def test_path_latency_sums_links(self):
-        topo = spine_leaf(1, 2, 1, link_latency_s=1e-6)
-        path = [topo.leaf_ids[0], topo.spine_ids[0], topo.leaf_ids[1]]
-        assert topo.path_latency(path) == pytest.approx(2e-6)
-
 
 class TestController:
     def test_paths_matching_ip_constraints(self):
         topo = spine_leaf(2, 2, 2)
         controller = SdnController(topo)
-        fil = and_(src_ip("10.1.1.0/24"), dst_ip("10.2.1.0/24"))
+        fil = and_(SrcIpFilter(Prefix.parse("10.1.1.0/24")),
+                   DstIpFilter(Prefix.parse("10.2.1.0/24")))
         paths = controller.paths_matching(fil)
         assert paths  # leaf1 -> spine -> leaf2
         for path in paths:
@@ -119,10 +125,3 @@ class TestController:
         switches = controller.all_switches()
         assert switches == sorted(switches)
         assert set(switches) == set(topo.switch_ids)
-
-    def test_control_latency_positive(self):
-        topo = spine_leaf(1, 1, 1)
-        controller = SdnController(topo)
-        assert controller.control_latency(topo.leaf_ids[0]) > 0
-        with pytest.raises(TopologyError):
-            controller.control_latency(topo.host_ids[0])

@@ -65,15 +65,6 @@ class TestHeavyHitterWorkload:
         # initial shuffle + 3 churn events
         assert workload.stats.churn_events == 4
 
-    def test_make_port_heavy_is_immediate(self):
-        workload = HeavyHitterWorkload(num_ports=10, hh_ratio=0.1,
-                                       churn_interval=None, seed=1)
-        sim, _ = run_workload(workload, until=0.5)
-        before = set(workload.true_heavy_ports())
-        target = (set(range(10)) - before).pop()
-        workload.make_port_heavy(target)
-        assert target in workload.true_heavy_ports()
-
     def test_invalid_parameters(self):
         with pytest.raises(FarmError):
             HeavyHitterWorkload(num_ports=10, hh_ratio=1.5)
@@ -116,7 +107,7 @@ class TestAttackWorkloads:
         workload = SynFloodWorkload(syn_rate_pps=1000, num_sources=4)
         run_workload(workload)
         assert all(f.default_tcp_flags for f in workload.flows)
-        assert workload.sample_syn_packet(1.0).is_syn
+        assert workload.flows[0].sample_packet(1.0).is_syn
 
     def test_port_scan_distinct_ports(self):
         workload = PortScanWorkload(num_ports_scanned=30)

@@ -1,4 +1,4 @@
-"""Exporter round-trips: Prometheus text, JSONL, Chrome trace_event."""
+"""Exporter round-trips: Prometheus text, Chrome trace_event."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs.exporters import (
     parse_prometheus_text,
     to_chrome_trace,
-    to_jsonl,
     to_prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
@@ -121,16 +120,6 @@ class TestPrometheus:
         assert 'le="1"' in text
         assert 'le="10"' in text
         assert 'le="1.0"' not in text and 'le="10.0"' not in text
-
-
-class TestJsonl:
-    def test_one_object_per_line(self):
-        tracer = _sample_tracer()
-        lines = to_jsonl(tracer).strip().splitlines()
-        assert len(lines) == len(tracer.events)
-        parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["name"] == "deploy s1"
-        assert parsed[1]["id"] == "msg1"
 
 
 class TestChromeTrace:

@@ -1,11 +1,10 @@
-"""Metrics registry: counters, gauges, histograms, windows, labels."""
+"""Metrics registry: counters, gauges, histograms, labels."""
 
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    RateWindow,
     freeze_labels,
 )
 
@@ -44,78 +43,6 @@ class TestCounter:
         registry.counter("thing")
         with pytest.raises(ValueError):
             registry.gauge("thing")
-
-    def test_rate_without_window_is_zero(self):
-        counter = MetricsRegistry().counter("c_total")
-        counter.inc(100)
-        assert counter.rate() == 0.0
-
-
-class TestRateWindow:
-    def test_steady_rate(self):
-        window = RateWindow(window_s=10.0, buckets=10)
-        for t in range(10):
-            window.record(float(t), 5.0)
-        assert window.rate(9.0) == pytest.approx(5.0)
-
-    def test_rate_decays_as_time_advances(self):
-        window = RateWindow(window_s=10.0, buckets=10)
-        window.record(0.0, 100.0)
-        assert window.rate(0.0) == pytest.approx(10.0)
-        # Once the bucket ages out of the ring the rate returns to zero.
-        assert window.rate(50.0) == 0.0
-
-    def test_short_horizon_sees_recent_traffic_only(self):
-        window = RateWindow(window_s=10.0, buckets=10)
-        window.record(1.0, 1000.0)  # old burst
-        window.record(9.5, 10.0)    # recent trickle
-        recent = window.rate(9.5, horizon=1.0)
-        assert recent == pytest.approx(10.0)
-        assert window.rate(9.5) > recent  # full window includes the burst
-
-    def test_rate_before_any_record_is_zero(self):
-        window = RateWindow(window_s=10.0, buckets=10)
-        assert window.rate(0.0) == 0.0
-        assert window.rate(123.4) == 0.0
-
-    def test_horizon_longer_than_window_clamps(self):
-        window = RateWindow(window_s=10.0, buckets=10)
-        window.record(5.0, 100.0)
-        # The ring cannot see further back than it is long: a 1000s
-        # horizon must behave exactly like the full 10s window.
-        assert window.rate(9.0, horizon=1000.0) \
-            == pytest.approx(window.rate(9.0))
-
-    def test_identical_timestamps_accumulate(self):
-        window = RateWindow(window_s=10.0, buckets=10)
-        for _ in range(4):
-            window.record(3.0, 2.5)
-        assert window.rate(3.0) == pytest.approx(1.0)  # 10 over 10s
-
-    def test_record_in_stale_past_is_ignored(self):
-        window = RateWindow(window_s=10.0, buckets=10)
-        window.record(50.0, 10.0)
-        before = window.rate(50.0)
-        window.record(1.0, 1000.0)  # far older than the ring
-        assert window.rate(50.0) == pytest.approx(before)
-
-    def test_counter_windowed_rate_uses_sim_clock(self):
-        clock = {"now": 0.0}
-        registry = MetricsRegistry(clock=lambda: clock["now"])
-        counter = registry.counter("c_total", window_s=5.0)
-        for step in range(10):
-            clock["now"] = step * 0.5
-            counter.inc(50.0)
-        assert counter.rate() == pytest.approx(100.0, rel=0.25)
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(4.0)
-        gauge.add(-1.5)
-        assert gauge.value == 2.5
-
 
 class TestHistogram:
     def test_observe_buckets(self):

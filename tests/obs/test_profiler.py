@@ -15,7 +15,6 @@ from repro.obs import (
     Observability,
     Profiler,
     ProfilingBundle,
-    ThresholdRule,
     gini_coefficient,
     render_flamegraph,
     to_collapsed,
@@ -24,6 +23,7 @@ from repro.obs.exporters import (
     to_prometheus_text,
     validate_chrome_trace,
 )
+from repro.obs.dashboard import render_dashboard
 from repro.obs.flamegraph import write_collapsed, write_flamegraph
 from repro.obs.profiler import FlightRecorder
 from repro.obs.trace import Tracer
@@ -136,15 +136,6 @@ class TestProfiler:
         sim.run()
         assert reads == []
 
-    def test_clear_resets_accumulators(self):
-        sim, _ = _tick_sim(events=5)
-        profiler = Profiler(sim).start()
-        sim.run()
-        assert profiler.dispatches == 5
-        profiler.clear()
-        assert profiler.dispatches == 0
-        assert profiler.costs == {}
-
     def test_invalid_configuration_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -152,21 +143,18 @@ class TestProfiler:
         with pytest.raises(ValueError):
             Profiler(sim, mode="sampling", sample_every=0)
 
-    def test_trace_hook_and_priorities_compose_with_profiler(self):
+    def test_priorities_compose_with_profiler(self):
         sim = Simulator()
         order = []
-        hooked = []
-        sim.set_trace_hook(lambda when, label: hooked.append(label))
         sim.schedule(1.0, lambda: order.append("low"), priority=10,
                      label="low", cost_key=("t", 1, None, "low"))
         sim.schedule(1.0, lambda: order.append("high"), priority=-10,
                      label="high", cost_key=("t", 1, None, "high"))
         profiler = Profiler(sim).start()
         sim.run()
-        # Priority ordering and the kernel trace hook both still apply
-        # under profiled dispatch, and every event lands in the costs.
+        # Priority ordering still applies under profiled dispatch, and
+        # every event lands in the costs.
         assert order == ["high", "low"]
-        assert hooked == ["high", "low"]
         assert profiler.dispatches == 2
 
 
@@ -322,54 +310,12 @@ class TestFlightRecorder:
         assert bundle["sim_time"] == 5.0
         # Snapshot ring is bounded at 2 (5 timer snaps + the dump snap).
         assert len(bundle["registry_snapshots"]) == 2
-        assert recorder.last_dump is bundle
-
-    def test_alert_firing_triggers_postmortem(self):
-        farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        bundle = farm.enable_profiling()
-        scarecrow = farm.enable_scarecrow(interval_s=1.0)
-        gauge = farm.metrics.gauge("g")
-        scarecrow.add_rule(ThresholdRule("hot", "g", op=">", threshold=1.0))
-        farm.sim.schedule(3.0, lambda: gauge.set(9.0))
-        farm.run(until=5.0)
-        dump = bundle.recorder.last_dump
-        assert dump is not None
-        assert dump["reason"] == "alert hot firing"
-
-    def test_enable_order_scarecrow_first_also_wires(self):
-        farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        scarecrow = farm.enable_scarecrow(interval_s=1.0)
-        bundle = farm.enable_profiling()
-        gauge = farm.metrics.gauge("g")
-        scarecrow.add_rule(ThresholdRule("hot", "g", op=">", threshold=1.0))
-        farm.sim.schedule(2.0, lambda: gauge.set(9.0))
-        farm.run(until=4.0)
-        assert bundle.recorder.last_dump is not None
-
-    def test_escaped_exception_dumps_before_reraise(self):
-        farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        bundle = farm.enable_profiling()
-
-        def boom():
-            raise RuntimeError("seed meltdown")
-
-        farm.sim.schedule(1.0, boom)
-        with pytest.raises(RuntimeError):
-            farm.run(until=2.0)
-        dump = bundle.recorder.last_dump
-        assert "seed meltdown" in dump["reason"]
-        assert "cost" in dump
-
+        assert recorder.dumps == [bundle]
 
 class TestProfilingBundle:
-    def test_enable_profiling_is_idempotent(self):
-        farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        first = farm.enable_profiling()
-        assert farm.enable_profiling(mode="sampling") is first
-
     def test_counter_track_rides_in_the_trace(self):
         farm = FarmDeployment(topology=spine_leaf(1, 2, 1), trace=True)
-        farm.enable_profiling(counter_interval_s=1.0)
+        ProfilingBundle(farm.sim, farm.obs, counter_interval_s=1.0)
         farm.sim.every(0.1, lambda: None, label="poll",
                        cost_key=("soil", 1, None, "poll"))
         farm.run(until=3.0)
@@ -384,7 +330,7 @@ class TestProfilingBundle:
 
     def test_write_postmortem_requires_recorder(self, tmp_path):
         farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
-        bundle = farm.enable_profiling(flight_recorder=False)
+        bundle = ProfilingBundle(farm.sim, farm.obs, flight_recorder=False)
         farm.sim.every(0.1, lambda: None, label="poll",
                        cost_key=("soil", 1, None, "poll"))
         farm.run(until=1.0)
@@ -445,13 +391,15 @@ class TestTraceDropSatellite:
             farm.tracer.instant(f"e{i}", track="t")
         farm.run(until=3.0)
         assert farm.tracer.dropped > 0
-        html = scarecrow.render_dashboard()
+        html = render_dashboard(scarecrow.store, alerts=scarecrow.alerts,
+                                tracer=farm.tracer)
         assert "Trace truncated" in html
         # A clean tracer renders no banner.
         farm2 = FarmDeployment(topology=spine_leaf(1, 2, 1))
         sc2 = farm2.enable_scarecrow(interval_s=1.0)
         farm2.run(until=2.0)
-        assert "Trace truncated" not in sc2.render_dashboard()
+        assert "Trace truncated" not in render_dashboard(
+            sc2.store, alerts=sc2.alerts, tracer=farm2.tracer)
 
     def test_validate_chrome_trace_rejects_bad_counter(self):
         base = {"ph": "C", "name": "c", "pid": 1, "tid": 1, "ts": 0.0}

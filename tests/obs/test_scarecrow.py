@@ -46,12 +46,13 @@ class TestBundle:
         scarecrow.scrape_once()
         assert scarecrow.store.select("c_total")[0].latest().last == 5.0
 
-    def test_dashboard_renders_from_bundle(self):
+    def test_dashboard_renders_from_bundle(self, tmp_path):
         sim, obs, scarecrow = self._scarecrow()
         obs.registry.gauge("g").set(1.0)
         scarecrow.start()
         sim.run(until=5.0)
-        html = scarecrow.render_dashboard(title="bundle")
+        scarecrow.write_dashboard(str(tmp_path / "d.html"), title="bundle")
+        html = (tmp_path / "d.html").read_text()
         assert html.startswith("<!DOCTYPE html>")
         assert "bundle" in html
 
@@ -80,7 +81,7 @@ class TestDeploymentWiring:
         ft = FaultToleranceManager(farm.seeder)
         switch_id = next(iter(ft.health))
         assert ft.external_suspicion(switch_id, source="test") is True
-        assert switch_id in ft.suspected_switch_ids()
+        assert ft.health[switch_id].suspected
         assert ft.failed_switch_ids() == []
         # Re-marking an already-suspected switch is a no-op.
         assert ft.external_suspicion(switch_id) is False
@@ -88,7 +89,7 @@ class TestDeploymentWiring:
             "farm_ft_external_suspicions_total") == 1.0
         # The next heartbeat clears the suspicion (evidence, not verdict).
         farm.run(until=2.0)
-        assert ft.suspected_switch_ids() == []
+        assert not ft.health[switch_id].suspected
         assert farm.metrics.value("farm_ft_suspicions_cleared_total") >= 1
 
     def test_unknown_switch_rejected(self):

@@ -1,7 +1,7 @@
 """Tracer semantics, and the disabled-instrumentation fast path."""
 
 from repro.almanac import MachineInstance
-from repro.obs.trace import MAX_TRACE_EVENTS, NULL_SPAN, NULL_TRACER, Tracer
+from repro.obs.trace import MAX_TRACE_EVENTS, NULL_TRACER, Tracer
 from tests.almanac.test_vector import StubHost, compile_machine
 
 DISPATCH_SEED = """
@@ -19,13 +19,6 @@ machine Dispatch {
 
 class TestDisabledFastPath:
     """Disabled tracing must not allocate or buffer anything per event."""
-
-    def test_disabled_span_is_the_null_singleton(self):
-        tracer = Tracer(enabled=False)
-        span = tracer.span("work", track="switch/1")
-        assert span is NULL_SPAN
-        span.finish(result="ignored")  # no-op, no error
-        assert len(tracer) == 0
 
     def test_disabled_records_nothing(self):
         tracer = Tracer(enabled=False)
@@ -71,19 +64,6 @@ class TestDisabledFastPath:
 
 
 class TestRecording:
-    def test_span_records_duration_from_clock(self):
-        clock = {"now": 1.0}
-        tracer = Tracer(clock=lambda: clock["now"], enabled=True)
-        span = tracer.span("handler", track="switch/2", cat="poll",
-                           args={"trace_id": "s1"})
-        clock["now"] = 3.5
-        span.finish(handled=True)
-        (event,) = tracer.events
-        assert event["ph"] == "X"
-        assert event["ts"] == 1.0
-        assert event["dur"] == 2.5
-        assert event["args"] == {"trace_id": "s1", "handled": True}
-
     def test_instant_and_async_pair(self):
         tracer = Tracer(enabled=True)
         tracer.instant("deploy", track="switch/1", cat="lifecycle")
@@ -108,9 +88,6 @@ class TestRecording:
             tracer.instant("e", track="t")
         assert len(tracer) == 10
         assert tracer.dropped == 15
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.dropped == 0
 
     def test_default_cap_is_sane(self):
         assert MAX_TRACE_EVENTS >= 100_000

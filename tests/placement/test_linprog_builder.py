@@ -47,7 +47,6 @@ class TestConstruction:
         assert lp.name_index["x"] == x
         assert lp.num_vars == 1
         lp.add_constraint({x: 1.0}, ub=5.0)
-        assert lp.num_constraints == 1
 
 
 class TestLpSolving:

@@ -63,12 +63,9 @@ class TestProblemValidation:
     def test_lookup_helpers(self):
         p = problem([seed("a"), seed("b")])
         assert p.seed("a").seed_id == "a"
-        assert p.task("t").task_id == "t"
         assert p.num_seeds == 2
         with pytest.raises(PlacementError):
             p.seed("ghost")
-        with pytest.raises(PlacementError):
-            p.task("ghost")
 
 
 class TestObjective:

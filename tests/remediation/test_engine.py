@@ -13,9 +13,10 @@ from repro.remediation import (
     DrainPolicy,
     EscalatePolicy,
     GuardrailConfig,
+    Policy,
     RemediationEngine,
-    TargetedResolvePolicy,
 )
+from repro.remediation.log import DECISION_BLOCKED, DECISION_EXECUTED
 
 RULE = "heartbeat-degraded"
 
@@ -64,6 +65,25 @@ def flap_cycle(switch, period_s=4.0, until_s=24.0, start_s=1.0):
     return events
 
 
+class ResolvePolicy(Policy):
+    """FIRING -> a scoped re-solve of the labeled switch (the engine's
+    ``resolve`` action, which no shipped policy emits)."""
+
+    def actions_for(self, event):
+        if event.rule != self.rule or event.state != "firing":
+            return []
+        switch = dict(event.labels).get(self.label)
+        return [self._request(event, "resolve", int(switch))]
+
+
+def executed_records(engine):
+    return [r for r in engine.log.records if r.decision == DECISION_EXECUTED]
+
+
+def blocked_records(engine):
+    return [r for r in engine.log.records if r.decision == DECISION_BLOCKED]
+
+
 def victim_of(farm):
     counts = {sw: soil.num_seeds for sw, soil in farm.seeder.soils.items()}
     return max(sorted(counts), key=lambda sw: counts[sw])
@@ -77,11 +97,11 @@ class TestFlapping:
         engine.add_policy(DrainPolicy(RULE))
         victim = victim_of(farm)
         feed(engine, clock, flap_cycle(victim, period_s=4.0, until_s=24.0))
-        drains = [r for r in engine.log.executed() if r.action == "drain"]
+        drains = [r for r in executed_records(engine) if r.action == "drain"]
         assert drains, "flapping alert never produced a drain"
         for earlier, later in zip(drains, drains[1:]):
             assert later.t - earlier.t >= 10.0
-        assert any(r.blocked_by == "cooldown" for r in engine.log.blocked())
+        assert any(r.blocked_by == "cooldown" for r in blocked_records(engine))
 
     def test_persistent_flapping_trips_suppression(self):
         farm = build_farm()
@@ -90,9 +110,9 @@ class TestFlapping:
         engine.add_policy(DrainPolicy(RULE))
         victim = victim_of(farm)
         feed(engine, clock, flap_cycle(victim, period_s=5.0, until_s=30.0))
-        drains = [r for r in engine.log.executed() if r.action == "drain"]
+        drains = [r for r in executed_records(engine) if r.action == "drain"]
         assert len(drains) == 2  # flap_limit, then suppressed
-        assert any(r.blocked_by == "flap" for r in engine.log.blocked())
+        assert any(r.blocked_by == "flap" for r in blocked_records(engine))
         # The last resolved event restored the switch: nothing cordoned.
         assert farm.seeder.cordoned_switches == set()
 
@@ -112,7 +132,7 @@ class TestFlapping:
         # Three breaches inside one window: now it escalates.
         feed(engine, clock, [alert("firing", 110.0, victim),
                              alert("firing", 120.0, victim)])
-        (esc,) = engine.log.executed()
+        (esc,) = executed_records(engine)
         assert (esc.action, esc.switch) == ("escalate", victim)
         assert esc.outcome == "failed over"
         assert victim in farm.seeder.failed_switches
@@ -125,7 +145,7 @@ class TestDecisionHistory:
         engine.add_policy(DrainPolicy(RULE))
         victim = victim_of(farm)
         feed(engine, clock, [alert("firing", 7.5, victim)])
-        (rec,) = engine.log.executed()
+        (rec,) = executed_records(engine)
         assert rec.rule == RULE
         assert rec.policy == "DrainPolicy"
         assert rec.alert_state == "firing"
@@ -150,7 +170,7 @@ class TestDecisionHistory:
         feed(engine, clock, [alert("firing", 1.0, victim),
                              alert("resolved", 2.0, victim),
                              alert("firing", 3.0, victim)])
-        (blocked,) = engine.log.blocked()
+        (blocked,) = blocked_records(engine)
         assert blocked.blocked_by == "cooldown"
         assert blocked.outcome == ""
         assert any(kind == "blocked"
@@ -170,9 +190,9 @@ class TestDecisionHistory:
         assert runs[True].log.decision_keys() == \
             runs[False].log.decision_keys()
         assert runs[True].log.decision_keys() != []
-        assert [r.blocked_by for r in runs[True].log.blocked()] == \
-            [r.blocked_by for r in runs[False].log.blocked()]
-        assert runs[True].log.executed() == []
+        assert [r.blocked_by for r in blocked_records(runs[True])] == \
+            [r.blocked_by for r in blocked_records(runs[False])]
+        assert executed_records(runs[True]) == []
         assert dry_farm.seeder.cordoned_switches == set()
         # The dry engine never re-optimized; the active one did.
         assert dry_farm.metrics.value(
@@ -188,15 +208,13 @@ class TestWiring:
         with pytest.raises(TypeError):
             engine.attach(object())
 
-    def test_attach_and_detach_subscribe_to_transitions(self):
+    def test_attach_subscribes_to_transitions(self):
         farm = build_farm()
         store = TimeSeriesStore()
         manager = AlertManager(QueryEngine(store))
         engine, _clock = make_engine(farm)
         engine.attach(manager)
         assert engine._on_alert_event in manager.on_transition
-        engine.detach()
-        assert engine._on_alert_event not in manager.on_transition
 
     def test_an_idle_engine_is_transparent(self):
         # The run_remediation_mode world on a healthy fabric: an attached
@@ -262,10 +280,10 @@ class TestIncrementalRouting:
     def test_targeted_resolve_uses_incremental_solver(self):
         farm = build_spread_farm()
         engine, clock = make_engine(farm)
-        engine.add_policy(TargetedResolvePolicy(RULE))
+        engine.add_policy(ResolvePolicy(RULE))
         victim = victim_of(farm)
         feed(engine, clock, [alert("firing", 3.0, victim)])
-        (rec,) = engine.log.executed()
+        (rec,) = executed_records(engine)
         assert rec.action == "resolve"
         assert rec.detail["incremental"] is True
         assert isinstance(rec.detail["dirty_seeds"], int)
@@ -289,10 +307,10 @@ class TestIncrementalRouting:
         # the decision detail says so.
         farm = build_farm()
         engine, clock = make_engine(farm)
-        engine.add_policy(TargetedResolvePolicy(RULE))
+        engine.add_policy(ResolvePolicy(RULE))
         victim = victim_of(farm)
         feed(engine, clock, [alert("firing", 3.0, victim)])
-        (rec,) = engine.log.executed()
+        (rec,) = executed_records(engine)
         assert rec.action == "resolve"
         assert rec.detail["incremental"] is False
 

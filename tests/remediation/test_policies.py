@@ -6,8 +6,6 @@ from repro.obs.alerts import AlertEvent
 from repro.remediation import (
     DrainPolicy,
     EscalatePolicy,
-    QuarantinePolicy,
-    TargetedResolvePolicy,
 )
 
 
@@ -40,23 +38,6 @@ class TestDrainPolicy:
     def test_missing_switch_label_is_a_no_op(self):
         policy = DrainPolicy("hb")
         assert policy.actions_for(alert("firing", switch=None)) == []
-
-
-class TestQuarantineAndResolve:
-    def test_quarantine_on_firing(self):
-        policy = QuarantinePolicy("hb")
-        (req,) = policy.actions_for(alert("firing"))
-        assert req.action == "quarantine"
-        # Quarantine defaults to *not* auto-restoring: a switch parked
-        # for untrustworthy telemetry needs an operator (or an explicit
-        # opt-in) to come back.
-        assert policy.actions_for(alert("resolved")) == []
-
-    def test_targeted_resolve_only_fires(self):
-        policy = TargetedResolvePolicy("hb")
-        (req,) = policy.actions_for(alert("firing"))
-        assert req.action == "resolve"
-        assert policy.actions_for(alert("resolved")) == []
 
 
 class TestEscalatePolicy:

@@ -8,7 +8,6 @@ from repro.sim.engine import (
     PeriodicTimer,
     Simulator,
     exponential_backoff,
-    iter_times,
 )
 
 
@@ -167,7 +166,6 @@ class TestPeriodicTimer:
         timer.stop()
         sim.run(until=10.0)
         assert times == [1.0, 2.0]
-        assert not timer.running
 
     def test_reschedule_changes_period(self):
         sim = Simulator()
@@ -204,13 +202,6 @@ class TestHelpers:
         assert exponential_backoff(1.0, 0, 10.0) == 1.0
         assert exponential_backoff(1.0, 3, 10.0) == 8.0
         assert exponential_backoff(1.0, 10, 10.0) == 10.0
-
-    def test_iter_times_inclusive(self):
-        assert list(iter_times(0.0, 0.5, 1.5)) == [0.0, 0.5, 1.0, 1.5]
-
-    def test_iter_times_rejects_bad_interval(self):
-        with pytest.raises(SimulationError):
-            list(iter_times(0.0, 0.0, 1.0))
 
 
 class TestTupleHeapFastPath:
@@ -277,14 +268,6 @@ class TestTupleHeapFastPath:
         timer_box["t"] = sim.every(1.0, cb)
         sim.run(until=14.0)
         assert times == pytest.approx([1.0, 2.0, 7.0, 12.0])
-
-    def test_iter_times_no_float_drift(self):
-        # Repeated addition of 0.1 drifts; iter_times must not.
-        times = list(iter_times(0.0, 0.1, 100.0))
-        assert len(times) == 1001
-        assert times[1000] == pytest.approx(100.0, abs=1e-9)
-        for i in (10, 100, 999):
-            assert times[i] == pytest.approx(0.1 * i, abs=1e-12)
 
 
 class TestAdaptiveCompaction:

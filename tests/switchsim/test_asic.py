@@ -8,8 +8,8 @@ import pytest
 
 from repro.errors import SwitchError
 from repro.net import filters as flt
-from repro.net.addresses import parse_ip
-from repro.net.packet import PROTO_TCP, TCP_SYN, Flow, FlowKey
+from repro.net.addresses import Prefix, parse_ip
+from repro.net.packet import PROTO_TCP, TCP_SYN, Flow, FlowKey, Packet
 from repro.sim.engine import Simulator
 from repro.switchsim.asic import Asic
 from repro.switchsim.tcam import MONITORING, RuleAction, TcamRule
@@ -269,14 +269,14 @@ def _oracle_rule_bytes(rows, tcam, rule, now):
 
 PROBE_FILTERS = [
     flt.TrueFilter(), flt.DstPortFilter(80), flt.DstPortFilter(22),
-    flt.src_ip("10.0.0.0/30"), flt.TcpFlagsFilter(TCP_SYN),
+    flt.SrcIpFilter(Prefix.parse("10.0.0.0/30")), flt.TcpFlagsFilter(TCP_SYN),
     flt.and_(flt.DstPortFilter(80), flt.NotFilter(flt.SrcPortFilter(1001))),
 ]
 RULE_PATTERNS = [
     flt.TrueFilter(), flt.DstPortFilter(80), flt.SrcPortFilter(1001),
     flt.SwitchPortFilter(2), flt.SwitchPortFilter(flt.ANY_PORT),
     flt.and_(flt.SwitchPortFilter(1), flt.DstPortFilter(22)),
-    flt.src_ip("10.0.0.2/31"),
+    flt.SrcIpFilter(Prefix.parse("10.0.0.2/31")),
 ]
 
 
@@ -294,7 +294,6 @@ def _check_against_oracle(asic, rows, now):
         assert asic.read_rule_stats(rule.rule_id).matched_bytes \
             == _oracle_rule_bytes(rows, tcam, rule, now)
     live = [r for r in rows if r.live(now)]
-    assert asic.active_flows() == [r.flow for r in live]
     assert asic.ports_with_traffic() == sorted(
         {r.out_port for r in live if r.flow.rate_at(now) > 0})
     asic.refresh_fabric_demand()
@@ -451,7 +450,8 @@ class TestFlowTableEngagement:
         sim.run(until=1.0)
         again = asic.sample_packets(fil)
         assert len(reads) == 5  # the plan was reused: only stamped anew
-        assert again == [packet.at(1.0) for packet in first]
+        assert again == [Packet(p.key, p.size, p.tcp_flags, p.ttl, 1.0)
+                         for p in first]
         limit.params["rate_bps"] = 5.0  # edited in place, no signal
         limited = asic.sample_packets(fil)
         assert len(reads) == 10 and limited != again

@@ -14,7 +14,6 @@ from repro.switchsim.pcie import (
     BYTES_PER_COUNTER,
     PcieBus,
     TRANSACTION_OVERHEAD_S,
-    TRANSFER_LOG_LIMIT,
 )
 
 
@@ -24,16 +23,16 @@ class TestManagementCpu:
         cpu = ManagementCpu(sim, num_cores=4)
         cpu.set_standing_load("a", 0.5)
         cpu.set_standing_load("b", 0.3)
-        assert cpu.load_percent == pytest.approx(80.0)
+        assert cpu.standing_load_cores * 100.0 == pytest.approx(80.0)
         cpu.clear_standing_load("a")
-        assert cpu.load_percent == pytest.approx(30.0)
+        assert cpu.standing_load_cores * 100.0 == pytest.approx(30.0)
 
     def test_standing_load_replaced_by_key(self):
         sim = Simulator()
         cpu = ManagementCpu(sim, num_cores=4)
         cpu.set_standing_load("seed", 0.5)
         cpu.set_standing_load("seed", 0.1)
-        assert cpu.load_percent == pytest.approx(10.0)
+        assert cpu.standing_load_cores * 100.0 == pytest.approx(10.0)
 
     def test_mean_load_time_weighted(self):
         sim = Simulator()
@@ -64,12 +63,6 @@ class TestManagementCpu:
         cpu.set_standing_load("busy", 4.0)  # 2x oversubscribed
         assert cpu.charge_work(1.0) == pytest.approx(2.0)
 
-    def test_overloaded_flag(self):
-        sim = Simulator()
-        cpu = ManagementCpu(sim, num_cores=2)
-        cpu.set_standing_load("a", 2.5)
-        assert cpu.overloaded
-
     def test_invalid_inputs(self):
         sim = Simulator()
         with pytest.raises(SwitchError):
@@ -87,11 +80,8 @@ class TestManagementCpu:
         assert with_process > base
 
 
-def _cpu_with_windowed_work_counter(sim):
-    """A CPU whose work counter carries a RateWindow (registered first,
-    so the CPU's own get-or-create returns the windowed child)."""
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    registry.counter("farm_cpu_work_seconds_total", window_s=1.0)
+def _cpu_with_registry(sim):
+    registry = MetricsRegistry()
     return ManagementCpu(sim, num_cores=4, registry=registry), registry
 
 
@@ -106,7 +96,7 @@ class TestBulkCharge:
 
     def _pair(self):
         sims = Simulator(), Simulator()
-        pairs = [_cpu_with_windowed_work_counter(sim) for sim in sims]
+        pairs = [_cpu_with_registry(sim) for sim in sims]
         for sim, (cpu, _registry) in zip(sims, pairs):
             cpu.set_standing_load("seed/a", 0.001)
             sim.run(until=0.37)
@@ -127,7 +117,6 @@ class TestBulkCharge:
                      "farm_cpu_context_switches_total"):
             assert bulk_reg.value(name) == seq_reg.value(name)
         work = "farm_cpu_work_seconds_total"
-        assert bulk_reg.get(work).rate() == seq_reg.get(work).rate()
         # ...and n * x is NOT what the sequence gives (why it is replayed).
         if repeats == 1000 and charges is self.CHARGES:
             multiplied = (0.1 + 0.2) + repeats * (charges[0][0]
@@ -152,7 +141,7 @@ class TestCachedStandingSum:
 
         def check():
             assert cpu.standing_load_cores == sum(loads.values())
-            assert cpu.load_percent == sum(loads.values()) * 100.0
+            assert cpu.standing_load_cores * 100.0 == sum(loads.values()) * 100.0
 
         check()
         for i in range(60):  # 0.001 * i sums are order-sensitive
@@ -189,9 +178,8 @@ class TestPcieBus:
         bus.register_poller("a", 4e5)
         bus.register_poller("b", 4e5)
         assert bus.standing_demand_bps == pytest.approx(8e5)
-        assert not bus.saturated
+        assert bus.oversubscription < 1.0
         bus.register_poller("c", 4e5)
-        assert bus.saturated
         assert bus.oversubscription == pytest.approx(1.2)
 
     def test_reregistration_replaces(self):
@@ -223,38 +211,7 @@ class TestPcieBus:
         bus.poll_counters(10)
         assert bus.metrics.value("farm_pcie_bytes_total") \
             == 10 * BYTES_PER_COUNTER
-        assert len(bus.transfers()) == 1
-        assert bus.transfers()[0].kind == "poll"
-
-    def test_mean_transfer_latency(self):
-        sim = Simulator()
-        bus = PcieBus(sim)
-        assert bus.mean_transfer_latency() == 0.0
-        bus.transfer(100)
-        bus.transfer(100)
-        assert bus.mean_transfer_latency() > 0.0
-
-    def test_transfer_log_is_a_bounded_ring(self):
-        # Regression: the log grew by one record per ASIC poll / sample /
-        # table write for the life of the run.
-        sim = Simulator()
-        bus = PcieBus(sim)
-        latencies = []
-        for i in range(TRANSFER_LOG_LIMIT + 10):
-            if i == TRANSFER_LOG_LIMIT // 2:
-                bus.register_poller("hog", 5e5)  # later transfers slower
-            latencies.append(bus.transfer(100 + i, kind="sample"))
-        recent = bus.transfers()
-        assert len(recent) == TRANSFER_LOG_LIMIT
-        assert recent[0].nbytes == 110
-        assert recent[-1].nbytes == 100 + TRANSFER_LOG_LIMIT + 9
-        # Totals and the mean still cover every transfer, not the ring.
-        assert bus.metrics.value("farm_pcie_transfers_total") \
-            == TRANSFER_LOG_LIMIT + 10
-        assert bus.metrics.value("farm_pcie_bytes_total") \
-            == sum(100 + i for i in range(len(latencies)))
-        assert bus.mean_transfer_latency() \
-            == sum(latencies) / len(latencies)
+        assert bus.metrics.value("farm_pcie_transfers_total") == 1
 
     def test_invalid_inputs(self):
         sim = Simulator()

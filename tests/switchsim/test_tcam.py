@@ -1,12 +1,9 @@
-"""TCAM tests: priority matching, region division, capacity."""
+"""TCAM tests: region division, capacity, rule lifecycle."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import TcamError
 from repro.net import filters as flt
-from repro.net.addresses import parse_ip
-from repro.net.packet import PROTO_TCP, FlowKey, Packet
 from repro.switchsim.tcam import (
     FORWARDING,
     MONITORING,
@@ -16,17 +13,11 @@ from repro.switchsim.tcam import (
 )
 
 
-def packet(dport=80):
-    key = FlowKey(parse_ip("10.0.0.1"), parse_ip("10.1.0.1"), 1000,
-                  dport, PROTO_TCP)
-    return Packet(key=key)
-
-
 class TestDivision:
     def test_default_split(self):
         tcam = Tcam(capacity=100, monitoring_share=0.25)
-        assert tcam.monitoring_capacity == 25
-        assert tcam.forwarding_capacity == 75
+        assert tcam.available(MONITORING) == 25
+        assert tcam.available(FORWARDING) == 75
 
     def test_region_capacity_enforced(self):
         tcam = Tcam(capacity=8, monitoring_share=0.25)  # 2 monitoring slots
@@ -37,18 +28,6 @@ class TestDivision:
         # Forwarding region is unaffected by the monitoring overflow.
         tcam.install(TcamRule(flt.DstPortFilter(4), region=FORWARDING))
 
-    def test_resize_monitoring(self):
-        tcam = Tcam(capacity=100, monitoring_share=0.25)
-        tcam.resize_monitoring(0.5)
-        assert tcam.monitoring_capacity == 50
-
-    def test_resize_rejects_shrinking_below_usage(self):
-        tcam = Tcam(capacity=10, monitoring_share=0.5)
-        for i in range(4):
-            tcam.install(TcamRule(flt.DstPortFilter(i), region=MONITORING))
-        with pytest.raises(TcamError):
-            tcam.resize_monitoring(0.2)
-
     def test_bad_parameters(self):
         with pytest.raises(TcamError):
             Tcam(capacity=0)
@@ -57,38 +36,6 @@ class TestDivision:
         tcam = Tcam(capacity=10)
         with pytest.raises(TcamError):
             tcam.install(TcamRule(flt.TrueFilter(), region="nonsense"))
-
-
-class TestMatching:
-    def test_highest_priority_wins(self):
-        tcam = Tcam(capacity=10)
-        low = TcamRule(flt.TrueFilter(), RuleAction.COUNT, priority=1)
-        high = TcamRule(flt.DstPortFilter(80), RuleAction.DROP, priority=9)
-        tcam.install(low)
-        tcam.install(high)
-        assert tcam.lookup(packet(dport=80)) is high
-        assert tcam.lookup(packet(dport=81)) is low
-
-    def test_equal_priority_earlier_install_wins(self):
-        tcam = Tcam(capacity=10)
-        first = TcamRule(flt.DstPortFilter(80), priority=5)
-        second = TcamRule(flt.DstPortFilter(80), priority=5)
-        tcam.install(first)
-        tcam.install(second)
-        assert tcam.lookup(packet()) is first
-
-    def test_no_match_returns_none(self):
-        tcam = Tcam(capacity=10)
-        tcam.install(TcamRule(flt.DstPortFilter(443)))
-        assert tcam.lookup(packet(dport=80)) is None
-
-    def test_matching_rules_sorted_by_priority(self):
-        tcam = Tcam(capacity=10, monitoring_share=1.0)
-        rules = [TcamRule(flt.TrueFilter(), priority=p) for p in (1, 5, 3)]
-        for rule in rules:
-            tcam.install(rule)
-        priorities = [r.priority for r in tcam.matching_rules(packet().key)]
-        assert priorities == [5, 3, 1]
 
 
 class TestLifecycle:
@@ -110,16 +57,6 @@ class TestLifecycle:
         with pytest.raises(TcamError):
             tcam.remove(rule_id)
 
-    def test_remove_matching_pattern(self):
-        tcam = Tcam(capacity=16, monitoring_share=0.5)
-        pattern = flt.DstPortFilter(80)
-        tcam.install(TcamRule(pattern))
-        tcam.install(TcamRule(pattern))
-        tcam.install(TcamRule(flt.DstPortFilter(443)))
-        removed = tcam.remove_matching(pattern)
-        assert len(removed) == 2
-        assert tcam.used() == 1
-
     def test_find_returns_highest_priority_exact_pattern(self):
         tcam = Tcam(capacity=10)
         pattern = flt.DstPortFilter(80)
@@ -135,18 +72,3 @@ class TestLifecycle:
         tcam.install(TcamRule(flt.TrueFilter(), region=FORWARDING))
         assert len(tcam.rules()) == 2
         assert len(tcam.rules(MONITORING)) == 1
-
-
-@given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 65535)),
-                min_size=1, max_size=20))
-def test_lookup_always_returns_max_priority_match(priorities_and_ports):
-    """Property: lookup() == max-priority rule among all matching rules."""
-    tcam = Tcam(capacity=64, monitoring_share=1.0)
-    for priority, port in priorities_and_ports:
-        tcam.install(TcamRule(flt.DstPortFilter(port), priority=priority,
-                              region=MONITORING))
-    probe = packet(dport=priorities_and_ports[0][1])
-    hit = tcam.lookup(probe)
-    matching = [r for r in tcam.rules() if r.matches(probe)]
-    assert hit is not None
-    assert hit.priority == max(r.priority for r in matching)

@@ -31,7 +31,7 @@ class TestInventory:
         blueprint = compile_machine(
             program, machine, SingleSwitchController(),
             externals=_default_externals(name))
-        assert blueprint.num_seeds == 1
+        assert len(blueprint.sites) == 1
         assert blueprint.initial_state
 
     @pytest.mark.parametrize("name", sorted(TASK_REGISTRY))

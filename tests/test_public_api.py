@@ -131,3 +131,37 @@ def test_production_never_reaches_the_tree_walker(monkeypatch):
         farm.topology.leaf_ids[0])
     farm.run(until=farm.sim.now + 1.0)
     assert task.harvester.detections
+
+
+def _ledger():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "reachability", REPO / "tools" / "reachability.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reachability_allowlist_matches_the_source():
+    # The half of `tools/reachability.py report` that needs no call dumps
+    # (the nightly job runs the rest): every allowlisted function is still
+    # defined, none waits on ROADMAP item 4 any more, and each oracle names
+    # a test file that uses it.
+    ledger = _ledger()
+    entries = ledger.read_allowlist(ledger.ALLOWLIST)
+    defined = set()
+    for path in ledger.PACKAGE.rglob("*.py"):
+        module = ledger.module_name(path)
+        defined.add(f"{module}:{ledger.MODULE_ENTRY}")
+        defined.update(f"{module}:{fn.qualname}"
+                       for fn in ledger.functions(path))
+    assert sorted(key for key in entries if key not in defined) == []
+    assert sorted(key for key, entry in entries.items()
+                  if entry.bucket == "pending"
+                  and re.search(r"\bitem 4\b", entry.note)) == []
+    for key, entry in entries.items():
+        if entry.bucket != "oracle":
+            continue
+        symbol = key.split(":", 1)[1].split(".", 1)[0]
+        (test_file,) = re.findall(r"\btests/\S+\.py\b", entry.note)
+        assert symbol in (REPO / test_file).read_text(), key

@@ -22,9 +22,10 @@ missing from ``tools/reachability_allowlist.txt`` or an allowlisted one
 is reached (or gone) — so the list can only shrink.
 
 Each allowlist line is ``module:qualname  bucket [note]``, the bucket one
-of ``error``, ``language``, ``protocol`` or ``pending`` (defined at the top
-of the allowlist); a ``pending`` note names the ROADMAP item that decides
-it (``pending item 5``).
+of ``error``, ``language``, ``protocol``, ``oracle`` or ``pending`` (defined
+at the top of the allowlist); a ``pending`` note names the ROADMAP item
+that decides it (``pending item 5``), an ``oracle`` note the test file that
+needs it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ RECORDER = REPO / "tools" / "recorder"
 DEFAULT_DUMPS = REPO / "tools" / "out" / "reachability"
 ALLOWLIST = REPO / "tools" / "reachability_allowlist.txt"
 
-BUCKETS = ("error", "language", "protocol", "pending")
+BUCKETS = ("error", "language", "protocol", "oracle", "pending")
 MODULE_ENTRY = "<module>"
 
 
@@ -205,8 +206,13 @@ _LINE = re.compile(r"^(?P<key>[\w.]+:[\w.<>]+)\s+(?P<bucket>\w+)"
                    r"(?:\s+(?P<note>.*))?$")
 
 
-def read_allowlist(path: Path) -> Dict[str, str]:
-    entries: Dict[str, str] = {}
+class Entry(NamedTuple):
+    bucket: str
+    note: str
+
+
+def read_allowlist(path: Path) -> Dict[str, Entry]:
+    entries: Dict[str, Entry] = {}
     for number, raw in enumerate(path.read_text().splitlines(), 1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -220,11 +226,14 @@ def read_allowlist(path: Path) -> Dict[str, str]:
         elif match["bucket"] == "pending" and not re.search(
                 r"\bitem \d+\b", match["note"] or ""):
             problem = "a pending entry names its ROADMAP item ('item N')"
+        elif match["bucket"] == "oracle" and not re.search(
+                r"\btests/\S+\.py\b", match["note"] or ""):
+            problem = "an oracle entry names its test file (tests/...py)"
         elif match["key"] in entries:
             problem = "duplicate entry"
         if problem:
             raise SystemExit(f"{path.name}:{number}: {problem}: {raw!r}")
-        entries[match["key"]] = match["bucket"]
+        entries[match["key"]] = Entry(match["bucket"], match["note"] or "")
     return entries
 
 
@@ -238,12 +247,14 @@ def report(dumps: Path, allowlist_path: Path) -> int:
         print(f"{module}  ({len(items)} functions, "
               f"{sum(i.lines for i in items)} lines)")
         for item in items:
+            entry = allowlist.get(item.key)
             print(f"  {item.lines:5d}  {item.qualname:<48} "
-                  f"{allowlist.get(item.key, '-')}")
+                  f"{entry.bucket if entry else '-'}")
     lines = sum(item.lines for item in result.unreached)
     buckets: Dict[str, int] = {}
     for item in result.unreached:
-        bucket = allowlist.get(item.key, "-")
+        entry = allowlist.get(item.key)
+        bucket = entry.bucket if entry else "-"
         buckets[bucket] = buckets.get(bucket, 0) + item.lines
     total = result.total_lines
     print(f"\nunreached: {lines} of {total} src/repro lines "
