@@ -30,7 +30,6 @@ class FarmDeployment:
     def __init__(self, topology: Optional[Topology] = None,
                  switch_model: SwitchModel = ACCTON_AS5712,
                  soil_config: Optional[SoilCommConfig] = None,
-                 solver: str = "heuristic",
                  retry_policy: Optional[RetryPolicy] = None,
                  trace: bool = False) -> None:
         self.sim = Simulator()
@@ -46,7 +45,7 @@ class FarmDeployment:
         self.bus = ControlBus(self.sim, registry=self.obs.registry,
                               tracer=self.obs.tracer)
         self.seeder = Seeder(self.sim, self.controller, self.fleet, self.bus,
-                             soil_config=soil_config, solver=solver,
+                             soil_config=soil_config,
                              retry_policy=retry_policy)
         self.chaos: Optional[FaultInjector] = None
         self.scarecrow: Optional[Scarecrow] = None

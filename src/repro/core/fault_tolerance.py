@@ -35,6 +35,10 @@ from repro.sim.engine import Simulator
 
 HEARTBEAT_ENDPOINT = "seeder/heartbeats"
 
+#: After an escalated failover, heartbeats do not auto-recover the switch
+#: for this long (sim seconds).
+ESCALATION_HOLDOFF_S = 10.0
+
 
 @dataclass
 class SwitchHealth:
@@ -45,10 +49,6 @@ class SwitchHealth:
     suspected_at: Optional[float] = None
     failed: bool = False
     failed_at: Optional[float] = None
-    #: Administratively parked (remediation `quarantine`): excluded from
-    #: placement and its heartbeats are ignored until unquarantined.
-    quarantined: bool = False
-    quarantined_at: Optional[float] = None
     #: After an escalated failover, heartbeats do not auto-recover the
     #: switch until this sim-time — an escalation must stick long enough
     #: for the re-placement to pay off (gray switches keep heartbeating).
@@ -102,9 +102,6 @@ class FaultToleranceManager:
         self._m_external_suspicions = self.metrics.counter(
             "farm_ft_external_suspicions_total",
             "Suspicions raised by outside evidence (e.g. alert rules).")
-        self._m_quarantines = self.metrics.counter(
-            "farm_ft_quarantines_total",
-            "Switches administratively parked by remediation.")
         self._m_escalations = self.metrics.counter(
             "farm_ft_escalations_total",
             "Failovers forced by escalated external evidence.")
@@ -151,9 +148,6 @@ class FaultToleranceManager:
         counter = self._m_heartbeats.get(health.switch_id)
         if counter is not None:
             counter.inc()
-        if health.quarantined:
-            # A parked switch keeps talking; we keep not listening.
-            return
         health.last_heartbeat = self.sim.now
         health.missed = 0
         if health.suspected:
@@ -173,7 +167,7 @@ class FaultToleranceManager:
     def _check_health(self) -> None:
         deadline = self.heartbeat_interval_s * 1.5
         for health in self.health.values():
-            if health.failed or health.quarantined:
+            if health.failed:
                 continue
             if self.sim.now - health.last_heartbeat > deadline:
                 health.missed += 1
@@ -212,78 +206,27 @@ class FaultToleranceManager:
                            args={"source": source})
         return True
 
-    def escalate_failure(self, switch_id: int, source: str = "",
-                         recovery_holdoff_s: float = 10.0) -> bool:
+    def escalate_failure(self, switch_id: int, source: str = "") -> bool:
         """Promote accumulated outside evidence into a failover *now*.
 
         This is the remediation engine's big hammer for switches whose
         heartbeats keep trickling through (gray failures): the two-stage
         detector never confirms them, so the caller — who has watched the
         evidence repeat — forces ``_handle_failure`` and holds off
-        heartbeat-driven auto-recovery for ``recovery_holdoff_s`` so the
+        heartbeat-driven auto-recovery for ``ESCALATION_HOLDOFF_S`` so the
         re-placement isn't immediately undone by the next lucky beat.
         Returns True if a failover was actually performed.
         """
         health = self.health.get(switch_id)
-        if health is None or health.failed or health.quarantined:
+        if health is None or health.failed:
             return False
-        health.holdoff_until = self.sim.now + recovery_holdoff_s
+        health.holdoff_until = self.sim.now + ESCALATION_HOLDOFF_S
         self._m_escalations.inc()
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant(f"escalated sw{switch_id}", track="seeder",
                            cat="fault-tolerance", args={"source": source})
         self._handle_failure(health)
-        return True
-
-    # ------------------------------------------------------------------
-    # Quarantine (administrative park, driven by remediation)
-    # ------------------------------------------------------------------
-    def quarantine(self, switch_id: int, source: str = "") -> bool:
-        """Park a switch: exclude it from placement, displace its seeds
-        to survivors, and ignore its heartbeats until ``unquarantine``.
-
-        Unlike a confirmed failure this never auto-recovers — a switch
-        parked on purpose stays parked until the operator (or policy)
-        says otherwise.  Returns True if the switch was newly parked.
-        """
-        health = self.health.get(switch_id)
-        if health is None or health.quarantined or health.failed:
-            return False
-        health.quarantined = True
-        health.quarantined_at = self.sim.now
-        health.suspected = False
-        health.suspected_at = None
-        health.missed = 0
-        self.seeder.failed_switches.add(switch_id)
-        self._m_quarantines.inc()
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.instant(f"quarantine sw{switch_id}", track="seeder",
-                           cat="fault-tolerance", args={"source": source})
-        self._displace_seeds(switch_id)
-        self._redeploy_with_checkpoints()
-        return True
-
-    def unquarantine(self, switch_id: int) -> bool:
-        """Return a parked switch to the pool and re-place globally."""
-        health = self.health.get(switch_id)
-        if health is None or not health.quarantined:
-            return False
-        health.quarantined = False
-        health.quarantined_at = None
-        health.missed = 0
-        health.last_heartbeat = self.sim.now
-        self.seeder.failed_switches.discard(switch_id)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.instant(f"unquarantine sw{switch_id}", track="seeder",
-                           cat="fault-tolerance")
-        revived = {seed_id for seed_id in self.parked_seeds
-                   if self._can_place_now(seed_id)}
-        self.parked_seeds -= revived
-        self._g_parked.set(len(self.parked_seeds))
-        self._redeploy_with_checkpoints()
         return True
 
     # ------------------------------------------------------------------
@@ -297,8 +240,7 @@ class FaultToleranceManager:
             # and snapshotting those would overwrite the checkpoints the
             # failover restored from.
             if getattr(soil, "failed", False) \
-                    or (health is not None
-                        and (health.failed or health.quarantined)):
+                    or (health is not None and health.failed):
                 continue
             for seed_id in list(soil.deployments):
                 self.checkpoints[seed_id] = soil.snapshot_seed(seed_id)
@@ -380,14 +322,10 @@ class FaultToleranceManager:
     # -- test/ops hooks -----------------------------------------------
     def alive_switches(self) -> List[int]:
         return sorted(h.switch_id for h in self.health.values()
-                      if not h.failed and not h.quarantined)
+                      if not h.failed)
 
     def failed_switch_ids(self) -> List[int]:
         return sorted(h.switch_id for h in self.health.values() if h.failed)
-
-    def quarantined_switch_ids(self) -> List[int]:
-        return sorted(h.switch_id for h in self.health.values()
-                      if h.quarantined)
 
 
 def fail_switch(seeder: Seeder, switch_id: int) -> None:

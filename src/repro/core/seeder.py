@@ -20,7 +20,6 @@ from repro.errors import AlmanacAnalysisError, DeploymentError
 from repro.net.controller import SdnController
 from repro.placement.heuristic import solve_heuristic
 from repro.placement.incremental import solve_incremental
-from repro.placement.milp import solve_milp
 from repro.placement.model import (
     PlacementProblem,
     PlacementSolution,
@@ -86,18 +85,12 @@ class Seeder:
     def __init__(self, sim: Simulator, controller: SdnController,
                  fleet: SwitchFleet, bus: ControlBus,
                  soil_config: Optional[SoilCommConfig] = None,
-                 solver: str = "heuristic",
                  resource_types=RESOURCE_TYPES,
-                 milp_time_limit_s: float = 10.0,
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        if solver not in ("heuristic", "milp"):
-            raise DeploymentError(f"unknown solver {solver!r}")
         self.sim = sim
         self.controller = controller
         self.fleet = fleet
         self.bus = bus
-        self.solver = solver
-        self.milp_time_limit_s = milp_time_limit_s
         self.resource_types = tuple(resource_types)
         self.retry_policy = retry_policy or RetryPolicy()
         self.soils: Dict[int, Soil] = {}
@@ -337,38 +330,12 @@ class Seeder:
         a seed deployed fresh by this reconciliation resumes from its
         snapshot instead of restarting (fault-tolerance failover).
         ``scope`` limits which switches' seeds may move (targeted
-        re-solve; see :meth:`build_problem`) and warm-starts the solver
-        from the live placement (:mod:`repro.placement.incremental`, or
-        MILP with the out-of-scope seeds frozen); ``None`` is the full
-        solve.
+        re-solve; see :meth:`build_problem`) and warm-starts Alg. 1 from
+        the live placement (:mod:`repro.placement.incremental`); ``None``
+        is the full solve.
         """
         problem = self.build_problem(scope=scope)
-        if self.solver == "milp":
-            if scope is not None and problem.previous_placement:
-                # No true HiGHS MIP-start: warm-start by freezing the
-                # out-of-scope seeds to their current switch.
-                incumbent = self._incumbent_solution(problem)
-                scope_set = set(scope)
-                frozen = {sid for sid, n
-                          in problem.previous_placement.items()
-                          if n not in scope_set}
-                solution = solve_milp(problem,
-                                      time_limit_s=self.milp_time_limit_s,
-                                      registry=self.metrics,
-                                      warm_start=incumbent,
-                                      frozen_seeds=frozen)
-                solution.info.setdefault("incremental", True)
-                solution.info.setdefault("dirty_switches", len(scope_set))
-            else:
-                solution = solve_milp(problem,
-                                      time_limit_s=self.milp_time_limit_s,
-                                      registry=self.metrics)
-            if solution.status == "invalid-incumbent":
-                # The time limit left an incumbent that breaks (C1)-(C4);
-                # reconciling to its empty placement would undeploy the
-                # fleet, so place with Alg. 1 instead.
-                solution = solve_heuristic(problem, registry=self.metrics)
-        elif scope is not None:
+        if scope is not None:
             solution = solve_incremental(
                 problem, self._incumbent_solution(problem),
                 scope=set(scope), registry=self.metrics)
@@ -379,7 +346,7 @@ class Seeder:
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant("reoptimize", track="seeder", cat="placement",
-                           args={"solver": self.solver,
+                           args={"solver": solution.solver,
                                  "placed": len(solution.placement),
                                  "objective": solution.objective,
                                  "scope": sorted(scope) if scope else None,

@@ -837,7 +837,6 @@ def run_remediation_mode(mode: str = "active",
         DrainPolicy,
         EscalatePolicy,
         GuardrailConfig,
-        RemediationEngine,
     )
 
     if mode not in ("off", "dry", "active"):
@@ -863,15 +862,14 @@ def run_remediation_mode(mode: str = "active",
 
     engine = None
     if mode in ("dry", "active"):
-        engine = RemediationEngine(
-            farm.seeder, fault_tolerance=ft, dry_run=(mode == "dry"),
+        engine = farm.enable_remediation(
+            fault_tolerance=ft, dry_run=(mode == "dry"),
             config=GuardrailConfig(default_cooldown_s=20.0, max_active=1,
                                    blast_radius=1, blast_window_s=60.0,
                                    flap_limit=2, flap_window_s=30.0))
         engine.add_policy(DrainPolicy("heartbeat-degraded"))
         engine.add_policy(EscalatePolicy("heartbeat-degraded",
                                          breaches=3, window_s=30.0))
-        engine.attach(scarecrow)
 
     state: Dict[str, object] = {"victim": None, "baseline": 0.0,
                                 "effective_raw": []}

@@ -18,7 +18,7 @@ Variables
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.almanac.poly import LinPoly
 from repro.errors import PlacementError
@@ -44,26 +44,10 @@ def _poly_row(poly: LinPoly, res_index: Dict[str, int]) -> Dict[int, float]:
 
 
 class MilpPlacementSolver:
-    """Builds and solves the full MILP.
+    """Builds and solves the full MILP."""
 
-    ``warm_start`` (an incumbent :class:`PlacementSolution`) enables the
-    incremental mode: every seed listed in ``frozen_seeds`` has its
-    ``plc`` binaries pinned to the incumbent assignment, shrinking the
-    branch-and-bound space to the unfrozen (churned) seeds.  HiGHS via
-    :func:`scipy.optimize.milp` exposes no true MIP-start interface, so
-    freezing the clean seeds is how the incumbent is injected; piece
-    choice stays free (only the *switch* is pinned), so the LP relaxation
-    can still re-split a frozen seed's utility pieces.
-    """
-
-    def __init__(self, problem: PlacementProblem,
-                 warm_start: Optional[PlacementSolution] = None,
-                 frozen_seeds: Optional[Iterable[str]] = None) -> None:
+    def __init__(self, problem: PlacementProblem) -> None:
         self.problem = problem
-        self.warm_start = warm_start
-        self.frozen_seeds = (frozenset(frozen_seeds)
-                             if frozen_seeds is not None
-                             else frozenset())
         self.program = LinProgram(maximize=True)
         self._plc: Dict[Tuple[str, int, int], int] = {}
         self._res: Dict[Tuple[str, int, str], int] = {}
@@ -89,35 +73,6 @@ class MilpPlacementSolver:
             for seed in task.seeds:
                 self._build_seed(task.task_id, seed)
         self._build_switch_capacity()
-        if self.warm_start is not None and self.frozen_seeds:
-            self._apply_warm_start()
-
-    def _apply_warm_start(self) -> None:
-        """Pin frozen seeds' switch choice to the warm-start incumbent.
-
-        A frozen seed with no incumbent home has all its ``plc`` binaries
-        forced to 0 (its task stays dropped); a frozen seed whose home is
-        no longer a candidate is left free — pinning it would make the
-        model infeasible rather than re-placing it.
-        """
-        lp = self.program
-        frozen = 0
-        for seed in self.problem.all_seeds():
-            sid = seed.seed_id
-            if sid not in self.frozen_seeds:
-                continue
-            home = self.warm_start.placement.get(sid)
-            if home is not None and home not in seed.candidates:
-                continue
-            for n in seed.candidates:
-                if n == home:
-                    continue
-                for k in range(len(seed.utility.pieces)):
-                    index = self._plc.get((sid, n, k))
-                    if index is not None:
-                        lp.add_constraint({index: 1.0}, lb=0.0, ub=0.0)
-            frozen += 1
-        self._frozen_applied = frozen
 
     def _build_seed(self, task_id: str, seed) -> None:
         problem = self.problem
@@ -310,10 +265,6 @@ class MilpPlacementSolver:
             placement=placement, allocations=allocations,
             objective=objective, solver="milp", runtime_s=runtime,
             placed_tasks=placed_tasks, status=result.status)
-        if self.warm_start is not None and self.frozen_seeds:
-            solution.info.update({
-                "warm_start": True,
-                "frozen_seeds": getattr(self, "_frozen_applied", 0)})
         if result.status != "optimal":
             # Where the time limit cuts branch-and-bound decides what the
             # incumbent is; HiGHS has handed back ones that break C2.
@@ -328,23 +279,6 @@ class MilpPlacementSolver:
 
 
 def solve_milp(problem: PlacementProblem,
-               time_limit_s: Optional[float] = None,
-               registry=None,
-               warm_start: Optional[PlacementSolution] = None,
-               frozen_seeds: Optional[Iterable[str]] = None
-               ) -> PlacementSolution:
-    """Solve placement exactly (up to ``time_limit_s``) with HiGHS.
-
-    ``registry`` (a :class:`repro.obs.metrics.MetricsRegistry`) records the
-    solve count, runtime histogram, and last objective when provided.
-    ``warm_start`` + ``frozen_seeds`` pin the listed seeds to the
-    incumbent placement (incremental mode; see
-    :class:`MilpPlacementSolver`).
-    """
-    solution = MilpPlacementSolver(
-        problem, warm_start=warm_start,
-        frozen_seeds=frozen_seeds).solve(time_limit_s=time_limit_s)
-    if registry is not None:
-        from repro.placement.heuristic import record_solve_metrics
-        record_solve_metrics(registry, solution)
-    return solution
+               time_limit_s: Optional[float] = None) -> PlacementSolution:
+    """Solve placement exactly (up to ``time_limit_s``) with HiGHS."""
+    return MilpPlacementSolver(problem).solve(time_limit_s=time_limit_s)

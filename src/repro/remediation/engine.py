@@ -8,9 +8,12 @@ Wiring::
 
 Every alert lifecycle transition flows through every policy; each
 resulting :class:`ActionRequest` passes the guardrails and is then
-executed (or, in **dry-run** mode, recorded but not executed — the
+executed — or, in **dry-run** mode, recorded but not executed (the
 guardrails still commit, so the decision stream is identical to an
-active engine's).  Each decision and outcome lands in the
+active engine's).  The engine executes the three actions the shipped
+policies emit: ``drain`` (cordon the switch, then a scoped re-solve),
+``restore`` (uncordon, then a global re-solve) and ``escalate`` (a
+forced failover).  Each decision and outcome lands in the
 :class:`RemediationLog` and on the tracer's ``remediation`` track.
 """
 
@@ -34,7 +37,6 @@ class RemediationEngine:
 
     def __init__(self, seeder: Any,
                  fault_tolerance: Any = None,
-                 guardrails: Optional[Guardrails] = None,
                  config: Optional[GuardrailConfig] = None,
                  dry_run: bool = False,
                  clock: Optional[Callable[[], float]] = None) -> None:
@@ -42,7 +44,7 @@ class RemediationEngine:
         self.fault_tolerance = fault_tolerance
         self.dry_run = dry_run
         self._clock = clock or (lambda: seeder.sim.now)
-        self.guardrails = guardrails or Guardrails(config=config)
+        self.guardrails = Guardrails(config=config)
         self.policies: List[Policy] = []
         self.log = RemediationLog(registry=seeder.metrics,
                                   tracer=seeder.tracer)
@@ -111,10 +113,6 @@ class RemediationEngine:
             return self._do_drain(switch)
         if action == "restore":
             return self._do_restore(switch)
-        if action == "resolve":
-            return self._do_resolve(switch)
-        if action == "quarantine":
-            return self._do_quarantine(switch, request.rule)
         if action == "escalate":
             return self._do_escalate(switch, request.rule)
         return "unknown-action", {}
@@ -127,14 +125,13 @@ class RemediationEngine:
         before = self._seeds_on(switch)
         if not self.seeder.cordon(switch):
             return "no-op", {"reason": "already cordoned or unknown"}
-        self.seeder.reoptimize(scope={switch})
-        return f"drained {before} seeds", {"seeds_before": before}
+        solution = self.seeder.reoptimize(scope={switch})
+        return f"drained {before} seeds", {
+            "seeds_before": before,
+            "incremental": bool(solution.info.get("incremental")),
+            "dirty_seeds": solution.info.get("dirty_seeds", 0)}
 
     def _do_restore(self, switch: Optional[int]):
-        ft = self.fault_tolerance
-        if ft is not None and switch in set(ft.quarantined_switch_ids()):
-            ft.unquarantine(switch)
-            return "unquarantined", {}
         if not self.seeder.uncordon(switch):
             return "no-op", {"reason": "not cordoned"}
         # Global re-place: the returned capacity changes the optimum
@@ -142,28 +139,11 @@ class RemediationEngine:
         self.seeder.reoptimize()
         return "uncordoned", {}
 
-    def _do_resolve(self, switch: Optional[int]):
-        solution = self.seeder.reoptimize(scope={switch})
-        return "re-solved", {
-            "objective": solution.objective,
-            "incremental": bool(solution.info.get("incremental")),
-            "dirty_seeds": solution.info.get("dirty_seeds", 0)}
-
-    def _do_quarantine(self, switch: Optional[int], rule: str):
-        ft = self.fault_tolerance
-        if ft is None:
-            return "no-op", {"reason": "no fault-tolerance manager"}
-        before = self._seeds_on(switch)
-        if not ft.quarantine(switch, source=f"remediation:{rule}"):
-            return "no-op", {"reason": "already parked or failed"}
-        return f"quarantined ({before} seeds displaced)", \
-            {"seeds_before": before}
-
     def _do_escalate(self, switch: Optional[int], rule: str):
         ft = self.fault_tolerance
         if ft is None:
             return "no-op", {"reason": "no fault-tolerance manager"}
         if not ft.escalate_failure(switch,
                                    source=f"remediation:{rule}"):
-            return "no-op", {"reason": "already failed or parked"}
+            return "no-op", {"reason": "already failed"}
         return "failed over", {}

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
 #: Actions that take capacity away from a switch (and therefore consume
-#: the concurrency budget and blast radius); "restore" undoes one and
-#: "resolve" merely re-places, so neither counts against those caps.
-DISRUPTIVE_ACTIONS = frozenset({"drain", "quarantine", "escalate"})
+#: the concurrency budget and blast radius); "restore" undoes one, so it
+#: counts against neither cap.
+DISRUPTIVE_ACTIONS = frozenset({"drain", "escalate"})
 
 
 @dataclass

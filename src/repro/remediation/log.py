@@ -26,7 +26,7 @@ class RemediationRecord:
 
     seq: int
     t: float
-    action: str            # drain / restore / quarantine / escalate / ...
+    action: str            # drain / restore / escalate
     switch: Optional[int]
     policy: str            # class name of the deciding policy
     rule: str              # alert rule that triggered the decision

@@ -28,7 +28,7 @@ RESOLVED = "resolved"
 class ActionRequest:
     """One action a policy wants executed."""
 
-    action: str            # drain / restore / resolve / quarantine / ...
+    action: str            # drain / restore / escalate
     switch: Optional[int]
     policy: str
     rule: str
@@ -74,11 +74,6 @@ class DrainPolicy(Policy):
     stops being a placement target.
     """
 
-    def __init__(self, rule: str, label: str = "switch",
-                 restore_on_resolve: bool = True) -> None:
-        super().__init__(rule, label)
-        self.restore_on_resolve = restore_on_resolve
-
     def actions_for(self, event: AlertEvent) -> List[ActionRequest]:
         if event.rule != self.rule:
             return []
@@ -87,7 +82,7 @@ class DrainPolicy(Policy):
             return []
         if event.state == FIRING:
             return [self._request(event, "drain", switch)]
-        if event.state == RESOLVED and self.restore_on_resolve:
+        if event.state == RESOLVED:
             return [self._request(event, "restore", switch)]
         return []
 

@@ -89,10 +89,6 @@ class TestSubmit:
         with pytest.raises(DeploymentError):
             TaskDefinition(task_id="x", source=PING_SOURCE, machines=[])
 
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(DeploymentError):
-            FarmDeployment(topology=spine_leaf(1, 1, 1), solver="magic")
-
 
 class TestSeedMessaging:
     def test_seed_to_seed_via_seeder(self):

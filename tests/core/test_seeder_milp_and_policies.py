@@ -1,55 +1,32 @@
-"""Seeder with the exact MILP solver + placement-policy integration."""
+"""The live Seeder checked against the exact MILP + placement-policy
+integration."""
 
 import pytest
 
 from repro.core.deployment import FarmDeployment
 from repro.core.task import TaskDefinition
 from repro.net.topology import spine_leaf
+from repro.placement.milp import solve_milp
 from repro.placement.model import validate_solution
 from repro.tasks import make_heavy_hitter_task
 
 
 class TestMilpSeeder:
-    def test_milp_backend_places_and_validates(self):
-        farm = FarmDeployment(topology=spine_leaf(1, 2, 1), solver="milp")
+    @pytest.mark.parametrize("leaves", [1, 2])
+    def test_live_placement_matches_the_milp(self, leaves):
+        """The MILP is the oracle for Alg. 1 on fabrics small enough to
+        solve exactly: same placement, same objective."""
+        farm = FarmDeployment(topology=spine_leaf(1, leaves, 1))
         farm.submit(make_heavy_hitter_task(accuracy_ms=10))
         farm.settle()
-        assert farm.seeder.deployed_seed_count() == 3
         problem = farm.seeder.build_problem()
-        assert validate_solution(problem, farm.seeder.last_solution) == []
-
-    def test_milp_and_heuristic_agree_on_trivial_case(self):
-        placements = {}
-        for solver in ("milp", "heuristic"):
-            farm = FarmDeployment(topology=spine_leaf(1, 1, 1),
-                                  solver=solver)
-            farm.submit(make_heavy_hitter_task(accuracy_ms=10))
-            farm.settle()
-            placements[solver] = dict(
-                farm.seeder.last_solution.placement)
-        assert placements["milp"] == placements["heuristic"]
-
-
-    def test_invalid_incumbent_falls_back_to_the_heuristic(self, monkeypatch):
-        """A MILP time limit that leaves a (C1)-(C4)-breaking incumbent
-        must not reconcile the fleet to an empty placement."""
-        from repro.core import seeder as seeder_module
-        from repro.placement.model import PlacementSolution
-
-        def truncated(problem, **kwargs):
-            return PlacementSolution(
-                placement={}, allocations={}, objective=0.0, solver="milp",
-                status="invalid-incumbent",
-                info={"violations": ["C2: crafted"]})
-
-        monkeypatch.setattr(seeder_module, "solve_milp", truncated)
-        farm = FarmDeployment(topology=spine_leaf(1, 2, 1), solver="milp")
-        farm.submit(make_heavy_hitter_task(accuracy_ms=10))
-        farm.settle()
-        assert farm.seeder.last_solution.solver == "heuristic"
-        assert farm.seeder.deployed_seed_count() == 3
-        problem = farm.seeder.build_problem()
-        assert validate_solution(problem, farm.seeder.last_solution) == []
+        live = farm.seeder.last_solution
+        exact = solve_milp(problem, time_limit_s=10)
+        assert exact.status == "optimal"
+        assert exact.placement == live.placement
+        assert exact.objective == pytest.approx(live.objective)
+        assert validate_solution(problem, live) == []
+        assert validate_solution(problem, exact) == []
 
 
 class TestPlacementPolicies:

@@ -2,9 +2,9 @@
 
 Single-delta cases where the incremental result must match the full
 re-solve exactly, the degenerate empty-delta case (incumbent returned
-untouched), the fallback paths, MILP warm starts, and the determinism
-regression (same RNG seed + same delta sequence => bit-identical
-solutions for both solvers).
+untouched), the fallback paths, and the determinism regression (same
+RNG seed + same delta sequence => bit-identical solutions for both
+solvers).
 """
 
 import pytest
@@ -26,7 +26,6 @@ from repro.placement.incremental import (
 )
 from repro.placement.instances import generate_problem
 from repro.placement.linprog_builder import LinProgram
-from repro.placement.milp import solve_milp
 from repro.placement.model import (
     PollDemand,
     SeedSpec,
@@ -400,43 +399,6 @@ class TestFallback:
         lax = IncrementalPlacementSolver(p2, full, delta=delta,
                                          fallback_ratio=1.0)
         assert lax.fallback_reason() is None
-
-
-class TestMilpWarmStart:
-    def test_frozen_seeds_pin_to_incumbent(self):
-        p = make_problem([const_seed("a", "t", (1, 2), 10.0),
-                          const_seed("b", "u", (1, 2), 8.0)])
-        base = solve_milp(p)
-        warm = solve_milp(p, warm_start=base,
-                          frozen_seeds=set(base.placement))
-        assert warm.placement == base.placement
-        assert warm.info["warm_start"] is True
-        assert warm.info["frozen_seeds"] == 2
-
-    def test_unfrozen_seed_still_optimized(self):
-        caps = {1: {"vCPU": 4.0, "RAM": 8192.0, "TCAM": 512.0,
-                    "PCIe": 1000.0},
-                2: {"vCPU": 1.0, "RAM": 8192.0, "TCAM": 512.0,
-                    "PCIe": 1000.0}}
-        p = make_problem([linear_seed("a", "t", (1, 2), slope=10.0,
-                                      floor=0.5),
-                          const_seed("b", "u", (1, 2), 5.0, floor=0.5)],
-                         capacities=caps)
-        base = solve_milp(p)
-        # Freeze only b; a must still land on its optimal switch.
-        warm = solve_milp(p, warm_start=base, frozen_seeds={"b"})
-        assert warm.placement["a"] == base.placement["a"]
-        assert warm.objective == pytest.approx(base.objective)
-
-    def test_frozen_seed_without_home_stays_free(self):
-        # A frozen seed whose incumbent home is no longer a candidate is
-        # left free rather than making the model infeasible.
-        p = make_problem([const_seed("a", "t", (1, 2), 10.0)])
-        fake = solve_milp(p)
-        fake.placement["a"] = 99  # not a candidate anymore
-        warm = solve_milp(p, warm_start=fake, frozen_seeds={"a"})
-        assert "a" in warm.placement
-        assert warm.placement["a"] in (1, 2)
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.deployment import FarmDeployment
 from repro.core.fault_tolerance import FaultToleranceManager
+from repro.core.task import MachineConfig, TaskDefinition
 from repro.eval.experiments import _make_probe_task, run_remediation_loop
 from repro.net.topology import spine_leaf
 from repro.obs.alerts import AlertEvent, AlertManager, ThresholdRule
@@ -13,7 +14,6 @@ from repro.remediation import (
     DrainPolicy,
     EscalatePolicy,
     GuardrailConfig,
-    Policy,
     RemediationEngine,
 )
 from repro.remediation.log import DECISION_BLOCKED, DECISION_EXECUTED
@@ -63,17 +63,6 @@ def flap_cycle(switch, period_s=4.0, until_s=24.0, start_s=1.0):
         events.append(alert("resolved", t + period_s / 2.0, switch))
         t += period_s
     return events
-
-
-class ResolvePolicy(Policy):
-    """FIRING -> a scoped re-solve of the labeled switch (the engine's
-    ``resolve`` action, which no shipped policy emits)."""
-
-    def actions_for(self, event):
-        if event.rule != self.rule or event.state != "firing":
-            return []
-        switch = dict(event.labels).get(self.label)
-        return [self._request(event, "resolve", int(switch))]
 
 
 def executed_records(engine):
@@ -256,6 +245,20 @@ class TestWiring:
         assert engine.log.records == []
 
 
+def hog_task(num_hogs):
+    """``place any`` machines that each need 3 of a switch's 4 vCPUs."""
+    source = "\n".join(f"""
+machine Hog{index} {{
+  place any;
+  time tick = 0.1;
+  state s {{ util (res) {{ if (res.vCPU >= 3) then {{ return 5; }} }} }}
+}}""" for index in range(num_hogs))
+    return TaskDefinition(
+        task_id="hogs", source=source,
+        machines=[MachineConfig(machine_name=f"Hog{index}")
+                  for index in range(num_hogs)])
+
+
 def build_spread_farm():
     """A fleet-wide farm: ``place all`` monitors pin one seed per switch,
     so a single-switch scope leaves the rest of the fleet clean and the
@@ -275,19 +278,21 @@ def build_spread_farm():
 
 
 class TestIncrementalRouting:
-    """Targeted re-solves ride the warm-started incremental solver."""
+    """A drain's scoped re-solve rides the warm-started incremental
+    solver, and the decision log records it."""
 
     def test_targeted_resolve_uses_incremental_solver(self):
-        farm = build_spread_farm()
+        # The drained switch leaves the problem, so exactly its displaced
+        # seeds are dirty and the rest of the fleet stays put.
+        farm = build_farm()
         engine, clock = make_engine(farm)
-        engine.add_policy(ResolvePolicy(RULE))
+        engine.add_policy(DrainPolicy(RULE))
         victim = victim_of(farm)
         feed(engine, clock, [alert("firing", 3.0, victim)])
         (rec,) = executed_records(engine)
-        assert rec.action == "resolve"
+        assert rec.action == "drain"
         assert rec.detail["incremental"] is True
-        assert isinstance(rec.detail["dirty_seeds"], int)
-        assert rec.detail["dirty_seeds"] > 0
+        assert rec.detail["dirty_seeds"] == rec.detail["seeds_before"] > 0
 
     def test_seeder_scope_routes_through_incremental(self):
         farm = build_spread_farm()
@@ -302,17 +307,20 @@ class TestIncrementalRouting:
         assert not full.info.get("incremental")
 
     def test_tiny_fleet_falls_back_but_still_resolves(self):
-        # On a 3-switch fleet one scoped switch exceeds the dirty-switch
-        # ratio: the solver transparently falls back to a full solve and
+        # Three hogs fill a 3-switch fleet, one per switch: the drained
+        # switch's hog fits nowhere, so completing the dirty set would
+        # drop a placed task and the solver falls back to a full solve;
         # the decision detail says so.
-        farm = build_farm()
+        farm = FarmDeployment(topology=spine_leaf(1, 2, 1))
+        farm.submit(hog_task(3))
+        farm.settle()
         engine, clock = make_engine(farm)
-        engine.add_policy(ResolvePolicy(RULE))
-        victim = victim_of(farm)
-        feed(engine, clock, [alert("firing", 3.0, victim)])
+        engine.add_policy(DrainPolicy(RULE))
+        feed(engine, clock, [alert("firing", 3.0, victim_of(farm))])
         (rec,) = executed_records(engine)
-        assert rec.action == "resolve"
+        assert rec.action == "drain"
         assert rec.detail["incremental"] is False
+        assert farm.seeder.last_solution.info["fallback"] == "eviction"
 
 
 @pytest.fixture(scope="module")

@@ -24,15 +24,17 @@ class TestCooldown:
         g.commit("drain", 1, now=0.0)
         # Different switch: fresh cooldown slate.
         assert g.check("drain", 2, now=1.0) is None
-        # Different action on the same switch: "resolve" has its own
+        # Different action on the same switch: "restore" has its own
         # timer (and is non-disruptive, so already-active doesn't apply).
-        assert g.check("resolve", 1, now=1.0) is None
+        assert g.check("restore", 1, now=1.0) is None
 
     def test_per_action_override(self):
-        g = make(cooldown_s={"resolve": 2.0}, default_cooldown_s=60.0)
-        g.commit("resolve", 1, now=0.0)
-        assert g.check("resolve", 1, now=1.0) == "cooldown"
-        assert g.check("resolve", 1, now=2.5) is None
+        g = make(cooldown_s={"escalate": 2.0}, default_cooldown_s=60.0,
+                 flap_limit=99)
+        g.commit("escalate", 1, now=0.0)
+        g.commit("restore", 1, now=0.5)
+        assert g.check("escalate", 1, now=1.0) == "cooldown"
+        assert g.check("escalate", 1, now=2.5) is None
 
 
 class TestConcurrencyAndBlast:
@@ -40,7 +42,7 @@ class TestConcurrencyAndBlast:
         g = make(max_active=4, blast_radius=4, flap_limit=99)
         g.commit("drain", 1, now=0.0)
         assert g.check("drain", 1, now=100.0) == "already-active"
-        assert g.check("quarantine", 1, now=100.0) == "already-active"
+        assert g.check("escalate", 1, now=100.0) == "already-active"
 
     def test_global_budget(self):
         g = make(max_active=1, blast_radius=4, flap_limit=99)
@@ -63,7 +65,7 @@ class TestConcurrencyAndBlast:
 
     def test_non_disruptive_actions_do_not_consume_budget(self):
         g = make(max_active=1, flap_limit=99)
-        g.commit("resolve", 1, now=0.0)
+        g.commit("restore", 1, now=0.0)
         assert g.active_count() == 0
         assert g.check("drain", 2, now=0.0) is None
 

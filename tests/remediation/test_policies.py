@@ -25,10 +25,6 @@ class TestDrainPolicy:
         (restore,) = policy.actions_for(alert("resolved", t=9.0))
         assert (restore.action, restore.switch) == ("restore", 1)
 
-    def test_restore_on_resolve_opt_out(self):
-        policy = DrainPolicy("hb", restore_on_resolve=False)
-        assert policy.actions_for(alert("resolved")) == []
-
     def test_ignores_other_rules_and_states(self):
         policy = DrainPolicy("hb")
         assert policy.actions_for(alert("firing", rule="other")) == []

@@ -81,6 +81,19 @@ def test_every_registered_metric_is_in_the_catalogue():
                   if not re.search(rf"`{name}[`{{]", catalogue)) == []
 
 
+def test_every_catalogued_metric_is_emitted():
+    # The converse: a catalogue row names something the code still emits.
+    # A string literal, not a registration: a Scarecrow collector emits
+    # farm_trace_dropped_total without registering it.
+    import repro
+    source = "\n".join(path.read_text() for path
+                       in Path(repro.__file__).parent.rglob("*.py"))
+    catalogue = (REPO / "docs" / "observability.md").read_text()
+    names = set(re.findall(r"`((?:farm|scarecrow)_\w+)[`{]", catalogue))
+    assert len(names) > 50, "the scan no longer finds the catalogue"
+    assert sorted(name for name in names if f'"{name}"' not in source) == []
+
+
 def test_ci_names_existing_paths_and_nothing_names_the_deleted_harness():
     # Plain text scan (CI does not install a YAML parser).
     ci = "\n".join(path.read_text() for path in sorted(
