@@ -20,7 +20,13 @@ pre-bound Python closures, and a :class:`MachineInstance` runs them:
   ``_truthy``, and ``while (i < size(L)) { ...; i = i + 1; }`` runs its
   test and step inline while ``i`` is an int, ``L`` a list and ``size``
   the stdlib's own, falling back to the generic closures per iteration
-  otherwise.
+  otherwise;
+* **columnar probe loops** — a counted loop over a probe handler's
+  samples ``L`` that reads rows only as ``get(L, i).f``, or as ``p.f``
+  after ``packet p = get(L, i)``, gets a second body in which each such
+  read is one load from a :class:`~repro.net.packet.ProbeBatch` column;
+  it runs while ``L`` is a batch, and a probe handler keeps its samples a
+  batch only when every use of them is such a loop.
 
 Every deployment runs on this executor.  The tree-walker in
 ``tests/almanac/reference_interpreter.py`` is the executable
@@ -32,6 +38,7 @@ both, so snapshots (migration, crash restart) move freely between them.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -50,15 +57,21 @@ from repro.almanac.stdlib import HostInterface, host_builtins, pure_builtins
 from repro.errors import AlmanacRuntimeError
 from repro.net import filters as flt
 from repro.net.addresses import Prefix
+from repro.net.packet import BATCH_COLUMNS, ProbeBatch
 
 #: Frame shared by code regions that declare no locals.
 _EMPTY_FRAME: List[Any] = []
 
 _NOT_CONST = object()
 
-#: The stdlib's ``size``: counted loops inline ``len`` only while a seed's
-#: ``size`` builtin is this very function.
+#: The stdlib's ``size`` and ``get``: counted loops inline ``len`` only
+#: while a seed's ``size`` builtin is this very function, and read probe
+#: batch columns only while its ``get`` is too.
 _STDLIB_SIZE = pure_builtins()["size"]
+_STDLIB_GET = pure_builtins()["get"]
+
+#: The packet fields a columnar loop body reads without a ``Packet``.
+_ROW_FIELDS = frozenset(BATCH_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +161,9 @@ class _Ctx:
     affects visibility, mirroring the interpreter's nested ``_Scope``s.
     """
 
-    __slots__ = ("code", "machine_vars", "state_vars", "scopes", "nslots")
+    __slots__ = ("code", "machine_vars", "state_vars", "scopes", "nslots",
+                 "probe_slot", "batch_uses", "batch_loops", "rows",
+                 "loop_records")
 
     def __init__(self, code: MachineCode, machine_vars: frozenset,
                  state_vars: frozenset) -> None:
@@ -157,6 +172,20 @@ class _Ctx:
         self.state_vars = state_vars
         self.scopes: List[Dict[str, int]] = [{}]
         self.nslots = 0
+        #: The slot of a probe handler's bound samples: the one list a
+        #: probe batch can reach, so the one a columnar loop may read.
+        self.probe_slot: Optional[int] = None
+        #: ids of the ``Var`` nodes that read the samples where a probe batch
+        #: may stay a batch: the ``L`` of a columnar loop.
+        self.batch_uses: set = set()
+        #: The record of each columnar loop compiled in this region.
+        self.batch_loops: List[_CountedLoop] = []
+        #: The columnar loops whose second body is being compiled, as
+        #: ``(L, i, p or None, slot of L, slot of i)``.
+        self.rows: Tuple[tuple, ...] = ()
+        #: One engagement record per loop statement, however often its
+        #: body is compiled (a columnar body compiles inner loops again).
+        self.loop_records: Dict[int, _CountedLoop] = {}
 
     def push_block(self) -> None:
         self.scopes.append({})
@@ -276,6 +305,10 @@ def _compile_expr(expr: ast.Expr, ctx: _Ctx) -> Callable:
             return value
         return struct_lit
     if isinstance(expr, ast.FieldAccess):
+        if ctx.rows:
+            load = _compile_column_load(expr, ctx)
+            if load is not None:
+                return load
         obj_fn = _compile_expr(expr.obj, ctx)
         fieldname = expr.fieldname
         line = expr.line
@@ -617,7 +650,7 @@ def _compile_stmt(stmt: ast.Stmt, ctx: _Ctx) -> Callable:
         ctx.pop_block()
         line = stmt.line
         if counted is not None:
-            return _compile_counted_loop(line, ctx, cond_fn, body, *counted)
+            return _compile_counted_loop(stmt, ctx, cond_fn, body, *counted)
 
         def while_loop(rt, frame):
             iterations = 0
@@ -747,14 +780,18 @@ def _compile_assign(stmt: ast.Assign, ctx: _Ctx) -> Callable:
 
 class _CountedLoop:
     """Engagement record of one lowered counted loop: how often it was
-    entered and how many of its condition tests took the generic closures."""
+    entered, how many of its condition tests took the generic closures,
+    and — for a loop with a columnar body — how many entries ran that body
+    and how many probe batches bound for it were turned into packets."""
 
-    __slots__ = ("line", "entries", "fallbacks")
+    __slots__ = ("line", "entries", "fallbacks", "columnar", "materialized")
 
     def __init__(self, line: int) -> None:
         self.line = line
         self.entries = 0
         self.fallbacks = 0
+        self.columnar = 0
+        self.materialized = 0
 
 
 def _written_names(stmts: List[ast.Stmt]) -> set:
@@ -807,7 +844,120 @@ def _counted_loop_vars(stmt: ast.While,
     return slot, seq
 
 
-def _compile_counted_loop(line: int, ctx: _Ctx, cond_fn: Callable,
+def _var_uses(node: Any, name: str, found: List[ast.Var]) -> List[ast.Var]:
+    """Append every ``Var`` node reading ``name`` under ``node``."""
+    if isinstance(node, ast.Var):
+        if node.name == name:
+            found.append(node)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            _var_uses(item, name, found)
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            _var_uses(getattr(node, field.name), name, found)
+    return found
+
+
+def _is_row_get(expr: Any, seq: str, index: str) -> bool:
+    """``expr`` is ``get(L, i)`` with exactly the loop's ``L`` and ``i``."""
+    return (isinstance(expr, ast.Call) and expr.func == "get"
+            and len(expr.args) == 2
+            and isinstance(expr.args[0], ast.Var) and expr.args[0].name == seq
+            and isinstance(expr.args[1], ast.Var)
+            and expr.args[1].name == index)
+
+
+def _row_read(expr: Any, spec: tuple) -> bool:
+    """``expr`` reads one packet field of the row ``spec``'s loop is at:
+    ``p.f`` or ``get(L, i).f`` for a field a probe batch has a column for."""
+    seq, index, row = spec[:3]
+    if not (isinstance(expr, ast.FieldAccess)
+            and expr.fieldname in _ROW_FIELDS):
+        return False
+    obj = expr.obj
+    if isinstance(obj, ast.Var):
+        return row is not None and obj.name == row
+    return _is_row_get(obj, seq, index)
+
+
+def _stray_use(node: Any, spec: tuple) -> bool:
+    """Whether ``node`` reads the loop's ``L`` or ``p`` other than through
+    a row read."""
+    if _row_read(node, spec):
+        return False
+    if isinstance(node, ast.Var):
+        return node.name == spec[0] or node.name == spec[2]
+    if isinstance(node, (list, tuple)):
+        return any(_stray_use(item, spec) for item in node)
+    if dataclasses.is_dataclass(node):
+        return any(_stray_use(getattr(node, field.name), spec)
+                   for field in dataclasses.fields(node))
+    return False
+
+
+def _columnar_shape(stmt: ast.While, ctx: _Ctx, seq: str
+                    ) -> Optional[Tuple[Optional[str], List[ast.Var]]]:
+    """``(p or None, the Var nodes of L it covers)`` when a counted loop's
+    body reads ``L`` only row by row: ``L`` is a probe handler's samples,
+    no user function shadows ``get``, an optional ``T p = get(L, i)`` first
+    binds a ``p`` never written afterwards, and every other ``L`` and every
+    ``p`` is the object of a packet-field read of the current row."""
+    if (ctx.probe_slot is None or ctx.resolve(seq) != ("local", ctx.probe_slot)
+            or "get" in ctx.code.functions):
+        return None
+    index = stmt.cond.left.name
+    inner = stmt.body[:-1]
+    row = None
+    if (inner and isinstance(inner[0], ast.VarDecl)
+            and _is_row_get(inner[0].init, seq, index)):
+        row = inner[0].name
+        if row in _written_names(inner[1:]):
+            return None
+    if _stray_use(inner if row is None else inner[1:], (seq, index, row)):
+        return None
+    return row, _var_uses(inner, seq, [stmt.cond.right.args[0]])
+
+
+def _compile_column_load(expr: ast.FieldAccess, ctx: _Ctx
+                         ) -> Optional[Callable]:
+    """A row read of an enclosing columnar loop as one column load, or
+    None when ``expr`` is not one.  ``get(L, i).f`` keeps ``get``'s error
+    for an ``i`` below ``-len(L)``; ``p.f`` needs no check, the loop made
+    it when it bound ``p``."""
+    for spec in reversed(ctx.rows):
+        if _row_read(expr, spec):
+            break
+    else:
+        return None
+    seq_slot, index_slot = spec[3], spec[4]
+    fieldname = expr.fieldname
+    checked = not isinstance(expr.obj, ast.Var)
+    line = expr.obj.line
+    column = operator.attrgetter(fieldname)
+    if not checked:
+        def load_column(rt, frame):
+            return column(frame[seq_slot])[frame[index_slot]]
+        return load_column
+
+    def load_column_checked(rt, frame):
+        try:
+            return column(frame[seq_slot])[frame[index_slot]]
+        except IndexError as exc:
+            raise AlmanacRuntimeError(
+                f"builtin get() failed (line {line}): {exc}") from exc
+    return load_column_checked
+
+
+def _check_row(batch: ProbeBatch, i: int, line: int) -> None:
+    """Raise what ``get(L, i)`` raises when ``i`` is no row of ``batch``."""
+    try:
+        batch.flows[i]
+    except IndexError as exc:
+        raise AlmanacRuntimeError(
+            f"builtin get() failed (line {line}): {exc}") from exc
+
+
+def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
                           body: Tuple[Callable, ...], index_slot: int,
                           seq_name: str) -> Callable:
     """The loop with ``i < len(L)`` and ``i + 1`` inline.
@@ -818,19 +968,73 @@ def _compile_counted_loop(line: int, ctx: _Ctx, cond_fn: Callable,
     generic increment.  ``L`` and ``len(L)`` are re-read every iteration,
     so a body that grows ``L`` through an alias behaves as the generic
     loop does, iteration cap and error messages included.
+
+    When the body reads ``L`` only row by row (:func:`_columnar_shape`) it
+    is compiled a second time with every row read a column load, and an
+    entry with a :class:`~repro.net.packet.ProbeBatch` in ``L`` and an int
+    ``i`` runs that body while ``size`` and ``get`` are the stdlib's own.
+    Otherwise — or once they stop being — the batch in ``L``'s slot is
+    replaced by its packets and the loop goes on as above.
     """
+    line = stmt.line
     # A local ``L`` is read from its frame slot, any other through its load
     # closure (which raises the generic path's "undefined variable").
     kind, seq_slot = ctx.resolve(seq_name)
     load_seq = _compile_load(seq_name, ctx) if kind != "local" else None
     inner, step_fn = body[:-1], body[-1]
-    record = _CountedLoop(line)
-    ctx.code.counted_loops.append(record)
+    record = ctx.loop_records.get(id(stmt))
+    if record is None:
+        record = ctx.loop_records[id(stmt)] = _CountedLoop(line)
+        ctx.code.counted_loops.append(record)
+    columnar: Optional[Tuple[Callable, ...]] = None
+    row_line: Optional[int] = None
+    shape = _columnar_shape(stmt, ctx, seq_name)
+    if shape is not None:
+        row, uses = shape
+        ctx.batch_uses.update(id(v) for v in uses)
+        ctx.batch_loops.append(record)
+        columnar_stmts = stmt.body[:-1]
+        if row is not None:
+            row_line = columnar_stmts[0].init.line
+            columnar_stmts = columnar_stmts[1:]
+        ctx.rows += ((seq_name, stmt.cond.left.name, row, seq_slot,
+                      index_slot),)
+        ctx.push_block()
+        columnar = tuple(_compile_stmt(s, ctx) for s in columnar_stmts)
+        ctx.pop_block()
+        ctx.rows = ctx.rows[:-1]
 
     def counted_loop(rt, frame):
         record.entries += 1
         builtins = rt.builtins
         iterations = 0
+        if columnar is not None:
+            batch = frame[seq_slot]
+            if batch.__class__ is ProbeBatch:
+                i = frame[index_slot]
+                if (type(i) is int and builtins.get("size") is _STDLIB_SIZE
+                        and builtins.get("get") is _STDLIB_GET):
+                    record.columnar += 1
+                    n = len(batch.flows)
+                    while True:
+                        if not i < n:
+                            return
+                        iterations += 1
+                        if iterations > MAX_LOOP_ITERATIONS:
+                            raise AlmanacRuntimeError(
+                                f"while loop exceeded {MAX_LOOP_ITERATIONS} "
+                                f"iterations (line {line})")
+                        if row_line is not None and i < -n:
+                            _check_row(batch, i, row_line)
+                        for s in columnar:
+                            s(rt, frame)
+                        i += 1
+                        frame[index_slot] = i
+                        if not (builtins.get("size") is _STDLIB_SIZE
+                                and builtins.get("get") is _STDLIB_GET):
+                            break
+                record.materialized += 1
+                frame[seq_slot] = batch.packets()
         while True:
             i = frame[index_slot]
             seq = frame[seq_slot] if load_seq is None else load_seq(rt, frame)
@@ -879,9 +1083,31 @@ def _trigger_in_state_raiser(name: str, state: str) -> Callable:
     return raise_trigger_in_state
 
 
+def _batch_only(name: str, stmts: List[ast.Stmt], ctx: _Ctx) -> bool:
+    """Every use of the local ``name`` in ``stmts`` (compiled in ``ctx``)
+    lets a probe batch stay one: none writes it, and each read is the list
+    of a columnar loop."""
+    return (name not in _written_names(stmts)
+            and all(id(v) in ctx.batch_uses
+                    for v in _var_uses(stmts, name, [])))
+
+
+def _materialize_prologue(bind_slot: int,
+                          records: Tuple[_CountedLoop, ...]) -> Callable:
+    """A probe handler's first statement when its samples escape: a batch
+    becomes its packets, counted on the handler's columnar loops over it."""
+    def materialize_samples(rt, frame):
+        data = frame[bind_slot]
+        if data.__class__ is ProbeBatch:
+            frame[bind_slot] = data.packets()
+            for record in records:
+                record.materialized += 1
+    return materialize_samples
+
+
 def _compile_handler(event: ast.Event, code: MachineCode,
-                     machine_vars: frozenset,
-                     state_vars: frozenset) -> _Handler:
+                     machine_vars: frozenset, state_vars: frozenset,
+                     probe_vars: frozenset) -> _Handler:
     ctx = _Ctx(code, machine_vars, state_vars)
     bind_slot: Optional[int] = None
     trigger = event.trigger
@@ -889,7 +1115,15 @@ def _compile_handler(event: ast.Event, code: MachineCode,
         bind_slot = ctx.declare(trigger.bind)
     elif isinstance(trigger, ast.RecvTrigger):
         bind_slot = ctx.declare(trigger.pat_name)
+    probe = (isinstance(trigger, ast.VarTrigger) and trigger.var in probe_vars
+             and trigger.bind)
+    if probe:
+        ctx.probe_slot = bind_slot
     body = tuple(_compile_stmt(s, ctx) for s in event.actions)
+    if probe and not _batch_only(trigger.bind, event.actions, ctx):
+        records = tuple({id(record): record
+                         for record in ctx.batch_loops}.values())
+        body = (_materialize_prologue(bind_slot, records),) + body
     return _Handler(ctx.nslots, bind_slot, body)
 
 
@@ -901,6 +1135,8 @@ def compile_closures(compiled: CompiledMachine) -> MachineCode:
         return code
     code = MachineCode(compiled.name)
     code.trigger_names = frozenset(d.name for d in compiled.trigger_decls)
+    probe_vars = frozenset(d.name for d in compiled.trigger_decls
+                           if d.typ == "probe")
     machine_vars = frozenset(d.name for d in compiled.var_decls)
 
     # Two passes over functions so mutually recursive calls resolve.
@@ -947,7 +1183,8 @@ def compile_closures(compiled: CompiledMachine) -> MachineCode:
         var_handlers: Dict[str, List[_Handler]] = {}
         recv: List[Tuple[str, str, _Handler]] = []
         for event in state.events:
-            handler = _compile_handler(event, code, machine_vars, state_vars)
+            handler = _compile_handler(event, code, machine_vars, state_vars,
+                                       probe_vars)
             trigger = event.trigger
             if isinstance(trigger, ast.EnterTrigger):
                 enter.append(handler)

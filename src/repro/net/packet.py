@@ -4,14 +4,15 @@ Simulating a 100 Gbps ASIC packet-by-packet is infeasible in Python, and the
 paper's evaluation never needs it: what matters is *counters* (bytes/packets
 per port, per TCAM rule) and occasional *samples*.  We therefore model
 traffic as :class:`Flow` objects with piecewise-constant rates; counters are
-integrals of those rates, and packet samples are materialized on demand by
-the probing machinery.
+integrals of those rates, and a probe's samples come back as one
+:class:`ProbeBatch` of header columns; a :class:`Packet` per sample is
+built only for a consumer that needs the objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import FarmError
 
@@ -50,14 +51,17 @@ class FlowKey:
 class Packet:
     """A single (sampled or probed) packet: a value, compared by fields.
 
-    A probe materialises one per sample, so this is a plain slotted class
-    rather than a frozen dataclass (a third of the construction cost).
+    :meth:`ProbeBatch.packets` builds one per sample, so this is a plain
+    slotted class rather than a frozen dataclass (a third of the
+    construction cost).
     """
 
     __slots__ = ("key", "size", "tcp_flags", "ttl", "timestamp")
 
+    DEFAULT_TTL = 64
+
     def __init__(self, key: FlowKey, size: int = 1000, tcp_flags: int = 0,
-                 ttl: int = 64, timestamp: float = 0.0) -> None:
+                 ttl: int = DEFAULT_TTL, timestamp: float = 0.0) -> None:
         self.key = key
         self.size = size  # bytes, headers included
         self.tcp_flags = tcp_flags
@@ -112,6 +116,59 @@ class Packet:
     @property
     def is_rst(self) -> bool:
         return bool(self.tcp_flags & TCP_RST)
+
+
+#: The header fields a :class:`ProbeBatch` carries as columns, each a list
+#: holding, per sample, what the :class:`Packet` attribute of that name
+#: returns (the four flag tests included).  ``timestamp`` is the scalar
+#: ``now``: every sample of one probe is stamped with the probe's instant.
+BATCH_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto", "size",
+                 "tcp_flags", "ttl", "is_syn", "is_synack", "is_fin",
+                 "is_rst")
+
+
+class ProbeBatch:
+    """One probe's samples as columns: the value a probe hands a seed.
+
+    ``flows`` are the sampled flows in output order (a flow appears once per
+    sample it contributes); each name in :data:`BATCH_COLUMNS` is a list of
+    plain Python values, row ``k`` describing ``flows[k]``'s sample.  The
+    columns are shared by every batch stamped from one sample plan and must
+    not be mutated.  :meth:`packets` gives the per-sample ``Packet`` list.
+    """
+
+    __slots__ = ("flows", "now") + BATCH_COLUMNS
+
+    def __init__(self, flows: Sequence["Flow"], now: float,
+                 columns: Tuple[list, ...]) -> None:
+        self.flows = flows
+        self.now = now
+        (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.proto,
+         self.size, self.tcp_flags, self.ttl, self.is_syn, self.is_synack,
+         self.is_fin, self.is_rst) = columns
+
+    @staticmethod
+    def columns_of(flows: Sequence["Flow"]) -> Tuple[list, ...]:
+        """The :data:`BATCH_COLUMNS` of one sample per flow, in order."""
+        keys = [flow.key for flow in flows]
+        flags = [flow.default_tcp_flags for flow in flows]
+        return ([key.src_ip for key in keys], [key.dst_ip for key in keys],
+                [key.src_port for key in keys],
+                [key.dst_port for key in keys], [key.proto for key in keys],
+                [flow.packet_size for flow in flows], flags,
+                [Packet.DEFAULT_TTL] * len(flows),
+                [bool(f & TCP_SYN) and not (f & TCP_ACK) for f in flags],
+                [bool(f & TCP_SYN) and bool(f & TCP_ACK) for f in flags],
+                [bool(f & TCP_FIN) for f in flags],
+                [bool(f & TCP_RST) for f in flags])
+
+    def __len__(self) -> int:
+        return len(self.flows)
+
+    def packets(self) -> List[Packet]:
+        """One ``Packet`` per sample, as ``Flow.sample_packet`` stamps it."""
+        now = self.now
+        return [flow.sample_packet(now) for flow in self.flows]
 
 
 class FlowWatch:

@@ -2,8 +2,8 @@
 
 The ASIC carries attached rate-based flows between ports, maintains exact
 per-port and per-TCAM-rule counters (integrals of flow rates), applies rule
-actions (drop / rate-limit / QoS), and materializes packet samples for
-probing.  Its internal bandwidth dwarfs the PCIe management path (SVI-E-a
+actions (drop / rate-limit / QoS), and samples packets for probing.  Its
+internal bandwidth dwarfs the PCIe management path (SVI-E-a
 measures a 1:12500 ratio), which is why counter values live *here* and every
 read must cross the :class:`~repro.switchsim.pcie.PcieBus`.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import SwitchError
 from repro.net.filters import ANY_PORT, Filter
-from repro.net.packet import Flow, FlowWatch, Packet
+from repro.net.packet import Flow, FlowWatch, ProbeBatch
 from repro.sim.engine import Simulator
 from repro.sim.resources import CapacityMeter
 from repro.switchsim.tcam import RuleAction, Tcam, TcamRule
@@ -115,7 +115,8 @@ class Asic:
         self._probe_memo: Dict[Filter, List[_Attachment]] = {}
         # (probe filter, budget) -> sample plan: (TCAM version, flow-watch
         # changes, (winning RATE_LIMIT rule, its rate_bps) pairs, the flow
-        # of each sample in output order); dropped by attach/detach.
+        # of each sample in output order, their ProbeBatch columns);
+        # dropped by attach/detach.
         self._plans: Dict[Tuple[Filter, int], tuple] = {}
         # TCAM rules by priority with their switch-port scope, per version.
         self._scoped_rules: List[Tuple[TcamRule, Optional[frozenset]]] = []
@@ -340,8 +341,8 @@ class Asic:
     # ------------------------------------------------------------------
     # Probing (packet sampling)
     # ------------------------------------------------------------------
-    def sample_packets(self, fil: Filter, max_packets: int = 16) -> List[Packet]:
-        """Materialize up to ``max_packets`` representative packets.
+    def sample_packets(self, fil: Filter, max_packets: int = 16) -> ProbeBatch:
+        """Sample up to ``max_packets`` representative packets, as columns.
 
         Sampling is rate-proportional and deterministic: the sample budget
         is split across matching flows by largest-remainder apportionment
@@ -354,7 +355,8 @@ class Asic:
         The apportioned plan — which flows, how many samples each — is
         memoised per ``(fil, max_packets)`` and reused while the table,
         ``Tcam.version``, the flow watch and every winning ``RATE_LIMIT``
-        rule's ``rate_bps`` are unchanged; a hit only stamps the packets.
+        rule's ``rate_bps`` are unchanged.  The batch's header columns are
+        built with the plan and kept with it, so a hit only stamps ``now``.
         A plan is stored only when no matching flow has a rate segment
         starting after ``now``: until then the rates depend on the clock.
         """
@@ -367,7 +369,7 @@ class Asic:
                 and plan[1] == self._flow_watch.changes
                 and all(rule.params.get("rate_bps") == limit
                         for rule, limit in plan[2])):
-            return [flow.sample_packet(now) for flow in plan[3]]
+            return ProbeBatch(plan[3], now, plan[4])
         matching = self._probe_memo.get(fil)
         if matching is None:
             # Kept in tie-break order (source, then attach order), so that
@@ -413,11 +415,12 @@ class Asic:
                       for _ in range(count)]
         else:
             chosen = []
+        columns = ProbeBatch.columns_of(chosen)
         if timeless:
             self._plans[fil, max_packets] = (
                 self.tcam.version, self._flow_watch.changes,
-                tuple(limits.values()), chosen)
-        return [flow.sample_packet(now) for flow in chosen]
+                tuple(limits.values()), chosen, columns)
+        return ProbeBatch(chosen, now, columns)
 
     # ------------------------------------------------------------------
     # Introspection

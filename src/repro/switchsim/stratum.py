@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SwitchError
 from repro.net.filters import Filter
-from repro.net.packet import Packet
+from repro.net.packet import ProbeBatch
 from repro.switchsim.asic import PortStats, RuleStats
 from repro.switchsim.chassis import Switch
 from repro.switchsim.tcam import TcamRule
@@ -63,12 +63,12 @@ class SwitchDriver:
     # Packet sampling (probing)
     # ------------------------------------------------------------------
     def sample_packets(self, fil: Filter,
-                       max_packets: int = 16) -> Tuple[List[Packet], float]:
+                       max_packets: int = 16) -> Tuple[ProbeBatch, float]:
         """Pull packet samples matching ``fil`` up to the CPU."""
         self.calls += 1
-        packets = self.switch.asic.sample_packets(fil, max_packets)
-        latency = self.switch.pcie.sample_packets(max(len(packets), 1))
-        return packets, latency + self.CALL_OVERHEAD_S
+        batch = self.switch.asic.sample_packets(fil, max_packets)
+        latency = self.switch.pcie.sample_packets(max(len(batch), 1))
+        return batch, latency + self.CALL_OVERHEAD_S
 
     # ------------------------------------------------------------------
     # Table management (reactions)

@@ -15,7 +15,17 @@ from repro.almanac import MachineInstance, codegen, flatten_machine
 from repro.almanac.parser import parse
 from repro.errors import AlmanacRuntimeError
 from repro.net.addresses import parse_ip
-from repro.net.packet import PROTO_TCP, PROTO_UDP, TCP_SYN, Flow, FlowKey
+from repro.net.packet import (
+    PROTO_TCP,
+    PROTO_UDP,
+    TCP_ACK,
+    TCP_FIN,
+    TCP_RST,
+    TCP_SYN,
+    Flow,
+    FlowKey,
+    ProbeBatch,
+)
 from repro.sim.engine import Simulator
 from repro.switchsim.asic import Asic
 from repro.tasks import (
@@ -94,8 +104,12 @@ def run_machine(source, script=(), machine=None, externals=None,
 
     ``loops`` maps each counted loop the closure compiler lowered to
     ``(entries, fallbacks)``: how often it ran, and how many condition
-    tests took the generic closures.  Only the production executor runs
-    closures, so :func:`assert_backends_identical` compares without it.
+    tests took the generic closures; ``columnar`` maps it to
+    ``(columnar entries, materialized batches)``.  Only the production
+    executor runs closures, so :func:`assert_backends_identical` compares
+    without either.  A :class:`ProbeBatch` goes to the production executor
+    as it is and to the tree-walker as its packets, the way the soil and
+    the oracle each see a probe.
     """
     program = parse(source)
     name = machine or program.machines[-1].name
@@ -112,7 +126,12 @@ def run_machine(source, script=(), machine=None, externals=None,
         kind = op[0]
         try:
             if kind == "var":
-                instance.fire_trigger_var(op[1], copy.deepcopy(op[2]))
+                data = op[2]
+                if not isinstance(data, ProbeBatch):
+                    data = copy.deepcopy(data)
+                elif executor is not MachineInstance:
+                    data = data.packets()
+                instance.fire_trigger_var(op[1], data)
             elif kind == "recv":
                 source_machine = op[2] if len(op) > 2 else ""
                 instance.fire_recv(copy.deepcopy(op[1]),
@@ -132,6 +151,9 @@ def run_machine(source, script=(), machine=None, externals=None,
         "errors": errors,
         "loops": {loop.line: (loop.entries, loop.fallbacks) for loop in
                   codegen.compile_closures(compiled).counted_loops},
+        "columnar": {loop.line: (loop.columnar, loop.materialized)
+                     for loop in
+                     codegen.compile_closures(compiled).counted_loops},
     }
 
 
@@ -143,10 +165,11 @@ def assert_backends_identical(source, script=(), machine=None,
     compiled = run_machine(source, script, machine, externals,
                            executor=MachineInstance,
                            extra_builtins=extra_builtins)
-    loops = compiled.pop("loops")
+    loops, columnar = compiled.pop("loops"), compiled.pop("columnar")
     interpreted.pop("loops")
+    interpreted.pop("columnar")
     assert compiled == interpreted
-    compiled["loops"] = loops
+    compiled["loops"], compiled["columnar"] = loops, columnar
     return compiled
 
 
@@ -677,6 +700,7 @@ class TestProbeBatches:
         stats = [{"__struct__": "PortStat", "port": p, "rate_bps": 1e5}
                  for p in range(4)]
         reacted, packets = set(), 0
+        on_columns, materialized = set(), set()
         for task in PROBE_TASKS:
             config = task.machines[0]
             script = []
@@ -699,12 +723,177 @@ class TestProbeBatches:
                             enumerate(lines, start=1)
                             if _SAMPLES_LOOP.search(text)}
             assert sample_loops, task.task_id
-            loops = outcome["loops"]
+            loops, columnar = outcome["loops"], outcome["columnar"]
             # Every `while (i < size(samples))` was lowered and ran inline
             # on every iteration; so did every other lowered loop it entered.
             assert sample_loops <= set(loops), task.task_id
             assert all(loops[line][0] > 0 for line in sample_loops)
             assert all(fallbacks == 0 for _, fallbacks in loops.values())
+            assert all(made == 0 for _, made in columnar.values())
+            if config.machine_name == "FloodDefender":
+                # Its handler passes the samples to a user function, so
+                # they escape: the handler turns each batch into packets
+                # on entry and the loop in ``countMisses`` never runs on
+                # columns.
+                assert all(columnar[line][0] == 0 for line in sample_loops)
+                materialized.add(task.task_id)
+                continue
+            # ... and every entry ran its columnar body on the batch: no
+            # handler let its samples escape, none was turned into packets.
+            assert all(columnar[line][0] == loops[line][0]
+                       for line in sample_loops), task.task_id
+            on_columns.add(task.task_id)
         # The batches carried the incidents far enough to trip reactions.
         assert packets == 13 * 16 * 64
         assert len(reacted) >= 7
+        assert len(on_columns) == 12 and materialized == {"flood-defender"}
+
+    # ------------------------------------------------------------------
+    # Escapes and edges: each runs on both executors (production on the
+    # batch, the tree-walker on its packets) and names the one-line
+    # mutation of the columnar lowering it fails.
+    # ------------------------------------------------------------------
+    def test_packet_stored_in_a_machine_list_escapes(self):
+        # Mutation caught: a bare ``p`` accepted as a row read (the second
+        # body then loads an undeclared ``p``).
+        outcome = assert_backends_identical(_probe_machine("""
+      int i = 0;
+      while (i < size(samples)) { total = total + get(samples, i).size;
+                                  i = i + 1; }
+      int j = 0;
+      while (j < size(samples)) {
+        packet p = get(samples, j);
+        append(kept, p);
+        j = j + 1;
+      }
+      send size(kept) to harvester;"""), _fire(_batch(), _batch(rows=2)))
+        assert outcome["trace"] == [("harvester", 5), ("harvester", 7)]
+        assert outcome["snapshot"]["machine_vars"]["kept"] \
+            == _batch().packets() + _batch(rows=2).packets()
+        # The first loop could run on columns; the second let the samples
+        # escape, so both firings handed the handler packets.
+        assert list(outcome["columnar"].values()) == [(0, 2), (0, 0)]
+
+    def test_send_p_escapes(self):
+        # Mutation caught: no prologue for a handler whose samples escape
+        # (``_batch_only`` always true: the batch reaches the generic
+        # loop's ``get``, which rejects it).
+        outcome = assert_backends_identical(_probe_machine("""
+      int i = 0;
+      while (i < size(samples)) {
+        packet p = get(samples, i);
+        if (p.is_syn) then { send p to harvester; }
+        i = i + 1;
+      }"""), _fire(_batch()))
+        assert outcome["trace"] == [("harvester", _batch().packets()[1])]
+        assert list(outcome["columnar"].values()) == [(0, 0)]
+
+    def test_samples_used_outside_a_loop_materialize_on_entry(self):
+        # Mutation caught: ``any`` for ``all`` in ``_batch_only``, so that
+        # ``size(samples)`` outside a loop passes as a covered use (the
+        # batch reaches ``append``, which rejects it).
+        outcome = assert_backends_identical(_probe_machine("""
+      send size(samples) to harvester;
+      append(samples, get(samples, 0));
+      int i = 0;
+      while (i < size(samples)) { total = total + get(samples, i).size;
+                                  i = i + 1; }
+      send total to harvester;"""), _fire(_batch(rows=3)))
+        assert outcome["errors"] == []
+        assert outcome["trace"] == [("harvester", 3), ("harvester", 600)]
+        assert list(outcome["columnar"].values()) == [(0, 1)]
+
+    def test_index_starting_negative_or_past_zero(self):
+        # Mutation caught: the loop's row check for ``packet p = get(L, i)``
+        # left out (an ``i`` below -len(L) then fails in a column load with
+        # a bare IndexError instead of ``get``'s error).
+        for start, bound in (("-3", "5"), ("2", "5"), ("-7", "5")):
+            outcome = assert_backends_identical(_probe_machine(f"""
+      int i = {start};
+      while (i < size(samples)) {{
+        packet p = get(samples, i);
+        send p.src_port + p.size to harvester;
+        i = i + 1;
+      }}
+      int j = {start};
+      while (j < size(samples)) {{
+        send get(samples, j).size - get(samples, j).dst_port
+          to harvester;
+        j = j + 1;
+      }}"""), _fire(_batch(rows=int(bound))))
+            if start == "-7":
+                assert list(outcome["columnar"].values()) == [(1, 0), (0, 0)]
+                assert outcome["errors"] == [(
+                    "var", "builtin get() failed (line 11): "
+                           "list index out of range")]
+            else:
+                assert list(outcome["columnar"].values()) == [(1, 0), (1, 0)]
+                assert outcome["errors"] == []
+                assert len(outcome["trace"]) == 2 * (5 - int(start))
+
+    def test_user_function_get_is_not_read_as_columns(self):
+        # Mutation caught: no user-function check for ``get`` (the second
+        # body reads the batch's ``size`` column instead of calling it).
+        outcome = assert_backends_identical(_probe_machine("""
+      int i = 0;
+      while (i < size(samples)) {
+        packet p = get(samples, i);
+        total = total + p.size;
+        i = i + 1;
+      }
+      send total to harvester;""", functions="""
+function packet get(list l, long i) { return Row { .size = i * 10 }; }
+"""), _fire(_batch(rows=4)))
+        assert outcome["trace"] == [("harvester", 60)]
+        assert list(outcome["columnar"].values()) == [(0, 0)]
+
+    def test_host_shadowed_size_and_get_materialize_in_the_loop(self):
+        # Mutation caught: no ``size`` identity check on the columnar path
+        # (the loop walks all five rows, not the two ``size`` reports).
+        body = """
+      int i = 0;
+      while (i < size(samples)) { total = total + get(samples, i).size;
+                                  i = i + 1; }
+      send total to harvester;"""
+        for extra, sent in (({"size": lambda l: min(len(l), 2)}, 300),
+                            ({"get": lambda l, i: l[0]}, 500)):
+            outcome = assert_backends_identical(
+                _probe_machine(body), _fire(_batch()), extra_builtins=extra)
+            assert outcome["trace"] == [("harvester", sent)]
+            assert list(outcome["columnar"].values()) == [(0, 1)]
+            assert list(outcome["loops"].values())[0][1] \
+                == (3 if "size" in extra else 0)
+
+
+def _probe_machine(body, functions=""):
+    """A one-handler machine whose probe ``pkts`` binds ``samples``."""
+    return functions + """
+machine Probe {
+  place all;
+  probe pkts = Probe { .ival = 1, .what = port ANY };
+  long total = 0;
+  list kept;
+  state s {
+    when (pkts as samples) do {""" + body + """
+    }
+  }
+}"""
+
+
+_FLAG_CYCLE = (0, TCP_SYN, TCP_SYN | TCP_ACK, TCP_FIN, TCP_RST)
+
+
+def _batch(rows=5, now=2.5):
+    """A probe batch of ``rows`` samples whose last one repeats a flow, as
+    the ASIC's apportionment repeats heavy flows."""
+    flows = [Flow(FlowKey(parse_ip("10.0.0.1") + k, parse_ip("10.1.0.1"),
+                          1000 + k, 80 + k % 2, PROTO_TCP),
+                  rate_bps=1e3, packet_size=100 * (k + 1),
+                  default_tcp_flags=_FLAG_CYCLE[k % 5])
+             for k in range(rows - 1)]
+    flows.append(flows[-1])
+    return ProbeBatch(flows, now, ProbeBatch.columns_of(flows))
+
+
+def _fire(*batches):
+    return [("var", "pkts", batch) for batch in batches]

@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 from repro.errors import FarmError
 from repro.net.addresses import parse_ip
 from repro.net.packet import (
+    BATCH_COLUMNS,
     PROTO_TCP,
     Flow,
     FlowKey,
     Packet,
+    ProbeBatch,
     TCP_ACK,
     TCP_SYN,
 )
@@ -31,6 +33,35 @@ class TestPacketFlags:
         assert Packet(key=key(), tcp_flags=TCP_SYN).is_syn
         assert not Packet(key=key(), tcp_flags=TCP_SYN | TCP_ACK).is_syn
         assert Packet(key=key(), tcp_flags=TCP_SYN | TCP_ACK).is_synack
+
+
+class TestProbeBatch:
+    def test_flag_columns_match_the_packet_properties_on_every_byte(self):
+        # The four flag columns are derived from ``tcp_flags`` beside the
+        # properties, not through them: every flag byte must agree, value
+        # and type.  Mutation caught: ``is_syn`` without the ACK test.
+        flows = [Flow(key(sport=1000 + flags), rate_bps=1.0,
+                      default_tcp_flags=flags) for flags in range(256)]
+        batch = ProbeBatch(flows, 3.0, ProbeBatch.columns_of(flows))
+        packets = batch.packets()
+        assert packets == [flow.sample_packet(3.0) for flow in flows]
+        for name in ("is_syn", "is_synack", "is_fin", "is_rst"):
+            expected = [getattr(packet, name) for packet in packets]
+            assert getattr(batch, name) == expected
+            assert {type(value) for value in getattr(batch, name)} == {bool}
+
+    def test_columns_are_the_packet_fields(self):
+        flows = [Flow(key(sport=7, dport=dport), rate_bps=1.0,
+                      packet_size=64 * dport, default_tcp_flags=dport % 3)
+                 for dport in (22, 80, 80, 443)]
+        flows.append(flows[1])  # a flow sampled twice
+        batch = ProbeBatch(flows, 0.5, ProbeBatch.columns_of(flows))
+        assert len(batch) == 5 and batch.now == 0.5
+        for name in BATCH_COLUMNS:
+            assert getattr(batch, name) \
+                == [getattr(p, name) for p in batch.packets()]
+        empty = ProbeBatch([], 1.0, ProbeBatch.columns_of([]))
+        assert not empty and empty.packets() == []
 
 
 class TestFlow:

@@ -9,7 +9,14 @@ import pytest
 from repro.errors import SwitchError
 from repro.net import filters as flt
 from repro.net.addresses import Prefix, parse_ip
-from repro.net.packet import PROTO_TCP, TCP_SYN, Flow, FlowKey, Packet
+from repro.net.packet import (
+    BATCH_COLUMNS,
+    PROTO_TCP,
+    TCP_SYN,
+    Flow,
+    FlowKey,
+    Packet,
+)
 from repro.sim.engine import Simulator
 from repro.switchsim.asic import Asic
 from repro.switchsim.tcam import MONITORING, RuleAction, TcamRule
@@ -138,13 +145,14 @@ class TestSampling:
     def test_samples_ranked_by_rate(self, sim, asic):
         asic.attach_flow(make_flow(rate=10.0, sport=1000), 0, 1)
         asic.attach_flow(make_flow(rate=1000.0, sport=2000), 0, 1)
-        samples = asic.sample_packets(flt.TrueFilter(), max_packets=1)
+        samples = asic.sample_packets(flt.TrueFilter(),
+                                     max_packets=1).packets()
         assert samples[0].src_port == 2000
 
     def test_samples_respect_filter(self, sim, asic):
         asic.attach_flow(make_flow(rate=10.0, dport=80), 0, 1)
         asic.attach_flow(make_flow(rate=10.0, dport=22, sport=2000), 0, 1)
-        samples = asic.sample_packets(flt.DstPortFilter(22))
+        samples = asic.sample_packets(flt.DstPortFilter(22)).packets()
         # the single matching flow soaks up the whole sample budget
         assert samples
         assert all(p.dst_port == 22 for p in samples)
@@ -152,7 +160,8 @@ class TestSampling:
     def test_budget_apportioned_by_rate(self, sim, asic):
         asic.attach_flow(make_flow(rate=900.0, sport=1000), 0, 1)
         asic.attach_flow(make_flow(rate=100.0, sport=2000), 0, 1)
-        samples = asic.sample_packets(flt.TrueFilter(), max_packets=10)
+        samples = asic.sample_packets(flt.TrueFilter(),
+                                     max_packets=10).packets()
         by_port = {}
         for packet in samples:
             by_port[packet.src_port] = by_port.get(packet.src_port, 0) + 1
@@ -163,7 +172,8 @@ class TestSampling:
             asic.attach_flow(
                 make_flow(rate=100.0 * (index + 1), sport=3000 + index),
                 0, 1)
-        samples = asic.sample_packets(flt.TrueFilter(), max_packets=4)
+        samples = asic.sample_packets(flt.TrueFilter(),
+                                     max_packets=4).packets()
         assert len(samples) == 4
         # the four heaviest flows, one sample each
         assert sorted(p.src_port for p in samples) == [3002, 3003, 3004,
@@ -173,7 +183,7 @@ class TestSampling:
         asic.attach_flow(make_flow(rate=10.0, dport=80), 0, 1)
         asic.tcam.install(TcamRule(flt.DstPortFilter(80), RuleAction.DROP,
                                    region=MONITORING))
-        assert asic.sample_packets(flt.TrueFilter()) == []
+        assert asic.sample_packets(flt.TrueFilter()).packets() == []
 
     def test_fabric_demand_refresh(self, sim, asic):
         flow = make_flow(rate=100.0)
@@ -280,12 +290,31 @@ RULE_PATTERNS = [
 ]
 
 
-def _check_against_oracle(asic, rows, now):
+def _check_probe(asic, rows, fil, budget, now, plans):
+    """One probe against the oracle: its packets, and each column against
+    the same field of those packets, value and type.  ``plans`` keeps the
+    last batch per (filter, budget) and tallies plan hits (the batch shares
+    that one's columns) and misses."""
+    batch = asic.sample_packets(fil, budget)
+    expected = _oracle_sample(rows, asic.tcam, fil, budget, now)
+    assert batch.packets() == expected
+    assert len(batch) == len(expected) and batch.now == now
+    for name in BATCH_COLUMNS:
+        column = getattr(batch, name)
+        assert column == [getattr(p, name) for p in expected]
+        assert [type(v) for v in column] \
+            == [type(getattr(p, name)) for p in expected]
+    last = plans.get((fil, budget))
+    hit = last is not None and last.src_ip is batch.src_ip
+    plans["hits" if hit else "misses"] += 1
+    plans[fil, budget] = batch
+
+
+def _check_against_oracle(asic, rows, now, plans):
     tcam = asic.tcam
     for fil in PROBE_FILTERS:
         for budget in (1, 3, 16, 64):
-            assert asic.sample_packets(fil, budget) \
-                == _oracle_sample(rows, tcam, fil, budget, now)
+            _check_probe(asic, rows, fil, budget, now, plans)
     assert asic.read_port_stats_batch() \
         == [asic.read_port_stats(port) for port in range(asic.num_ports)]
     assert asic.read_port_stats_batch([3, 1, 3]) \
@@ -324,6 +353,7 @@ def test_flow_table_matches_brute_force_under_churn(seed):
 
     for _ in range(6):
         attach(new_flow())
+    plans = {"hits": 0, "misses": 0}
     for _ in range(70):
         now = sim.now
         live = [r for r in rows if r.t1 is None]
@@ -374,9 +404,11 @@ def test_flow_table_matches_brute_force_under_churn(seed):
             flow = rng.choice(live).flow
             at = max(now, flow._segments[-1][0]) + rng.choice([0.25, 0.5])
             flow.set_rate(rng.choice([0.0, 40.0, 3000.0]), at)
-            _check_against_oracle(asic, rows, now)
+            _check_against_oracle(asic, rows, now, plans)
             sim.run(until=at)
-        _check_against_oracle(asic, rows, sim.now)
+        _check_against_oracle(asic, rows, sim.now, plans)
+    # Both sides of the plan memo were checked: stamped reuses and rebuilds.
+    assert plans["hits"] > 0 and plans["misses"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -419,11 +451,11 @@ class TestFlowTableEngagement:
         for flow in flows:
             asic.attach_flow(flow, 0, 1)
         fil = _CountingFilter()
-        first = asic.sample_packets(fil)
+        first = asic.sample_packets(fil).packets()
         assert fil.calls == 5
         sim.run(until=1.0)
         flows[0].set_rate(500.0, sim.now)  # rates are read, not memoised
-        again = asic.sample_packets(fil)
+        again = asic.sample_packets(fil).packets()
         assert fil.calls == 5
         assert len(first) == len(again) == 16
         assert again[0].src_port == 1000 and again[0].timestamp == 1.0
@@ -445,19 +477,20 @@ class TestFlowTableEngagement:
         monkeypatch.setattr(Flow, "rate_at", lambda flow, time: (
             reads.append(flow), rate_at(flow, time))[1])
         fil = flt.TrueFilter()
-        first = asic.sample_packets(fil)
+        first = asic.sample_packets(fil).packets()
         assert len(reads) == 5
         sim.run(until=1.0)
-        again = asic.sample_packets(fil)
+        again = asic.sample_packets(fil).packets()
         assert len(reads) == 5  # the plan was reused: only stamped anew
         assert again == [Packet(p.key, p.size, p.tcp_flags, p.ttl, 1.0)
                          for p in first]
         limit.params["rate_bps"] = 5.0  # edited in place, no signal
-        limited = asic.sample_packets(fil)
+        limited = asic.sample_packets(fil).packets()
         assert len(reads) == 10 and limited != again
-        assert asic.sample_packets(fil) == limited and len(reads) == 10
+        assert asic.sample_packets(fil).packets() == limited
+        assert len(reads) == 10
         flows[0].set_rate(400.0, sim.now)
-        assert asic.sample_packets(fil)[0].src_port == 1000
+        assert asic.sample_packets(fil).packets()[0].src_port == 1000
         assert len(reads) == 15
 
     @pytest.mark.parametrize("budget", [0, -1])
@@ -465,7 +498,8 @@ class TestFlowTableEngagement:
                                                             budget):
         asic.attach_flow(make_flow(rate=10.0), 0, 1)
         fil = flt.TrueFilter()
-        assert asic.sample_packets(fil) == asic.sample_packets(fil)
+        assert (asic.sample_packets(fil).packets()
+                == asic.sample_packets(fil).packets())
         with pytest.raises(SwitchError):
             asic.sample_packets(fil, max_packets=budget)
 

@@ -142,9 +142,9 @@ class TestDrivers:
         switch = Switch(sim, 1)
         attach_test_flow(switch)
         driver = driver_for(switch)
-        packets, latency = driver.sample_packets(flt.TrueFilter())
-        assert packets  # the lone flow soaks up the whole budget
-        assert len({p.key for p in packets}) == 1
+        batch, latency = driver.sample_packets(flt.TrueFilter())
+        assert batch  # the lone flow soaks up the whole budget
+        assert len({p.key for p in batch.packets()}) == 1
         assert latency > 0
 
     def test_rule_counters_via_driver(self):
