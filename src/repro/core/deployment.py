@@ -19,7 +19,6 @@ from repro.net.topology import Topology, spine_leaf
 from repro.net.traffic import Workload
 from repro.obs import Observability
 from repro.obs.scarecrow import Scarecrow
-from repro.obs.tsdb import Retention
 from repro.sim.engine import Simulator
 from repro.switchsim.chassis import ACCTON_AS5712, SwitchFleet, SwitchModel
 
@@ -71,8 +70,7 @@ class FarmDeployment:
             self.chaos.attach(self.bus)
         return self.chaos
 
-    def enable_scarecrow(self, interval_s: float = 1.0,
-                         retention: Optional[Retention] = None) -> Scarecrow:
+    def enable_scarecrow(self, interval_s: float = 1.0) -> Scarecrow:
         """Attach the self-monitoring pipeline: a periodic scraper over
         the deployment registry, feeding the sim-time TSDB and alert
         engine.  Everything the deployment publishes — bus, soils,
@@ -83,8 +81,7 @@ class FarmDeployment:
         if self.scarecrow is None:
             self.scarecrow = Scarecrow(self.sim, self.obs.registry,
                                        tracer=self.obs.tracer,
-                                       interval_s=interval_s,
-                                       retention=retention)
+                                       interval_s=interval_s)
             self.scarecrow.start()
         return self.scarecrow
 

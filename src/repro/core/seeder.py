@@ -105,7 +105,7 @@ class Seeder:
         #: Switches currently considered dead (fault-tolerance manager);
         #: they contribute no capacity and host no seeds.
         self.failed_switches: set = set()
-        #: Switches administratively drained (remediation `cordon`): same
+        #: Switches administratively drained (:meth:`drain`): same
         #: placement exclusion as failed, but the soil keeps running so
         #: in-flight work lands and the drain is graceful.
         self.cordoned_switches: set = set()
@@ -201,22 +201,39 @@ class Seeder:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def cordon(self, switch_id: int) -> bool:
-        """Administratively drain a switch: exclude it from placement as
-        if failed, but leave its soil running so the exit is graceful.
-        The caller follows up with :meth:`reoptimize` (usually scoped to
-        the switch) to actually move the seeds off.  Returns True if the
-        switch was newly cordoned.
+    def drain(self, switch_id: int) -> Optional[PlacementSolution]:
+        """Administratively drain a switch and move its seeds off.
+
+        The switch is cordoned — excluded from placement as if failed,
+        while its soil keeps running so in-flight work lands and the
+        exit is graceful — and Alg. 1 is warm-started from the live
+        placement (:mod:`repro.placement.incremental`) with every other
+        placed seed pinned to its switch: only the drained switch's
+        seeds (and undeployed stragglers) move.  Returns ``None`` when
+        the switch is unknown or already cordoned.
         """
         if switch_id not in self.soils \
                 or switch_id in self.cordoned_switches:
-            return False
+            return None
         self.cordoned_switches.add(switch_id)
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant(f"cordon sw{switch_id}", track="seeder",
                            cat="placement")
-        return True
+        problem = self.build_problem()
+        home = problem.previous_placement
+        # The blast radius: a seed that is placed may stay only where it
+        # is, so the drained switch's seeds are all that can move.
+        for seed in problem.all_seeds():
+            if seed.seed_id in home:
+                seed.candidates = (home[seed.seed_id],)
+        live = PlacementSolution(
+            placement=dict(home),
+            allocations={sid: dict(alloc) for sid, alloc
+                         in problem.previous_allocations.items()},
+            objective=0.0, solver="incumbent")
+        solution = solve_incremental(problem, live, registry=self.metrics)
+        return self._apply(solution, drained=switch_id)
 
     def uncordon(self, switch_id: int) -> bool:
         """Return a drained switch to the placement pool."""
@@ -233,18 +250,11 @@ class Seeder:
         """Switches contributing no capacity: failed or cordoned."""
         return self.failed_switches | self.cordoned_switches
 
-    def build_problem(self, scope: Optional[set] = None
-                      ) -> PlacementProblem:
+    def build_problem(self) -> PlacementProblem:
         """Snapshot all active tasks into one optimization problem.
 
         Each seed's utility is that of its *current* state — a seed sitting
         in a high-utility alarm state is worth keeping resourced.
-
-        ``scope`` restricts the re-placement blast radius: seeds currently
-        living on a switch *outside* ``scope`` are pinned where they are
-        (single-candidate), so only seeds on impacted switches — plus any
-        undeployed stragglers — may move.  The capacity picture stays
-        global, so the pinned seeds' consumption is still accounted for.
         """
         excluded = self.excluded_switches()
         task_specs: List[TaskSpec] = []
@@ -261,11 +271,6 @@ class Seeder:
                               if n not in excluded)
                 if not alive:
                     continue
-                if (scope is not None and seed.switch is not None
-                        and seed.switch not in scope
-                        and seed.switch not in excluded):
-                    # Outside the blast radius: stay put.
-                    alive = (seed.switch,)
                 utility = seed.blueprint.utility_for_state(
                     seed.current_state or seed.blueprint.initial_state)
                 demands = self._poll_demands(seed)
@@ -322,25 +327,21 @@ class Seeder:
         return switch.asic.num_ports
 
     def reoptimize(self, restore_snapshots: Optional[Mapping[str, Any]]
-                   = None, scope: Optional[set] = None
-                   ) -> PlacementSolution:
-        """Run the global placement optimizer and reconcile the network.
+                   = None) -> PlacementSolution:
+        """Run the global placement optimizer (Alg. 1 from scratch) and
+        reconcile the network.
 
         ``restore_snapshots`` maps seed ids to checkpointed inner state:
         a seed deployed fresh by this reconciliation resumes from its
         snapshot instead of restarting (fault-tolerance failover).
-        ``scope`` limits which switches' seeds may move (targeted
-        re-solve; see :meth:`build_problem`) and warm-starts Alg. 1 from
-        the live placement (:mod:`repro.placement.incremental`); ``None``
-        is the full solve.
         """
-        problem = self.build_problem(scope=scope)
-        if scope is not None:
-            solution = solve_incremental(
-                problem, self._incumbent_solution(problem),
-                scope=set(scope), registry=self.metrics)
-        else:
-            solution = solve_heuristic(problem, registry=self.metrics)
+        solution = solve_heuristic(self.build_problem(),
+                                   registry=self.metrics)
+        return self._apply(solution, restore_snapshots)
+
+    def _apply(self, solution: PlacementSolution,
+               restore_snapshots: Optional[Mapping[str, Any]] = None,
+               drained: Optional[int] = None) -> PlacementSolution:
         self._m_optimizations.inc()
         self.last_solution = solution
         tracer = self.tracer
@@ -349,22 +350,14 @@ class Seeder:
                            args={"solver": solution.solver,
                                  "placed": len(solution.placement),
                                  "objective": solution.objective,
-                                 "scope": sorted(scope) if scope else None,
+                                 "scope": (None if drained is None
+                                           else [drained]),
                                  "incremental": bool(
                                      solution.info.get("incremental")),
                                  "dirty": solution.info.get(
                                      "dirty_seeds")})
-        self._reconcile(solution, restore_snapshots or {})
+        self._reconcile(solution, restore_snapshots)
         return solution
-
-    def _incumbent_solution(self, problem: PlacementProblem
-                            ) -> PlacementSolution:
-        """The live placement as a warm-start incumbent for ``problem``."""
-        return PlacementSolution(
-            placement=dict(problem.previous_placement),
-            allocations={sid: dict(alloc) for sid, alloc
-                         in problem.previous_allocations.items()},
-            objective=0.0, solver="incumbent")
 
     # ------------------------------------------------------------------
     # Reconciliation

@@ -401,7 +401,11 @@ class Soil:
         self._arm_triggers(deployment)
         self._refresh_cpu_load(deployment)
         self._refresh_pcie_demand(deployment)
-        deployment.instance.fire_realloc()
+        try:
+            deployment.instance.fire_realloc()
+        except FarmError:
+            if not self._contain_crash(deployment):
+                raise
 
     def _get(self, seed_id: str) -> SeedDeployment:
         try:
@@ -1001,7 +1005,11 @@ class Soil:
             return
         deployment.events_delivered += 1
         self._m_events.inc()
-        deployment.instance.fire_recv(value, source_machine=source_machine)
+        try:
+            deployment.instance.fire_recv(value, source_machine=source_machine)
+        except FarmError:
+            if not self._contain_crash(deployment):
+                raise
 
     # ------------------------------------------------------------------
     # Power state (fault tolerance / ops)

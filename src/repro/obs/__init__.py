@@ -88,14 +88,13 @@ class Observability:
     which is fine for unit tests of isolated components.
     """
 
-    def __init__(self, sim: Optional[Any] = None, trace: bool = False,
-                 max_trace_events: int = MAX_TRACE_EVENTS) -> None:
+    def __init__(self, sim: Optional[Any] = None,
+                 trace: bool = False) -> None:
         clock: Optional[Callable[[], float]] = (
             (lambda: sim.now) if sim is not None else None)
         self.sim = sim
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock=clock, enabled=trace,
-                             max_events=max_trace_events)
+        self.tracer = Tracer(clock=clock, enabled=trace)
 
 
 __all__ = [

@@ -29,7 +29,7 @@ Rendering rules (kept deliberately boring):
 from __future__ import annotations
 
 import html
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.alerts import FIRING, PENDING, RESOLVED, SUPPRESSED, AlertManager
 from repro.obs.tsdb import Point, Series, TimeSeriesStore
@@ -374,13 +374,10 @@ def render_dashboard(store: TimeSeriesStore,
                      alerts: Optional[AlertManager] = None,
                      title: str = "Scarecrow dashboard",
                      subtitle: str = "",
-                     families: Optional[Iterable[str]] = None,
-                     t0: Optional[float] = None,
-                     t1: Optional[float] = None,
                      annotations: Optional[
                          Sequence[Tuple[float, str, str]]] = None,
                      tracer: Optional[Any] = None) -> str:
-    """Render the whole store (or just ``families``) to one HTML page.
+    """Render the whole store to one HTML page.
 
     ``annotations`` is an optional sequence of ``(t, label, kind)``
     markers (kind in {decision, outcome, blocked}) rendered as a
@@ -389,13 +386,11 @@ def render_dashboard(store: TimeSeriesStore,
     surface trace truncation: a warning banner appears when its bounded
     buffer dropped events (``Tracer.dropped`` nonzero).
     """
-    names = list(families) if families is not None else store.names()
+    names = store.names()
     all_points = [p for name in names for s in store.select(name)
                   for p in s.points()]
-    if t0 is None:
-        t0 = min((p.t for p in all_points), default=0.0)
-    if t1 is None:
-        t1 = max((p.t for p in all_points), default=1.0)
+    t0 = min((p.t for p in all_points), default=0.0)
+    t1 = max((p.t for p in all_points), default=1.0)
     if t1 <= t0:
         t1 = t0 + 1.0
 

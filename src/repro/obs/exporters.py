@@ -140,10 +140,9 @@ def parse_prometheus_text(text: str) -> Dict[str, float]:
     return out
 
 
-def write_prometheus(registry: MetricsRegistry, path: str,
-                     tracer: Optional[Tracer] = None) -> None:
+def write_prometheus(registry: MetricsRegistry, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_prometheus_text(registry, tracer=tracer))
+        fh.write(to_prometheus_text(registry))
 
 
 # ---------------------------------------------------------------------------

@@ -503,8 +503,6 @@ class ProfilingBundle:
     def __init__(self, sim: Any, obs: Any, mode: str = "exact",
                  sample_every: int = DEFAULT_SAMPLE_EVERY,
                  flight_recorder: bool = True,
-                 ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 snapshot_interval_s: Optional[float] = None,
                  counter_interval_s: Optional[float] = None) -> None:
         self.sim = sim
         self.obs = obs
@@ -512,10 +510,8 @@ class ProfilingBundle:
                                  sample_every=sample_every).start()
         self.recorder: Optional[FlightRecorder] = None
         if flight_recorder:
-            self.recorder = FlightRecorder(
-                sim, obs.tracer, registry=obs.registry,
-                capacity=ring_capacity,
-                snapshot_interval_s=snapshot_interval_s)
+            self.recorder = FlightRecorder(sim, obs.tracer,
+                                           registry=obs.registry)
         self._counter_timer = None
         if counter_interval_s is not None:
             self._counter_timer = sim.every(

@@ -26,7 +26,7 @@ from repro.obs.dashboard import write_dashboard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.query import QueryEngine
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.obs.tsdb import Retention, Scraper, TimeSeriesStore
+from repro.obs.tsdb import Scraper, TimeSeriesStore
 
 
 class Scarecrow:
@@ -34,12 +34,11 @@ class Scarecrow:
 
     def __init__(self, sim, registry: MetricsRegistry,
                  tracer: Optional[Tracer] = None,
-                 interval_s: float = 1.0,
-                 retention: Optional[Retention] = None) -> None:
+                 interval_s: float = 1.0) -> None:
         self.sim = sim
         self.registry = registry
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.store = TimeSeriesStore(retention=retention)
+        self.store = TimeSeriesStore()
         self.scraper = Scraper(sim, registry, self.store,
                                interval_s=interval_s)
         self.engine = QueryEngine(self.store)

@@ -112,7 +112,7 @@ class Tracer:
                     "ts": self.now(), "id": span_id, "args": args})
 
     def counter(self, name: str, track: str,
-                values: Dict[str, float], cat: str = "counter") -> None:
+                values: Dict[str, float]) -> None:
         """Record one sample of a (possibly multi-series) counter track.
 
         Renders in Perfetto as a stacked counter chart (``ph="C"``); the
@@ -120,7 +120,7 @@ class Tracer:
         """
         if not self.enabled:
             return
-        self._emit({"ph": "C", "name": name, "cat": cat, "track": track,
+        self._emit({"ph": "C", "name": name, "cat": "counter", "track": track,
                     "ts": self.now(), "args": dict(values)})
 
     # -- reading -----------------------------------------------------------

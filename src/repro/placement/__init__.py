@@ -2,7 +2,7 @@
 
 from repro.placement.heuristic import HeuristicPlacementSolver, solve_heuristic
 from repro.placement.incremental import (
-    DEFAULT_FALLBACK_RATIO,
+    FALLBACK_RATIO,
     ChurnDelta,
     IncrementalPlacementSolver,
     apply_delta,
@@ -24,7 +24,7 @@ from repro.placement.model import (
 
 __all__ = [
     "HeuristicPlacementSolver", "solve_heuristic",
-    "DEFAULT_FALLBACK_RATIO", "ChurnDelta",
+    "FALLBACK_RATIO", "ChurnDelta",
     "IncrementalPlacementSolver", "apply_delta", "compute_dirty",
     "solve_incremental",
     "TASK_TEMPLATES", "generate_problem",

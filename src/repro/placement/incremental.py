@@ -18,13 +18,12 @@ bottleneck.  This module adds the incremental mode:
   aggregation changed, and the seeds living on (or newly aimed at) them.
   Dirtiness propagates — committing or evicting a seed marks its switch
   touched, and touched switches join the LP/migration scope.
-* Fallback: when the delta's blast radius exceeds ``fallback_ratio`` of
-  the fleet (seeds or switches), a full :class:`HeuristicPlacementSolver`
+* Fallback: when the delta's blast radius exceeds :data:`FALLBACK_RATIO`
+  of the fleet (seeds or switches), a full :class:`HeuristicPlacementSolver`
   run is cheaper *and* better — the incremental solver detects this and
   delegates, recording ``info["fallback"]``.  The decision is taken from
   the sizes the solver observes; a caller that wants the full solver
-  calls :func:`~repro.placement.heuristic.solve_heuristic` (or passes
-  ``fallback_ratio=0.0``).
+  calls :func:`~repro.placement.heuristic.solve_heuristic`.
 
 Sessions
 --------
@@ -40,9 +39,9 @@ delta, incumbent=incumbent)`` returned for this very ``delta`` — checked
 by identity, through a handle on the solution and a one-shot token on
 the derived problem.  Anything else (the first delta after a full
 solve, two deltas branched from one incumbent, a hand-built or rebuilt
-problem, a ``scope``, a delta that removes seeds, tasks or switches,
-other solver settings) opens a new session, which costs one pass over
-the fleet and gives the same answer bit for bit.  A fallback to the
+problem, a delta that removes seeds, tasks or switches) opens a new
+session, which costs one pass over the fleet and gives the same answer
+bit for bit.  A fallback to the
 full solver or an exception leaves a session half-mutated, so it is
 dropped; solutions already returned are snapshots and never change.
 
@@ -88,9 +87,9 @@ from repro.placement.model import (
     compute_objective,
 )
 
-#: Default blast-radius threshold: if more than this fraction of seeds or
+#: Blast-radius threshold: if more than this fraction of seeds or
 #: switches is dirty, fall back to a full re-solve.
-DEFAULT_FALLBACK_RATIO = 0.3
+FALLBACK_RATIO = 0.3
 
 
 class _FallbackNeeded(Exception):
@@ -320,12 +319,8 @@ def _with_incumbent_previous(problem: PlacementProblem,
 
 
 class IncrementalPlacementSolver(HeuristicPlacementSolver):
-    """Alg. 1 restarted from the incumbent, restricted to the dirty set.
-
-    ``delta`` derives the dirty set automatically; ``scope`` (a set of
-    switch ids) overrides it for the seeder's targeted re-solves — in
-    scope mode only seeds living on scoped switches (or homeless ones)
-    may move, matching the remediation engine's blast-radius semantics.
+    """Alg. 1 restarted from the incumbent, restricted to the dirty set
+    that :func:`compute_dirty` derives from ``delta``.
 
     Constructing one *opens a session* (module docstring): the instance
     outlives :meth:`solve` and :func:`solve_incremental` hands it the
@@ -335,16 +330,11 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
 
     def __init__(self, problem: PlacementProblem,
                  incumbent: PlacementSolution,
-                 delta: Optional[ChurnDelta] = None,
-                 scope: Optional[Set[int]] = None,
-                 fallback_ratio: float = DEFAULT_FALLBACK_RATIO,
-                 redistribute: bool = True, migrate: bool = True) -> None:
+                 delta: Optional[ChurnDelta] = None) -> None:
         problem = _with_incumbent_previous(problem, incumbent)
-        super().__init__(problem, redistribute=redistribute, migrate=migrate)
+        super().__init__(problem)
         self.incumbent = incumbent
         self.delta = delta
-        self.fallback_ratio = fallback_ratio
-        self.strict_scope = scope is not None
         #: seed id -> (task position, seed position) in ``problem.tasks``:
         #: problem order as a sort key, and the way from a seed to the
         #: task that holds it now.  Stable for the session's lifetime —
@@ -353,28 +343,8 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         #: switch -> seeds that list it as a candidate.
         self._by_candidate: Dict[int, List[str]] = {}
         self._index_tasks(0)
-        if scope is not None:
-            self.dirty_switches = {n for n in scope if n in self.states}
-            self.dirty_seeds = set()
-            for seed in problem.all_seeds():
-                home = incumbent.placement.get(seed.seed_id)
-                if home is None:
-                    # Homeless under an explicit scope means evicted from
-                    # it (e.g. the scoped switch was just cordoned out of
-                    # the problem) or a straggler — both must re-place.
-                    self.dirty_seeds.add(seed.seed_id)
-                elif (home in self.dirty_switches
-                        or home not in self.states
-                        or home not in seed.candidates):
-                    self.dirty_seeds.add(seed.seed_id)
-            for task in problem.tasks:
-                if any(s.seed_id in self.dirty_seeds for s in task.seeds):
-                    for s in task.seeds:
-                        if incumbent.placement.get(s.seed_id) is None:
-                            self.dirty_seeds.add(s.seed_id)
-        else:
-            self.dirty_switches, self.dirty_seeds = compute_dirty(
-                problem, incumbent, delta)
+        self.dirty_switches, self.dirty_seeds = compute_dirty(
+            problem, incumbent, delta)
         self._summarize_dirty()
         #: Per placed seed, ``utility(seed, allocation)``: MU is the fold
         #: of these in task -> seed order, so a re-solve evaluates only
@@ -648,7 +618,7 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
             self._placed.discard(position)
             members = [s for s in task.seeds
                        if s.seed_id in self.dirty_seeds]
-            if (not self.strict_scope
+            if (self.delta is not None
                     and all(self.incumbent.placement.get(s.seed_id) is None
                             for s in task.seeds)
                     and not any(s.seed_id in self._new_seeds
@@ -657,7 +627,10 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
                 # Commits only ever shrink later members' options, so a
                 # member with no feasible spot *now* dooms the task — the
                 # reference greedy would discover the same after a costly
-                # commit-and-rollback cycle.
+                # commit-and-rollback cycle.  Only a delta proves the
+                # clean switches are the incumbent's; without one (a
+                # drain) the task may have lost its home just now and
+                # gets the reclaim pass.
                 if any(self._best_option(s) is None for s in task.seeds):
                     continue
             committed, placed = self._place_members(
@@ -696,20 +669,17 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
     def _migration_eligible(self) -> Set[str]:
         """Seeds the benefit pass may move.
 
-        Always: placed dirty seeds.  Without an explicit scope, also
-        clean seeds with a candidate on a dirty/touched switch — freed
-        capacity there may attract them, and moving them propagates
-        dirtiness to their source switch.  Under an explicit scope the
-        blast radius is a promise, so clean seeds stay pinned.
+        Placed dirty seeds, and clean seeds with a candidate on a
+        dirty/touched switch — freed capacity there may attract them, and
+        moving them propagates dirtiness to their source switch.
         """
         placement = self.placement
         eligible = {sid for sid in self.dirty_seeds if sid in placement}
-        if not self.strict_scope:
-            for n in self.dirty_switches | self.touched:
-                for sid in self._by_candidate.get(n, ()):
-                    current = placement.get(sid)
-                    if current is not None and current != n:
-                        eligible.add(sid)
+        for n in self.dirty_switches | self.touched:
+            for sid in self._by_candidate.get(n, ()):
+                current = placement.get(sid)
+                if current is not None and current != n:
+                    eligible.add(sid)
         return eligible
 
     # ------------------------------------------------------------------
@@ -720,16 +690,14 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         total_switches = len(self.problem.available)
         if not total_seeds or not total_switches:
             return None
-        if len(self._dirty_placed) > self.fallback_ratio * total_seeds:
+        if len(self._dirty_placed) > FALLBACK_RATIO * total_seeds:
             return "dirty-seeds"
-        if len(self.dirty_switches) > self.fallback_ratio * total_switches:
+        if len(self.dirty_switches) > FALLBACK_RATIO * total_switches:
             return "dirty-switches"
         return None
 
     def _full_solve(self, reason: str, start: float) -> PlacementSolution:
-        solution = HeuristicPlacementSolver(
-            self.problem, redistribute=self.redistribute_enabled,
-            migrate=self.migrate_enabled).solve()
+        solution = HeuristicPlacementSolver(self.problem).solve()
         solution.runtime_s = time.perf_counter() - start
         solution.info.update({
             "incremental": False, "fallback": reason,
@@ -750,12 +718,9 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
             placed_tasks = self._greedy_dirty()
         except _FallbackNeeded:
             return self._full_solve("eviction", start)
-        if self.redistribute_enabled:
+        self.redistribute()
+        if self.migrate(eligible=self._migration_eligible()):
             self.redistribute()
-        if self.migrate_enabled:
-            if self.migrate(eligible=self._migration_eligible()) \
-                    and self.redistribute_enabled:
-                self.redistribute()
         runtime = time.perf_counter() - start
         # MU as compute_objective folds it — task -> seed order — from
         # the cached terms; only a marked switch can hold a changed one.
@@ -779,32 +744,26 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
             "dirty_seeds": len(self.dirty_seeds),
             "touched_switches": len(hot)})
         self._stale = hot
-        if not self.strict_scope:
-            solution._session = self
-            self._solution = solution
+        solution._session = self
+        self._solution = solution
         return solution
 
 
 def _continued(problem: PlacementProblem, incumbent: PlacementSolution,
-               delta: Optional[ChurnDelta], scope: Optional[Set[int]],
-               fallback_ratio: float, redistribute: bool, migrate: bool
+               delta: Optional[ChurnDelta]
                ) -> Optional[IncrementalPlacementSolver]:
     """The session these arguments continue, advanced to ``delta``.
 
     ``problem`` must be what ``apply_delta`` derived from the session's
-    problem and latest solution for this very ``delta`` object, and the
-    solver settings must be the session's.  The token is good for one
-    solve and dropped either way, so problems never chain.
+    problem and latest solution for this very ``delta`` object.  The
+    token is good for one solve and dropped either way, so problems
+    never chain.
     """
     lineage, problem._lineage = problem._lineage, None
     if lineage is None:
         return None
     session, derived_for = lineage
-    if (scope is None and derived_for is delta
-            and session._solution is incumbent
-            and session.fallback_ratio == fallback_ratio
-            and session.redistribute_enabled == redistribute
-            and session.migrate_enabled == migrate):
+    if derived_for is delta and session._solution is incumbent:
         session._advance(problem, delta)
         return session
     return None
@@ -813,17 +772,15 @@ def _continued(problem: PlacementProblem, incumbent: PlacementSolution,
 def solve_incremental(problem: PlacementProblem,
                       incumbent: PlacementSolution,
                       delta: Optional[ChurnDelta] = None,
-                      scope: Optional[Set[int]] = None,
-                      fallback_ratio: float = DEFAULT_FALLBACK_RATIO,
-                      redistribute: bool = True, migrate: bool = True,
                       registry=None) -> PlacementSolution:
     """Incremental re-solve of ``problem`` starting from ``incumbent``.
 
     ``problem`` is the *post-churn* problem (see :func:`apply_delta`);
     ``delta`` scopes the dirty set (omit it to have the solver diff the
-    incumbent against the problem), ``scope`` pins the dirty set to an
-    explicit switch set instead.  An empty delta returns the incumbent
-    untouched — same placement, same allocations, zero migrations.
+    incumbent against the problem: every homeless seed is then dirty and
+    gets a full placement attempt, reclaim pass included).  An empty
+    delta returns the incumbent untouched — same placement, same
+    allocations, zero migrations.
     ``registry`` records solve metrics exactly like the full solvers.
 
     When the arguments are the next step of a live session the re-solve
@@ -831,7 +788,7 @@ def solve_incremental(problem: PlacementProblem,
     opens one, which costs a pass over the fleet.  The result is the
     same either way.
     """
-    if delta is not None and delta.is_empty() and scope is None:
+    if delta is not None and delta.is_empty():
         solution = PlacementSolution(
             placement=dict(incumbent.placement),
             allocations={sid: dict(alloc)
@@ -845,13 +802,9 @@ def solve_incremental(problem: PlacementProblem,
         if registry is not None:
             record_solve_metrics(registry, solution)
         return solution
-    solver = _continued(problem, incumbent, delta, scope, fallback_ratio,
-                        redistribute, migrate)
+    solver = _continued(problem, incumbent, delta)
     if solver is None:
-        solver = IncrementalPlacementSolver(
-            problem, incumbent, delta=delta, scope=scope,
-            fallback_ratio=fallback_ratio, redistribute=redistribute,
-            migrate=migrate)
+        solver = IncrementalPlacementSolver(problem, incumbent, delta=delta)
     solution = solver.solve()
     if registry is not None:
         record_solve_metrics(registry, solution)

@@ -2,10 +2,10 @@
 
 The :class:`RemediationEngine` subscribes to Scarecrow alert lifecycle
 transitions and turns them into guarded actions against the live
-deployment — drain (cordon plus a targeted re-solve), restore, and
-escalate-to-failover — closing the loop FARM's management half calls
-for: the monitoring fabric *drives* operational decisions instead of
-merely describing damage.
+deployment — drain (cordon, then re-place only that switch's seeds),
+restore, and escalate-to-failover — closing the loop FARM's management
+half calls for: the monitoring fabric *drives* operational decisions
+instead of merely describing damage.
 """
 
 from repro.remediation.engine import RemediationEngine

@@ -11,10 +11,11 @@ resulting :class:`ActionRequest` passes the guardrails and is then
 executed — or, in **dry-run** mode, recorded but not executed (the
 guardrails still commit, so the decision stream is identical to an
 active engine's).  The engine executes the three actions the shipped
-policies emit: ``drain`` (cordon the switch, then a scoped re-solve),
-``restore`` (uncordon, then a global re-solve) and ``escalate`` (a
-forced failover).  Each decision and outcome lands in the
-:class:`RemediationLog` and on the tracer's ``remediation`` track.
+policies emit: ``drain`` (``Seeder.drain``: cordon the switch and
+re-place only its seeds), ``restore`` (uncordon, then a global
+re-solve) and ``escalate`` (a forced failover).  Each decision and
+outcome lands in the :class:`RemediationLog` and on the tracer's
+``remediation`` track.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ class RemediationEngine:
 
     def _do_drain(self, switch: Optional[int]):
         before = self._seeds_on(switch)
-        if not self.seeder.cordon(switch):
+        solution = self.seeder.drain(switch)
+        if solution is None:
             return "no-op", {"reason": "already cordoned or unknown"}
-        solution = self.seeder.reoptimize(scope={switch})
         return f"drained {before} seeds", {
             "seeds_before": before,
             "incremental": bool(solution.info.get("incremental")),

@@ -69,7 +69,7 @@ class Policy:
 class DrainPolicy(Policy):
     """FIRING → drain the labeled switch; RESOLVED → restore it.
 
-    Drain cordons the switch and runs a scoped reoptimize so its seeds
+    Drain cordons the switch and re-places only its seeds, which
     migrate to survivors — the switch keeps running (graceful), it just
     stops being a placement target.
     """

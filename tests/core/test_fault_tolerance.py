@@ -10,6 +10,7 @@ from repro.core.fault_tolerance import (
     recover_switch,
 )
 from repro.core.task import TaskDefinition
+from repro.errors import AlmanacRuntimeError
 from repro.net.topology import spine_leaf
 from repro.tasks import make_heavy_hitter_task
 
@@ -298,3 +299,44 @@ machine Crashy {
         with pytest.raises(Exception):
             farm.run(until=farm.sim.now + 2.0)
         assert soil.seed_crashes[seed.seed_id] == 3
+
+    # A recv or realloc handler crashes the same way a trigger handler
+    # does; the crash policy applies to every handler a soil runs.
+    QUIET_SOURCE = """
+machine Crashy {
+  place any;
+  state s {
+    util (res) { if (res.vCPU >= 0.1) then { return 1; } }
+    when (%s) do { int boom = 1 / 0; }
+  }
+}
+"""
+
+    def _crash_in(self, farm, event):
+        soil, seed = self._submit_crashy(farm, self.QUIET_SOURCE % event)
+        if event == "realloc":
+            soil.reallocate(seed.seed_id, {"vCPU": 0.5})
+        else:
+            farm.seeder.broadcast_to_seeds("crashy", "Crashy", None, 1,
+                                           source="harvester/crashy")
+        farm.run(until=farm.sim.now + 0.5)
+        return soil, seed
+
+    @pytest.mark.parametrize("event",
+                             ["recv long v from harvester", "realloc"])
+    def test_restart_policy_contains_recv_and_realloc_crashes(self, farm,
+                                                               event):
+        for soil in farm.seeder.soils.values():
+            soil.crash_policy = "restart"
+        soil, seed = self._crash_in(farm, event)
+        assert soil.seed_crashes[seed.seed_id] == 1
+        assert farm.metrics.sum_values("farm_soil_seed_crashes_total") == 1
+        assert any(sid == seed.seed_id and "restarted" in message
+                   for _t, sid, message in soil.logs)
+
+    @pytest.mark.parametrize("event",
+                             ["recv long v from harvester", "realloc"])
+    def test_propagate_policy_raises_from_recv_and_realloc(self, farm,
+                                                            event):
+        with pytest.raises(AlmanacRuntimeError, match="division by zero"):
+            self._crash_in(farm, event)

@@ -71,7 +71,7 @@ class TestDeadLetterRollback:
         target = next(s for s in farm.topology.switch_ids if s != source)
         chaos.partition_switch(target, duration=2.0)
         farm.seeder._migrate(task, seed, target, dict(ALLOC))
-        farm.seeder.cordon(source)
+        farm.seeder.cordoned_switches.add(source)
         farm.run(until=farm.sim.now + 5.0)
         assert farm.metrics.value(
             "farm_seeder_migration_rollbacks_total") == 0

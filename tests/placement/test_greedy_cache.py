@@ -262,8 +262,7 @@ class TestDifferentialGreedy:
                         * rng.uniform(0.5, 1.2)} for n in shrunk})
             churned = apply_delta(problem, delta, incumbent=incumbent)
             outcomes = []
-            solvers = [cls(churned, incumbent, delta=delta,
-                           fallback_ratio=1.0)
+            solvers = [cls(churned, incumbent, delta=delta)
                        for cls in (CachedIncremental, ReferenceIncremental)]
             for solver in solvers:
                 solver._rebase(set(solver.states))

@@ -16,10 +16,10 @@ from repro.almanac.poly import (
     UtilityPiece,
 )
 from repro.errors import PlacementError
+from repro.placement import incremental
 from repro.placement.heuristic import solve_heuristic
 from repro.placement.incremental import (
     ChurnDelta,
-    IncrementalPlacementSolver,
     apply_delta,
     compute_dirty,
     solve_incremental,
@@ -356,22 +356,26 @@ class TestFallback:
         assert inc.placement == ref.placement
         assert inc.objective == pytest.approx(ref.objective)
 
-    def test_zero_fallback_ratio_forces_full(self):
+    def test_zero_fallback_ratio_forces_full(self, monkeypatch):
         # A zero ratio makes any non-empty dirty set exceed the
         # blast-radius threshold.
+        monkeypatch.setattr(incremental, "FALLBACK_RATIO", 0.0)
         p = make_problem([const_seed("a", "t", (1, 2), 10.0)])
         full = solve_heuristic(p)
         delta = ChurnDelta(capacity_changes={1: {"vCPU": 8.0}})
         p2 = apply_delta(p, delta, incumbent=full)
-        inc = solve_incremental(p2, full, delta=delta, fallback_ratio=0.0)
+        inc = solve_incremental(p2, full, delta=delta)
         ref = solve_heuristic(p2)
         assert inc.info["incremental"] is False
         assert inc.info["fallback"] in ("dirty-seeds", "dirty-switches")
         assert inc.placement == ref.placement
 
-    def test_eviction_falls_back_instead_of_dropping_task(self):
+    def test_eviction_falls_back_instead_of_dropping_task(self, monkeypatch):
         # Shrinking 1 below a's footprint with nowhere to go would force
         # the incremental pass to drop task t; it must escalate instead.
+        # A ratio of 1.0 disables the blast-radius pre-checks, so the
+        # eviction escalation itself is what fires.
+        monkeypatch.setattr(incremental, "FALLBACK_RATIO", 1.0)
         caps = {1: {"vCPU": 4.0, "RAM": 8192.0, "TCAM": 512.0,
                     "PCIe": 1000.0}}
         p = make_problem([const_seed("a", "t", (1,), 10.0, floor=2.0)],
@@ -379,26 +383,10 @@ class TestFallback:
         full = solve_heuristic(p)
         delta = ChurnDelta(capacity_changes={1: {"vCPU": 1.0}})
         p2 = apply_delta(p, delta, incumbent=full)
-        # fallback_ratio=1.0 disables the blast-radius pre-checks, so the
-        # eviction escalation itself is what fires.
-        inc = solve_incremental(p2, full, delta=delta, fallback_ratio=1.0)
+        inc = solve_incremental(p2, full, delta=delta)
         ref = solve_heuristic(p2)
         assert inc.info["fallback"] == "eviction"
         assert inc.placement == ref.placement
-
-    def test_fallback_ratio_is_tunable(self):
-        p = generate_problem(40, 8, seed=5)
-        full = solve_heuristic(p)
-        delta = ChurnDelta(capacity_changes={
-            n: {"vCPU": p.available[n]["vCPU"] * 0.99}
-            for n in list(p.available)[:4]})
-        p2 = apply_delta(p, delta, incumbent=full)
-        strict = IncrementalPlacementSolver(p2, full, delta=delta,
-                                            fallback_ratio=0.1)
-        assert strict.fallback_reason() is not None
-        lax = IncrementalPlacementSolver(p2, full, delta=delta,
-                                         fallback_ratio=1.0)
-        assert lax.fallback_reason() is None
 
 
 class TestDeterminism:

@@ -179,12 +179,11 @@ def _detached(solution):
     return plain
 
 
-def _fresh_step(problem, incumbent, delta, **options):
+def _fresh_step(problem, incumbent, delta):
     incumbent = _detached(incumbent)
     churned = apply_delta(problem, delta, incumbent=incumbent)
     assert churned._lineage is None
-    return churned, solve_incremental(churned, incumbent, delta=delta,
-                                      **options)
+    return churned, solve_incremental(churned, incumbent, delta=delta)
 
 
 def _canon_tasks(tasks):
@@ -382,10 +381,9 @@ def _resize(problem, index, factor=1.1):
         n: {"vCPU": problem.available[n]["vCPU"] * factor}})
 
 
-def _step(problem, incumbent, delta, **options):
+def _step(problem, incumbent, delta):
     problem = apply_delta(problem, delta, incumbent=incumbent)
-    return problem, solve_incremental(problem, incumbent, delta=delta,
-                                      **options)
+    return problem, solve_incremental(problem, incumbent, delta=delta)
 
 
 class TestSessionErrorPaths:
@@ -532,16 +530,6 @@ class TestSessionErrorPaths:
         problem, incumbent = _step(problem, incumbent, delta)
         assert len(advances) == 2
         _same_solution(incumbent, want)
-
-    def test_different_solver_settings_open_a_new_session(self, advances):
-        problem, incumbent = _roomy()
-        problem, incumbent = _step(problem, incumbent, _resize(problem, 0))
-        delta = _resize(problem, 1)
-        want_problem, want = _fresh_step(problem, incumbent, delta,
-                                         migrate=False)
-        problem, solution = _step(problem, incumbent, delta, migrate=False)
-        assert advances == []
-        _same_solution(solution, want)
 
     def test_readded_seed_id_does_not_serve_cached_profiles(self, advances):
         problem, incumbent = _roomy()

@@ -261,7 +261,7 @@ machine Hog{index} {{
 
 def build_spread_farm():
     """A fleet-wide farm: ``place all`` monitors pin one seed per switch,
-    so a single-switch scope leaves the rest of the fleet clean and the
+    so a single-switch drain leaves the rest of the fleet clean and the
     incremental solver actually engages (no ratio fallback)."""
     from repro.tasks.infrastructure_monitors import (
         make_flow_size_dist_task,
@@ -278,8 +278,8 @@ def build_spread_farm():
 
 
 class TestIncrementalRouting:
-    """A drain's scoped re-solve rides the warm-started incremental
-    solver, and the decision log records it."""
+    """A drain's re-solve rides the warm-started incremental solver, and
+    the decision log records it."""
 
     def test_targeted_resolve_uses_incremental_solver(self):
         # The drained switch leaves the problem, so exactly its displaced
@@ -297,10 +297,17 @@ class TestIncrementalRouting:
     def test_seeder_scope_routes_through_incremental(self):
         farm = build_spread_farm()
         victim = victim_of(farm)
-        solution = farm.seeder.reoptimize(scope={victim})
+        before = dict(farm.seeder.last_solution.placement)
+        solution = farm.seeder.drain(victim)
         assert solution.solver == "incremental"
         assert solution.info["incremental"] is True
-        assert solution.info["dirty_switches"] == 1
+        # The cordoned switch has left the problem, and its ``place all``
+        # seeds, pinned to it, are parked: nothing is dirty, nothing moves.
+        assert solution.info["dirty_switches"] == 0
+        assert solution.info["dirty_seeds"] == 0
+        assert solution.placement == {sid: n for sid, n in before.items()
+                                      if n != victim}
+        assert farm.seeder.drain(victim) is None
         # Global re-solves still take the from-scratch path.
         full = farm.seeder.reoptimize()
         assert full.solver == "heuristic"
