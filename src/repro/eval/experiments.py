@@ -964,7 +964,6 @@ def run_remediation_loop(duration_s: float = 80.0,
 class ProfilePoint:
     """One profiled run of the skewed Fig. 6-style workload."""
 
-    mode: str
     switches: int
     seeds: int
     wall_s: float
@@ -980,7 +979,6 @@ class ProfilePoint:
 
 def run_profile(num_switches: int = 6, base_seeds: int = 3,
                 accuracy_ms: float = 10.0, duration_s: float = 2.0,
-                mode: str = "exact", sample_every: int = 32,
                 top_k: int = 5,
                 flamegraph_path: Optional[str] = None,
                 collapsed_path: Optional[str] = None,
@@ -1005,8 +1003,7 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
     obs = Observability(sim)
     want_recorder = postmortem_path is not None
     bundle = ProfilingBundle(
-        sim, obs, mode=mode, sample_every=sample_every,
-        flight_recorder=want_recorder,
+        sim, obs, flight_recorder=want_recorder,
         counter_interval_s=duration_s / 4 if want_recorder else None)
     bus = ControlBus(sim, registry=obs.registry, tracer=obs.tracer)
     seeds_total = 0
@@ -1037,7 +1034,7 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
             flamegraph_path, model,
             subtitle=f"{seeds_total} seeds over {num_switches} switches "
                      f"(linear skew), {accuracy_ms:g} ms polls, "
-                     f"{duration_s:g} sim-s, {mode} mode",
+                     f"{duration_s:g} sim-s, exact mode",
             report=report)
     if collapsed_path is not None:
         from repro.obs.flamegraph import write_collapsed
@@ -1050,7 +1047,7 @@ def run_profile(num_switches: int = 6, base_seeds: int = 3,
            for sw, ns, share in report.top(top_k)]
     hot_seeds = model.top_seeds(1)
     return ProfilePoint(
-        mode=mode, switches=num_switches, seeds=seeds_total,
+        switches=num_switches, seeds=seeds_total,
         wall_s=wall_s, attributed_s=model.total_ns / 1e9,
         coverage=model.coverage(wall_s), dispatches=model.dispatches,
         gini=report.gini, max_mean_skew=report.max_mean_skew,

@@ -291,7 +291,6 @@ class AlertManager:
         self.rules: List[AlertRule] = []
         self.active: Dict[Tuple[str, LabelValues], ActiveAlert] = {}
         self.log: List[AlertEvent] = []
-        self.on_firing: List[Callable[[AlertEvent], None]] = []
         #: Structured lifecycle subscribers: called once per transition
         #: (pending/firing/resolved/suppressed alike), after the whole
         #: evaluation pass settles — a subscriber that reacts by mutating
@@ -371,10 +370,8 @@ class AlertManager:
                  transitions: List[AlertEvent]) -> None:
         active.state = FIRING
         active.fired_at = now
-        event = self._record(now, active.rule, active.labels, FIRING, value)
-        transitions.append(event)
-        for hook in self.on_firing:
-            hook(event)
+        transitions.append(self._record(now, active.rule, active.labels,
+                                        FIRING, value))
 
     # -- reading -----------------------------------------------------------
     def firing(self) -> List[ActiveAlert]:
@@ -394,7 +391,7 @@ class AlertManager:
         """
         def hook(event: AlertEvent) -> None:
             labels = dict(event.labels)
-            if label in labels:
+            if event.state == FIRING and label in labels:
                 try:
                     switch_id = int(labels[label])
                 except ValueError:
@@ -402,4 +399,4 @@ class AlertManager:
                 manager.external_suspicion(
                     switch_id, source=f"scarecrow:{event.rule}")
 
-        self.on_firing.append(hook)
+        self.on_transition.append(hook)

@@ -5,7 +5,9 @@
 HTML file with **zero external assets** — no scripts, stylesheets,
 fonts, or images are fetched; every chart is inline SVG — so the file
 opens identically from a CI artifact tarball, an air-gapped lab host,
-or ``file://``.
+or ``file://``.  Its page shell (the one stylesheet, heading, stat
+tiles) is :func:`render_page`, which the flame graph in
+:mod:`repro.obs.flamegraph` renders on too.
 
 Rendering rules (kept deliberately boring):
 
@@ -34,14 +36,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.obs.alerts import FIRING, PENDING, RESOLVED, SUPPRESSED, AlertManager
 from repro.obs.tsdb import Point, Series, TimeSeriesStore
 
-#: Fixed categorical slots (validated light + dark; assigned in order).
-PALETTE_LIGHT = ("#2a78d6", "#eb6834", "#1baf7a", "#eda100",
-                 "#e87ba4", "#008300", "#4a3aa7", "#e34948")
-PALETTE_DARK = ("#3987e5", "#d95926", "#199e70", "#c98500",
-                "#d55181", "#008300", "#9085e9", "#e66767")
-
 #: Status colors (reserved for alert state, never series identity).
-STATUS = {"pending": "#fab219", "firing": "#d03b3b", "good": "#0ca30c"}
+STATUS = {"pending": "#fab219", "firing": "#d03b3b"}
 
 MAX_SERIES_PER_CHART = 8
 
@@ -213,7 +209,6 @@ def _alert_timeline(alerts: AlertManager, t0: float, t1: float) -> str:
         lane = f"{rule} {labels}".strip()
         if lane not in seen:
             seen.append(lane)
-        _ = rule
     if not seen:
         return '<p class="note">No alerts entered pending or firing.</p>'
     lane_h, gap = 22, 6
@@ -329,7 +324,7 @@ body {
 }
 h1 { font-size: 20px; margin: 0 0 4px; }
 h2 { font-size: 15px; margin: 24px 0 8px; }
-.sub { color: var(--text-2); margin: 0 0 16px; }
+.sub { color: var(--text-2); margin: 0 0 16px; max-width: 720px; }
 .tiles { display: flex; flex-wrap: wrap; gap: 12px; margin: 16px 0; }
 .tile {
   background: var(--card); border: 1px solid var(--hairline);
@@ -337,17 +332,25 @@ h2 { font-size: 15px; margin: 24px 0 8px; }
 }
 .tile .label { color: var(--text-2); font-size: 12px; }
 .tile .value { font-size: 22px; font-weight: 600; }
-.chart {
+.chart, .graph {
   background: var(--card); border: 1px solid var(--hairline);
   border-radius: 8px; padding: 12px 14px; margin: 0 0 14px;
-  max-width: 720px;
 }
+.chart { max-width: 720px; }
 .chart h3 { font-size: 13px; margin: 0 0 2px; }
 .chart .help { color: var(--text-2); font-size: 12px; margin: 0 0 6px; }
 svg { width: 100%; height: auto; display: block; }
 svg .grid { stroke: var(--hairline); stroke-width: 1; }
 svg .tick { fill: var(--text-2); font-size: 10px; }
 svg .val { fill: var(--text); font-size: 10px; }
+svg .frame { stroke: var(--surface); stroke-width: 1; }
+svg .frame.root { fill: var(--hairline); }
+svg .frame.folded { fill: var(--text-2); opacity: 0.4; }
+svg .frame-label {
+  fill: #ffffff; font-size: 11px; pointer-events: none;
+  paint-order: stroke; stroke: rgba(0,0,0,0.35); stroke-width: 2px;
+}
+svg .frame-label.root { fill: var(--text); stroke: none; }
 table.legend {
   border-collapse: collapse; font-size: 12px; margin-top: 6px;
   font-variant-numeric: tabular-nums;
@@ -357,6 +360,11 @@ table.legend th {
   padding: 2px 14px 2px 0;
 }
 table.legend td { padding: 2px 14px 2px 0; }
+table.imbalance td:last-child { min-width: 160px; }
+.bar {
+  height: 10px; border-radius: 3px; background: var(--s1);
+  min-width: 2px;
+}
 .swatch {
   display: inline-block; width: 10px; height: 10px;
   border-radius: 2px; margin-right: 6px; vertical-align: baseline;
@@ -368,6 +376,31 @@ table.legend td { padding: 2px 14px 2px 0; }
   padding: 10px 14px; margin: 12px 0; max-width: 720px;
 }
 """
+
+
+def render_page(title: str, subtitle: str,
+                tiles: Sequence[Tuple[str, str]], body: str,
+                banner: str = "") -> str:
+    """One self-contained HTML page: heading, optional subtitle and
+    warning ``banner`` text, a row of ``(label, value)`` stat tiles, then
+    ``body`` (already-escaped markup)."""
+    subtitle_html = (f'<p class="sub">{html.escape(subtitle)}</p>'
+                     if subtitle else "")
+    banner_html = (f'<div class="banner">{html.escape(banner)}</div>'
+                   if banner else "")
+    tile_html = "".join(
+        f'<div class="tile"><div class="label">{html.escape(label)}</div>'
+        f'<div class="value">{html.escape(value)}</div></div>'
+        for label, value in tiles)
+    return (
+        "<!DOCTYPE html>\n"
+        '<html lang="en"><head><meta charset="utf-8">'
+        f"<title>{html.escape(title)}</title>"
+        f"<style>{_CSS}</style></head><body>"
+        f"<h1>{html.escape(title)}</h1>{subtitle_html}{banner_html}"
+        f'<div class="tiles">{tile_html}</div>'
+        f"{body}"
+        "</body></html>\n")
 
 
 def render_dashboard(store: TimeSeriesStore,
@@ -406,10 +439,6 @@ def render_dashboard(store: TimeSeriesStore,
         ("alerts firing", _fmt(firing)),
         ("fired / resolved", f"{fired_total} / {resolved_total}"),
     ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{html.escape(label)}</div>'
-        f'<div class="value">{html.escape(value)}</div></div>'
-        for label, value in tiles)
 
     charts: List[str] = []
     for name in names:
@@ -424,30 +453,23 @@ def render_dashboard(store: TimeSeriesStore,
     alert_html = (_alert_timeline(alerts, t0, t1)
                   if alerts is not None else
                   '<p class="note">No alert manager attached.</p>')
-    subtitle_html = (f'<p class="sub">{html.escape(subtitle)}</p>'
-                     if subtitle else "")
     remediation_html = (
         f"<h2>Remediation</h2>{_annotation_timeline(annotations, t0, t1)}"
         if annotations is not None else "")
     dropped = getattr(tracer, "dropped", 0) if tracer is not None else 0
-    banner_html = (
-        f'<div class="banner">⚠ Trace truncated: {dropped} event'
+    banner = (
+        f'⚠ Trace truncated: {dropped} event'
         f'{"s" if dropped != 1 else ""} dropped after the buffer cap '
         f"({getattr(tracer, 'max_events', 0)}) was reached — the "
         f"exported trace and any trace-derived panels undercount."
-        f"</div>" if dropped else "")
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        f"<h1>{html.escape(title)}</h1>{subtitle_html}{banner_html}"
-        f'<div class="tiles">{tile_html}</div>'
+        if dropped else "")
+    return render_page(
+        title, subtitle, tiles,
         f"<h2>Alerts</h2>{alert_html}"
         f"{remediation_html}"
         f"<h2>Metrics ({len(charts)} families)</h2>"
-        f'{"".join(charts)}'
-        "</body></html>\n")
+        f'{"".join(charts)}',
+        banner=banner)
 
 
 def write_dashboard(path: str, store: TimeSeriesStore,

@@ -6,11 +6,11 @@ Two outputs from one :class:`~repro.obs.profiler.CostModel`:
   (``frame;frame;frame <ns>`` per line), consumable by the standard
   ``flamegraph.pl`` toolchain or speedscope;
 * :func:`render_flamegraph` / :func:`write_flamegraph` — a
-  self-contained HTML flame graph + load-imbalance report in the same
-  zero-asset style as :mod:`repro.obs.dashboard`: inline SVG only,
-  fixed 8-slot palette, light/dark via ``prefers-color-scheme``, every
-  number duplicated into legend tables so color and hover are never the
-  only channel.
+  self-contained HTML flame graph + load-imbalance report on the
+  dashboard's page (:func:`repro.obs.dashboard.render_page`, one
+  stylesheet): inline SVG only, fixed 8-slot palette, every number
+  duplicated into legend tables so color and hover are never the only
+  channel.
 
 The "stack" of a DES event is its attribution path, not a call stack:
 ``component → switch/N → seed → label`` (missing levels are skipped).
@@ -23,6 +23,7 @@ from __future__ import annotations
 import html
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.dashboard import render_page
 from repro.obs.profiler import CostModel, ImbalanceReport
 
 #: Minimum rect width (px at the 1000-unit viewBox scale) worth drawing;
@@ -221,66 +222,6 @@ def _imbalance_html(report: ImbalanceReport, k: int) -> str:
         f"<tbody>{''.join(rows)}</tbody></table>{note}")
 
 
-_CSS = """
-:root { color-scheme: light dark; }
-body {
-  margin: 0; padding: 24px;
-  font: 14px/1.45 system-ui, sans-serif;
-  background: var(--surface); color: var(--text);
-  --surface: #fcfcfb; --text: #0b0b0b; --text-2: #52514e;
-  --hairline: #e4e3df; --card: #ffffff;
-  --s1: #2a78d6; --s2: #eb6834; --s3: #1baf7a; --s4: #eda100;
-  --s5: #e87ba4; --s6: #008300; --s7: #4a3aa7; --s8: #e34948;
-}
-@media (prefers-color-scheme: dark) {
-  body {
-    --surface: #1a1a19; --text: #ffffff; --text-2: #c3c2b7;
-    --hairline: #33332f; --card: #222221;
-    --s1: #3987e5; --s2: #d95926; --s3: #199e70; --s4: #c98500;
-    --s5: #d55181; --s6: #008300; --s7: #9085e9; --s8: #e66767;
-  }
-}
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 15px; margin: 24px 0 8px; }
-.sub { color: var(--text-2); margin: 0 0 16px; max-width: 720px; }
-.tiles { display: flex; flex-wrap: wrap; gap: 12px; margin: 16px 0; }
-.tile {
-  background: var(--card); border: 1px solid var(--hairline);
-  border-radius: 8px; padding: 10px 14px; min-width: 110px;
-}
-.tile .label { color: var(--text-2); font-size: 12px; }
-.tile .value { font-size: 22px; font-weight: 600; }
-.graph {
-  background: var(--card); border: 1px solid var(--hairline);
-  border-radius: 8px; padding: 12px 14px; margin: 0 0 14px;
-}
-svg { width: 100%; height: auto; display: block; }
-svg .frame { stroke: var(--surface); stroke-width: 1; }
-svg .frame.root { fill: var(--hairline); }
-svg .frame.folded { fill: var(--text-2); opacity: 0.4; }
-svg .frame-label {
-  fill: #ffffff; font-size: 11px; pointer-events: none;
-  paint-order: stroke; stroke: rgba(0,0,0,0.35); stroke-width: 2px;
-}
-svg .frame-label.root { fill: var(--text); stroke: none; }
-table.legend {
-  border-collapse: collapse; font-size: 12px; margin-top: 6px;
-  font-variant-numeric: tabular-nums;
-}
-table.legend th {
-  text-align: left; color: var(--text-2); font-weight: 500;
-  padding: 2px 14px 2px 0;
-}
-table.legend td { padding: 2px 14px 2px 0; }
-table.imbalance td:last-child { min-width: 160px; }
-.bar {
-  height: 10px; border-radius: 3px; background: var(--s1);
-  min-width: 2px;
-}
-.note { color: var(--text-2); font-size: 12px; margin-top: 4px; }
-"""
-
-
 def render_flamegraph(model: CostModel,
                       title: str = "Surveyor profile",
                       subtitle: str = "",
@@ -305,12 +246,6 @@ def render_flamegraph(model: CostModel,
         ("gini", f"{report.gini:.3f}"),
         ("max/mean", f"{report.max_mean_skew:.2f}×"),
     ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{html.escape(label)}</div>'
-        f'<div class="value">{html.escape(value)}</div></div>'
-        for label, value in tiles)
-    subtitle_html = (f'<p class="sub">{html.escape(subtitle)}</p>'
-                     if subtitle else "")
     total = model.total_ns
     hot = "".join((
         _hot_table("Hot switches",
@@ -322,21 +257,15 @@ def render_flamegraph(model: CostModel,
                           key=lambda i: (-i[1], str(i[0])))[:top_k],
                    total),
     ))
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        f"<h1>{html.escape(title)}</h1>{subtitle_html}"
-        f'<div class="tiles">{tile_html}</div>'
+    return render_page(
+        title, subtitle, tiles,
         f"<h2>Flame graph</h2>"
         f'<p class="sub">Hover a frame for exact cost. Hierarchy is the '
         f"attribution path component → switch → seed → label; width is "
         f"attributed wall-clock.</p>"
         f'<div class="graph">{_flame_svg(root)}</div>'
         f"{_imbalance_html(report, top_k)}"
-        f"{hot}"
-        "</body></html>\n")
+        f"{hot}")
 
 
 def write_flamegraph(path: str, model: CostModel, **kwargs: Any) -> None:

@@ -110,8 +110,10 @@ class QueryEngine:
                     match: Optional[Mapping[str, Any]] = None,
                     t0: float = float("-inf"),
                     t1: float = float("inf")) -> Dict[LabelValues, List[Point]]:
-        """Stored points per matching series inside ``[t0, t1]``."""
-        return {series.labels: series.points(t0, t1)
+        """Stored points per matching series whose ``last`` was sampled
+        inside ``[t0, t1]`` (a downsampled point's ``t_last``)."""
+        return {series.labels: [p for p in series.points()
+                                if t0 <= p.t_last <= t1]
                 for series in self.series(selector, match)}
 
     # -- instant vector ----------------------------------------------------
@@ -125,8 +127,9 @@ class QueryEngine:
                 point = series.latest()
             else:
                 point = None
-                for candidate in series.points(t1=at):
-                    point = candidate
+                for candidate in series.points():
+                    if candidate.t_last <= at:
+                        point = candidate
             if point is not None:
                 out[series.labels] = point.last
         return out
@@ -159,7 +162,7 @@ class QueryEngine:
                 out[labels] = 0.0
                 continue
             first, last = points[0], points[-1]
-            span = last.t - first.t
+            span = last.t_last - first.t_last
             if span <= 0:
                 out[labels] = 0.0
             else:

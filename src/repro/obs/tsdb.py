@@ -51,9 +51,11 @@ SCRAPE_PRIORITY = 100
 class Point(NamedTuple):
     """One stored sample, raw or aggregated.
 
-    Raw samples have ``vmin == vmax == mean == last`` and ``count == 1``;
-    aggregated points summarize ``count`` original samples starting at
-    ``t`` (the timestamp of the first sample in the block).
+    Raw samples have ``vmin == vmax == mean == last``, ``count == 1`` and
+    ``t_last == t``; aggregated points summarize ``count`` original
+    samples starting at ``t`` (the timestamp of the first sample in the
+    block), and ``t_last`` is when ``last`` (the block's final sample)
+    was taken.  Charts draw at ``t``; queries place a point at ``t_last``.
     """
 
     t: float
@@ -62,10 +64,11 @@ class Point(NamedTuple):
     mean: float
     last: float
     count: int
+    t_last: float
 
     @classmethod
     def raw(cls, t: float, value: float) -> "Point":
-        return cls(t, value, value, value, value, 1)
+        return cls(t, value, value, value, value, 1, t)
 
 
 def merge_points(points: Iterable[Point]) -> Point:
@@ -82,6 +85,7 @@ def merge_points(points: Iterable[Point]) -> Point:
         mean=mean,
         last=block[-1].last,
         count=total,
+        t_last=block[-1].t_last,
     )
 
 

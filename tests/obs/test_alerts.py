@@ -230,7 +230,7 @@ class TestManager:
         assert tracks == {SCARECROW_TRACK}
         assert tracer.events[-1]["args"]["severity"] == "critical"
 
-    def test_on_firing_hook_and_fault_tolerance_feed(self):
+    def test_fault_tolerance_feed_acts_on_firing_only(self):
         store, _, manager = _manager()
 
         class FakeFT:

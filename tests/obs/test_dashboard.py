@@ -4,6 +4,8 @@ import re
 
 from repro.obs.alerts import AlertManager, ThresholdRule
 from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro.obs.flamegraph import render_flamegraph
+from repro.obs.profiler import CostModel
 from repro.obs.query import QueryEngine
 from repro.obs.tsdb import Retention, TimeSeriesStore
 
@@ -19,13 +21,16 @@ def _store():
 
 class TestRendering:
     def test_no_external_assets(self):
-        html = render_dashboard(_store())
-        assert "<script" not in html
-        assert "<link" not in html
-        assert "<img" not in html
-        assert "@import" not in html
-        assert "http://" not in html and "https://" not in html
-        assert "url(" not in html
+        # Both pages render_page builds: the dashboard and the flame graph.
+        model = CostModel({("soil", 1, "hh", "poll"): [5000, 5],
+                           ("bus", None, None, "deliver"): [300, 2]})
+        for html in (render_dashboard(_store()), render_flamegraph(model)):
+            assert "<script" not in html
+            assert "<link" not in html
+            assert "<img" not in html
+            assert "@import" not in html
+            assert "http://" not in html and "https://" not in html
+            assert "url(" not in html
 
     def test_structure(self):
         html = render_dashboard(_store(), title="t", subtitle="s")

@@ -128,6 +128,36 @@ class TestOverTime:
             == query(selector, None, 20.0)
 
 
+class TestCompactedWindows:
+    """Queries about the past, once the default retention (60 s raw,
+    blocks of 10) has compacted the samples they need.  The counter's
+    value is its sample time, so every right answer is a time."""
+
+    @staticmethod
+    def _counter(last_t):
+        return QueryEngine(_store_with(
+            {("c", None): [(float(t), float(t))
+                           for t in range(1, last_t + 1)]}))
+
+    def test_delta_counts_the_block_ending_at_the_window_start(self):
+        # v(50) - v(10): the t=10 sample is the last of block [1, 10].
+        assert self._counter(80).delta("c", window_s=40, at=50)[()] == 40.0
+
+    def test_delta_over_compacted_blocks_only(self):
+        # Blocks [11, 20] .. [111, 120] end inside [20, 120].
+        assert self._counter(199).delta(
+            "c", window_s=100, at=120)[()] == 100.0
+
+    def test_instant_never_reads_a_later_sample(self):
+        # The newest value sampled by t=115 that survived compaction is
+        # the last of block [101, 110].
+        assert self._counter(199).instant("c", at=115)[()] == 110.0
+
+    def test_max_over_time_never_reads_a_later_sample(self):
+        assert self._counter(199).max_over_time(
+            "c", window_s=15, at=115)[()] == 110.0
+
+
 class TestAggregation:
     def test_sum(self):
         assert QueryEngine.sum({(): 1.0, freeze_labels({"a": 1}): 2.0}) \

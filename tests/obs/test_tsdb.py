@@ -17,7 +17,7 @@ from repro.sim.engine import Simulator
 class TestPoint:
     def test_raw_sample_shape(self):
         point = Point.raw(3.0, 7.5)
-        assert point == Point(3.0, 7.5, 7.5, 7.5, 7.5, 1)
+        assert point == Point(3.0, 7.5, 7.5, 7.5, 7.5, 1, 3.0)
 
     def test_merge_keeps_envelope_and_weighted_mean(self):
         merged = merge_points([Point.raw(0.0, 1.0),
@@ -28,6 +28,7 @@ class TestPoint:
         assert merged.vmax == 100.0
         assert merged.mean == pytest.approx(34.0)
         assert merged.last == 1.0
+        assert merged.t_last == 2.0
         assert merged.count == 3
 
     def test_merge_of_merged_is_count_weighted(self):

@@ -118,6 +118,21 @@ def test_ci_names_existing_paths_and_nothing_names_the_deleted_harness():
     assert offenders == []
 
 
+def test_nothing_runs_the_deleted_eval_cli():
+    # The observability scenarios run from their examples
+    # (scarecrow_tour, remediation_tour, profile_tour); there is no
+    # `python -m repro.eval` left to run.
+    code = [REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+    for top in (".github", "examples", "src", "tests", "tools"):
+        code += [path for path in (REPO / top).rglob("*")
+                 if path.suffix in (".py", ".yml")]
+    offenders = [
+        str(path.relative_to(REPO)) for path in code
+        if path.exists() and path != Path(__file__).resolve()
+        and "-m repro.eval" in path.read_text()]
+    assert offenders == []
+
+
 def test_production_never_reaches_the_tree_walker(monkeypatch):
     from repro.almanac import MachineInstance
     from repro.core import FarmDeployment

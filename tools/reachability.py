@@ -3,14 +3,15 @@
     python tools/reachability.py run      # record every entry point
     python tools/reachability.py report   # join, print, check the allowlist
 
-``run`` executes every entry point a user has — the ten ``examples/``,
-the ``repro.eval`` verbs ``dashboard``, ``remediation``, ``profile`` and
-``scarecrow``, ``benchmarks/farmbench/run.py --smoke --traced`` (its
-child interpreters included) and the paper-figure tests under
-``benchmarks/`` — with ``tools/recorder`` on ``PYTHONPATH``, whose
-``sitecustomize`` notes every code object under ``src/repro`` that
-starts executing and dumps one file per process into ``--dumps``.  It
-takes about 17 minutes on 2 vCPUs, 12 of them the figure tests.
+``run`` executes every entry point a user has — the ``examples/`` (the
+observability scenarios among them: ``scarecrow_tour.py``,
+``remediation_tour.py``, ``profile_tour.py``),
+``benchmarks/farmbench/run.py --smoke --traced`` (its child interpreters
+included) and the paper-figure tests under ``benchmarks/`` — with
+``tools/recorder`` on ``PYTHONPATH``, whose ``sitecustomize`` notes
+every code object under ``src/repro`` that starts executing and dumps
+one file per process into ``--dumps``.  It takes about 17 minutes on 2
+vCPUs, 12 of them the figure tests.
 
 ``report`` joins the dumps to the ``ast`` ranges of every function under
 ``src/repro``, matching a code object on its ``def`` line or its first
@@ -56,12 +57,6 @@ def entry_points(work: Path) -> List[Tuple[str, List[str]]]:
     python = sys.executable
     runs = [(f"examples/{path.name}", [python, str(path)])
             for path in sorted((REPO / "examples").glob("*.py"))]
-    for verb in ("dashboard", "remediation", "profile"):
-        runs.append((f"repro.eval {verb}",
-                     [python, "-m", "repro.eval", verb,
-                      "--out", str(work / f"{verb}.html")]))
-    runs.append(("repro.eval scarecrow",
-                 [python, "-m", "repro.eval", "scarecrow"]))
     runs.append(("farmbench --smoke --traced",
                  [python, str(REPO / "benchmarks" / "farmbench" / "run.py"),
                   "--smoke", "--traced",
