@@ -26,7 +26,13 @@ pre-bound Python closures, and a :class:`MachineInstance` runs them:
   after ``packet p = get(L, i)``, gets a second body in which each such
   read is one load from a :class:`~repro.net.packet.ProbeBatch` column;
   it runs while ``L`` is a batch, and a probe handler keeps its samples a
-  batch only when every use of them is such a loop.
+  batch only when every use of them is such a loop;
+* **row passes** — a counted loop whose body only accumulates into maps
+  or locals, collects distinct values or appends row fields, inside
+  ``if`` statements on row fields, also compiles into one generated
+  Python function over the rows' columns (a probe batch's, or attributes
+  extracted once from list rows such as a poll's ``PortStats``); an
+  entry whose guards hold runs it instead of the closures.
 
 Every deployment runs on this executor.  The tree-walker in
 ``tests/almanac/reference_interpreter.py`` is the executable
@@ -64,11 +70,13 @@ _EMPTY_FRAME: List[Any] = []
 
 _NOT_CONST = object()
 
-#: The stdlib's ``size`` and ``get``: counted loops inline ``len`` only
-#: while a seed's ``size`` builtin is this very function, and read probe
-#: batch columns only while its ``get`` is too.
-_STDLIB_SIZE = pure_builtins()["size"]
-_STDLIB_GET = pure_builtins()["get"]
+#: The stdlib's builtins: counted loops inline ``len`` only while a seed's
+#: ``size`` builtin is the stdlib's very function, read probe batch columns
+#: only while its ``get`` is too, and run a row pass only while every
+#: builtin the loop body calls is.
+_STDLIB = pure_builtins()
+_STDLIB_SIZE = _STDLIB["size"]
+_STDLIB_GET = _STDLIB["get"]
 
 #: The packet fields a columnar loop body reads without a ``Packet``.
 _ROW_FIELDS = frozenset(BATCH_COLUMNS)
@@ -781,15 +789,18 @@ def _compile_assign(stmt: ast.Assign, ctx: _Ctx) -> Callable:
 class _CountedLoop:
     """Engagement record of one lowered counted loop: how often it was
     entered, how many of its condition tests took the generic closures,
-    and — for a loop with a columnar body — how many entries ran that body
-    and how many probe batches bound for it were turned into packets."""
+    how many entries a row pass served, and — for a loop with a columnar
+    body — how many entries ran that body and how many probe batches bound
+    for it were turned into packets."""
 
-    __slots__ = ("line", "entries", "fallbacks", "columnar", "materialized")
+    __slots__ = ("line", "entries", "fallbacks", "passes", "columnar",
+                 "materialized")
 
     def __init__(self, line: int) -> None:
         self.line = line
         self.entries = 0
         self.fallbacks = 0
+        self.passes = 0
         self.columnar = 0
         self.materialized = 0
 
@@ -895,6 +906,18 @@ def _stray_use(node: Any, spec: tuple) -> bool:
     return False
 
 
+def _row_binding(stmt: ast.While) -> Tuple[Optional[str], List[ast.Stmt]]:
+    """``(p, the statements after it)`` when a counted loop's body starts
+    with ``T p = get(L, i)`` for the loop's own ``L`` and ``i``, else
+    ``(None, the body)``; the step ``i = i + 1`` is left out of both."""
+    inner = stmt.body[:-1]
+    if (inner and isinstance(inner[0], ast.VarDecl)
+            and _is_row_get(inner[0].init, stmt.cond.right.args[0].name,
+                            stmt.cond.left.name)):
+        return inner[0].name, inner[1:]
+    return None, inner
+
+
 def _columnar_shape(stmt: ast.While, ctx: _Ctx, seq: str
                     ) -> Optional[Tuple[Optional[str], List[ast.Var]]]:
     """``(p or None, the Var nodes of L it covers)`` when a counted loop's
@@ -905,17 +928,11 @@ def _columnar_shape(stmt: ast.While, ctx: _Ctx, seq: str
     if (ctx.probe_slot is None or ctx.resolve(seq) != ("local", ctx.probe_slot)
             or "get" in ctx.code.functions):
         return None
-    index = stmt.cond.left.name
-    inner = stmt.body[:-1]
-    row = None
-    if (inner and isinstance(inner[0], ast.VarDecl)
-            and _is_row_get(inner[0].init, seq, index)):
-        row = inner[0].name
-        if row in _written_names(inner[1:]):
-            return None
-    if _stray_use(inner if row is None else inner[1:], (seq, index, row)):
+    row, rest = _row_binding(stmt)
+    if row in _written_names(rest) or _stray_use(
+            rest, (seq, stmt.cond.left.name, row)):
         return None
-    return row, _var_uses(inner, seq, [stmt.cond.right.args[0]])
+    return row, _var_uses(stmt.body[:-1], seq, [stmt.cond.right.args[0]])
 
 
 def _compile_column_load(expr: ast.FieldAccess, ctx: _Ctx
@@ -975,6 +992,10 @@ def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
     ``i`` runs that body while ``size`` and ``get`` are the stdlib's own.
     Otherwise — or once they stop being — the batch in ``L``'s slot is
     replaced by its packets and the loop goes on as above.
+
+    A loop whose body is all row statements (:class:`_RowPlan`) first
+    offers each entry to its row pass, which runs it whole when its guards
+    hold; every other entry takes the paths above.
     """
     line = stmt.line
     # A local ``L`` is read from its frame slot, any other through its load
@@ -986,6 +1007,7 @@ def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
     if record is None:
         record = ctx.loop_records[id(stmt)] = _CountedLoop(line)
         ctx.code.counted_loops.append(record)
+    row_pass = _compile_row_pass(stmt, ctx, index_slot)
     columnar: Optional[Tuple[Callable, ...]] = None
     row_line: Optional[int] = None
     shape = _columnar_shape(stmt, ctx, seq_name)
@@ -1006,6 +1028,9 @@ def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
 
     def counted_loop(rt, frame):
         record.entries += 1
+        if row_pass is not None and row_pass(rt, frame):
+            record.passes += 1
+            return
         builtins = rt.builtins
         iterations = 0
         if columnar is not None:
@@ -1060,6 +1085,374 @@ def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
             else:
                 step_fn(rt, frame)
     return counted_loop
+
+
+# ---------------------------------------------------------------------------
+# Row passes: a counted loop of row statements as one generated function
+# ---------------------------------------------------------------------------
+
+
+#: Almanac comparisons as the Python operators a row pass spells them with.
+_PASS_COMPARE = {"==": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
+                 ">=": ">="}
+_NUMBERS = frozenset((int, float))
+#: What a column extracted from list rows may hold: on these, Python
+#: truthiness, ``+`` and comparisons behave as the closures' ``_truthy``
+#: and operators do, and every value hashes as a map key.
+_ROW_VALUES = frozenset((int, float, bool))
+_LISTS = frozenset((list,))
+_MISSING = object()
+
+
+def _is_var(expr: Any, name: Optional[str]) -> bool:
+    return isinstance(expr, ast.Var) and expr.name == name
+
+
+def _is_call(expr: Any, func: str, nargs: int) -> bool:
+    return (isinstance(expr, ast.Call) and expr.func == func
+            and len(expr.args) == nargs)
+
+
+class _RowPlan:
+    """A loop body matched against the row-statement grammar and written
+    out as the body of one Python ``for`` over the loop's columns.
+
+    Row statements are ``mapInc(M, ROW.k[, a])``, ``append(A, ROW.f)``,
+    the distinct-set idiom (:meth:`distinct_set`), ``x = x + a`` into a
+    local, and ``if`` (optional ``else``) on a row condition around them:
+    ``ROW.f``, ``a ⋈ b`` with a row field on one side, and ``not`` /
+    ``and`` / ``or`` of those.  ``ROW.f`` is ``p.f`` after the loop's
+    ``T p = get(L, i)`` or ``get(L, i).f``; an operand ``a`` is a row
+    field, a numeric literal or a variable the loop never writes.
+
+    The source spells only fixed names: row field ``k`` is column ``c<k>``
+    (``v<k>`` inside the loop), the ``k``-th map or list the body names is
+    ``t<k>``, operand ``k`` is ``k<k>`` and accumulated local ``k`` is
+    ``a<k>``; fields, targets and constants are the function's arguments.
+    """
+
+    def __init__(self, ctx: _Ctx, seq: str, index: str, row: Optional[str],
+                 written: set) -> None:
+        self.ctx = ctx
+        self.seq, self.index, self.row = seq, index, row
+        #: Every name the loop body writes or declares, its step included.
+        self.written = written
+        self.declared = {row}
+        self.fields: List[str] = []
+        #: ``(name, role)``, the role ``counts``, ``sets`` or ``list``.
+        self.targets: List[Tuple[str, str]] = []
+        #: ``("const", type, value)`` or ``("var", name)``.
+        self.operands: List[tuple] = []
+        self.accumulators: List[str] = []
+        self.builtins = {"size", "get"}
+        self.lines: List[str] = []
+
+    def _outer(self, name: str) -> bool:
+        return (name not in self.written
+                and self.ctx.resolve(name)[0] is not None)
+
+    def column(self, expr: Any) -> Optional[str]:
+        """``v<k>`` when ``expr`` reads a field of the current row."""
+        if not isinstance(expr, ast.FieldAccess):
+            return None
+        obj = expr.obj
+        if not (_is_var(obj, self.row) if isinstance(obj, ast.Var)
+                else _is_row_get(obj, self.seq, self.index)):
+            return None
+        if expr.fieldname not in self.fields:
+            self.fields.append(expr.fieldname)
+        return f"v{self.fields.index(expr.fieldname)}"
+
+    def target(self, expr: Any, role: str) -> Optional[str]:
+        if not (isinstance(expr, ast.Var) and self._outer(expr.name)):
+            return None
+        for k, (name, taken) in enumerate(self.targets):
+            if name == expr.name:
+                return f"t{k}" if taken == role else None
+        self.targets.append((expr.name, role))
+        return f"t{len(self.targets) - 1}"
+
+    def operand(self, expr: Any) -> Optional[str]:
+        column = self.column(expr)
+        if column is not None:
+            return column
+        if isinstance(expr, ast.Lit) and type(expr.value) in _NUMBERS:
+            key: tuple = ("const", type(expr.value), expr.value)
+        elif isinstance(expr, ast.Var) and self._outer(expr.name):
+            key = ("var", expr.name)
+        else:
+            return None
+        if key not in self.operands:
+            self.operands.append(key)
+        return f"k{self.operands.index(key)}"
+
+    def condition(self, expr: Any) -> Optional[str]:
+        if isinstance(expr, ast.UnaryOp) and expr.op == "not":
+            inner = self.condition(expr.operand)
+            return inner and f"(not {inner})"
+        if isinstance(expr, ast.BinOp):
+            if expr.op in ("and", "or"):
+                left, right = (self.condition(expr.left),
+                               self.condition(expr.right))
+                return left and right and f"({left} {expr.op} {right})"
+            op = _PASS_COMPARE.get(expr.op)
+            left, right = self.operand(expr.left), self.operand(expr.right)
+            if op and left and right and "v" in (left[0], right[0]):
+                return f"({left} {op} {right})"
+            return None
+        return self.column(expr)
+
+    def block(self, stmts: List[ast.Stmt], pad: str) -> bool:
+        if not stmts:
+            self.lines.append(pad + "pass")
+        k = 0
+        while k < len(stmts):
+            if self.distinct_set(stmts[k:k + 3], pad):
+                k += 3
+            elif self.statement(stmts[k], pad):
+                k += 1
+            else:
+                return False
+        return True
+
+    def statement(self, stmt: ast.Stmt, pad: str) -> bool:
+        if isinstance(stmt, ast.If):
+            cond = self.condition(stmt.cond)
+            if cond is None:
+                return False
+            self.lines.append(f"{pad}if {cond}:")
+            if not self.block(stmt.then_body, pad + "    "):
+                return False
+            if stmt.else_body:
+                self.lines.append(f"{pad}else:")
+                return self.block(stmt.else_body, pad + "    ")
+            return True
+        if isinstance(stmt, ast.ExprStmt) and _is_call(stmt.expr, "append", 2):
+            target = self.target(stmt.expr.args[0], "list")
+            value = self.column(stmt.expr.args[1])
+            if not (target and value):
+                return False
+            self.builtins.add("append")
+            self.lines.append(f"{pad}{target}.append({value})")
+            return True
+        if (isinstance(stmt, ast.ExprStmt)
+                and (_is_call(stmt.expr, "mapInc", 2)
+                     or _is_call(stmt.expr, "mapInc", 3))):
+            args = stmt.expr.args
+            target = self.target(args[0], "counts")
+            key = self.column(args[1])
+            amount = (self.operand(args[2]) if len(args) == 3
+                      else self.operand(ast.Lit(value=1)))
+            if not (target and key and amount):
+                return False
+            self.builtins.add("mapInc")
+            self.lines.append(
+                f"{pad}{target}[{key}] = {target}.get({key}, 0) + {amount}")
+            return True
+        if (isinstance(stmt, ast.Assign) and stmt.fieldname is None
+                and isinstance(stmt.value, ast.BinOp)
+                and stmt.value.op == "+"
+                and _is_var(stmt.value.left, stmt.target)):
+            name = stmt.target
+            value = self.operand(stmt.value.right)
+            if (value is None or self.ctx.resolve(name)[0] != "local"
+                    or name in self.ctx.code.trigger_names):
+                return False
+            if name not in self.accumulators:
+                self.accumulators.append(name)
+            acc = f"a{self.accumulators.index(name)}"
+            self.lines.append(f"{pad}{acc} = {acc} + {value}")
+            return True
+        return False
+
+    def distinct_set(self, stmts: List[ast.Stmt], pad: str) -> bool:
+        """``list S = mapGet(M, ROW.k); if (S == 0) then { list F;
+        mapSet(M, ROW.k, F); S = F; } if (not contains(S, ROW.v)) then {
+        append(S, ROW.v); }``: the list of distinct ``v`` seen per ``k``."""
+        if len(stmts) < 3:
+            return False
+        decl, test, add = stmts
+        if not (isinstance(decl, ast.VarDecl)
+                and _is_call(decl.init, "mapGet", 2)
+                and isinstance(test, ast.If) and not test.else_body
+                and isinstance(test.cond, ast.BinOp) and test.cond.op == "=="
+                and _is_var(test.cond.left, decl.name)
+                and isinstance(test.cond.right, ast.Lit)
+                and type(test.cond.right.value) is int
+                and test.cond.right.value == 0
+                and len(test.then_body) == 3
+                and isinstance(add, ast.If) and not add.else_body
+                and isinstance(add.cond, ast.UnaryOp)
+                and add.cond.op == "not"
+                and _is_call(add.cond.operand, "contains", 2)
+                and len(add.then_body) == 1
+                and isinstance(add.then_body[0], ast.ExprStmt)
+                and _is_call(add.then_body[0].expr, "append", 2)):
+            return False
+        found, (fresh, store, rebind) = decl.name, test.then_body
+        member, grow = add.cond.operand.args, add.then_body[0].expr.args
+        if not (isinstance(fresh, ast.VarDecl) and fresh.typ == "list"
+                and fresh.init is None and fresh.name != found
+                and found != self.row and fresh.name != self.row
+                and isinstance(store, ast.ExprStmt)
+                and _is_call(store.expr, "mapSet", 3)
+                and isinstance(decl.init.args[0], ast.Var)
+                and _is_var(store.expr.args[0], decl.init.args[0].name)
+                and _is_var(store.expr.args[2], fresh.name)
+                and isinstance(rebind, ast.Assign)
+                and rebind.target == found and rebind.fieldname is None
+                and _is_var(rebind.value, fresh.name)
+                and _is_var(member[0], found) and _is_var(grow[0], found)):
+            return False
+        target = self.target(decl.init.args[0], "sets")
+        key = self.column(decl.init.args[1])
+        value = self.column(member[1])
+        if not (target and key and value
+                and self.column(store.expr.args[1]) == key
+                and self.column(grow[1]) == value):
+            return False
+        self.declared |= {found, fresh.name}
+        self.builtins |= {"mapGet", "mapSet", "contains", "append"}
+        self.lines += [f"{pad}s = {target}.get({key}, 0)",
+                       f"{pad}if s == 0:",
+                       f"{pad}    f = []",
+                       f"{pad}    {target}[{key}] = f",
+                       f"{pad}    s = f",
+                       f"{pad}if not ({value} in s):",
+                       f"{pad}    s.append({value})"]
+        return True
+
+    def source(self) -> str:
+        values = [f"v{k}" for k in range(len(self.fields))]
+        columns = [f"c{k}" for k in range(len(self.fields))]
+        accumulators = [f"a{k}" for k in range(len(self.accumulators))]
+        params = (columns + [f"t{k}" for k in range(len(self.targets))]
+                  + [f"k{k}" for k in range(len(self.operands))]
+                  + accumulators)
+        rows = (columns[0] if len(columns) == 1
+                else f"zip({', '.join(columns)})")
+        return "\n".join(
+            [f"def row_pass({', '.join(params)}):",
+             f"    for {', '.join(values)} in {rows}:", *self.lines,
+             f"    return ({''.join(a + ', ' for a in accumulators)})",
+             ""])
+
+
+def _read(rt: Any, frame: List[Any], kind: str, ref: Any) -> Any:
+    """A variable's value, or ``_MISSING`` for an unset state or machine
+    variable (the closures raise "undefined variable" for it)."""
+    if kind == "local":
+        return frame[ref]
+    return (rt._svars if kind == "state" else rt._mvars).get(ref, _MISSING)
+
+
+def _compile_row_pass(stmt: ast.While, ctx: _Ctx,
+                      index_slot: int) -> Optional[Callable]:
+    """The row pass of a counted loop whose body is all row statements
+    (:class:`_RowPlan`), or None.  It is a function of ``(rt, frame)``
+    that runs the whole loop and returns True, or returns False having
+    changed nothing when one of its guards fails:
+
+    * ``size``, ``get`` and every builtin the body calls are the stdlib's;
+    * ``i`` is an int ``>= 0``, and ``L`` holds at most
+      ``MAX_LOOP_ITERATIONS`` rows: a probe batch (one reaches only a loop
+      with a columnar body, whose fields are all columns), or a list of
+      non-dict rows whose fields are all ints, floats or bools;
+    * each ``mapInc`` target is a dict of ints and floats, each
+      distinct-set target a dict of lists (``L`` not among them) and not a
+      ``mapInc`` target too, each ``append`` target a list other than
+      ``L``, and each operand variable and accumulated local an int or
+      float.
+
+    The generated loop performs the closures' own operations in their
+    order (``m[k] = m.get(k, 0) + a``, ``v in s``, ``s.append(v)``), so
+    maps, lists and sums come out identical; the guards rule out every
+    error the closures could raise on the way.
+    """
+    row, inner = _row_binding(stmt)
+    plan = _RowPlan(ctx, stmt.cond.right.args[0].name, stmt.cond.left.name,
+                    row, _written_names(stmt.body))
+    if (not inner or not plan.block(inner, " " * 8) or not plan.fields
+            or plan.builtins & ctx.code.functions.keys()
+            or plan.declared & set(plan.accumulators)):
+        return None
+    namespace: Dict[str, Any] = {}
+    exec(compile(plan.source(), "<almanac row pass>", "exec"), namespace)
+    function = namespace["row_pass"]
+    needed = tuple((name, _STDLIB[name]) for name in sorted(plan.builtins))
+    seq_kind, seq_ref = ctx.resolve(plan.seq)
+    getters = tuple(operator.attrgetter(name) for name in plan.fields)
+    targets = tuple(ctx.resolve(name) + (role,)
+                    for name, role in plan.targets)
+    operands = tuple(("const", key[2]) if key[0] == "const"
+                     else ctx.resolve(key[1]) for key in plan.operands)
+    accumulators = tuple(ctx.resolve(name)[1] for name in plan.accumulators)
+
+    def row_pass(rt, frame):
+        builtins = rt.builtins
+        for name, builtin in needed:
+            if builtins.get(name) is not builtin:
+                return False
+        i = frame[index_slot]
+        if type(i) is not int or i < 0:
+            return False
+        rows = _read(rt, frame, seq_kind, seq_ref)
+        listed = type(rows) is list
+        if not (listed or rows.__class__ is ProbeBatch):
+            return False
+        n = len(rows)
+        if n > MAX_LOOP_ITERATIONS:
+            return False
+        if not listed:
+            args = [getter(rows)[i:] if i else getter(rows)
+                    for getter in getters]
+        else:
+            tail = rows[i:] if i else rows
+            if any(issubclass(kind, dict) for kind in {*map(type, tail)}):
+                return False
+            try:
+                args = [list(map(getter, tail)) for getter in getters]
+            except AttributeError:
+                return False
+            if not all({*map(type, column)} <= _ROW_VALUES
+                       for column in args):
+                return False
+        counted, collected = set(), set()
+        for kind, ref, role in targets:
+            target = _read(rt, frame, kind, ref)
+            if role == "list":
+                if type(target) is not list or target is rows:
+                    return False
+            elif type(target) is not dict:
+                return False
+            elif role == "counts":
+                if not {*map(type, target.values())} <= _NUMBERS:
+                    return False
+                counted.add(id(target))
+            else:
+                values = target.values()
+                if (not {*map(type, values)} <= _LISTS
+                        or listed and any(value is rows for value in values)):
+                    return False
+                collected.add(id(target))
+            args.append(target)
+        if not counted.isdisjoint(collected):
+            return False
+        for kind, ref in operands:
+            value = ref if kind == "const" else _read(rt, frame, kind, ref)
+            if type(value) not in _NUMBERS:
+                return False
+            args.append(value)
+        for slot in accumulators:
+            if type(frame[slot]) not in _NUMBERS:
+                return False
+            args.append(frame[slot])
+        if i < n:
+            for slot, value in zip(accumulators, function(*args)):
+                frame[slot] = value
+            frame[index_slot] = n
+        return True
+    return row_pass
 
 
 # ---------------------------------------------------------------------------

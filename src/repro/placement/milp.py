@@ -43,6 +43,25 @@ def _poly_row(poly: LinPoly, res_index: Dict[str, int]) -> Dict[int, float]:
     return row
 
 
+def _lift_onto_piece(piece, alloc: Dict[str, float]) -> None:
+    """Raise ``alloc`` onto the constraints of ``piece`` it falls short of.
+
+    "Optimal" holds up to HiGHS's integrality tolerance: a binary at
+    ``1 - 1e-7`` lets its big-M row leak the piece's floor (C2) by big-M
+    times that, and the seed's utility would read as 0.  Each short
+    constraint is met by raising its variable of largest positive
+    coefficient by the deficit; the rise is what the leak took.
+    """
+    for constraint in piece.constraints:
+        deficit = -constraint.evaluate(alloc)
+        if deficit <= 0.0:
+            continue
+        var, coeff = max(constraint.coeffs.items(),
+                         key=lambda item: item[1], default=(None, 0.0))
+        if coeff > 0.0:
+            alloc[var] += deficit / coeff
+
+
 class MilpPlacementSolver:
     """Builds and solves the full MILP."""
 
@@ -250,13 +269,21 @@ class MilpPlacementSolver:
                 solver="milp", runtime_s=runtime, status=result.status)
         placement: Dict[str, int] = {}
         allocations: Dict[str, Dict[str, float]] = {}
-        for (sid, n, _k), index in self._plc.items():
+        pieces: Dict[str, int] = {}
+        for (sid, n, k), index in self._plc.items():
             if result.value(index) > 0.5:
                 placement[sid] = n
+                pieces[sid] = k
         for sid, n in placement.items():
             allocations[sid] = {
                 r: max(0.0, result.value(self._res[(sid, n, r)]))
                 for r in self.problem.resource_types}
+        if result.status == "optimal":
+            for seed in self.problem.all_seeds():
+                if seed.seed_id in placement:
+                    _lift_onto_piece(
+                        seed.utility.pieces[pieces[seed.seed_id]],
+                        allocations[seed.seed_id])
         placed_tasks = tuple(
             task.task_id for task in self.problem.tasks
             if result.value(self._tplc[task.task_id]) > 0.5)

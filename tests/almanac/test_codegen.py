@@ -8,10 +8,15 @@ executable specification.
 """
 
 import copy
+import dataclasses
 import random
 import re
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.almanac import MachineInstance, codegen, flatten_machine
+from repro.almanac import astnodes as ast
 from repro.almanac.parser import parse
 from repro.errors import AlmanacRuntimeError
 from repro.net.addresses import parse_ip
@@ -27,7 +32,7 @@ from repro.net.packet import (
     ProbeBatch,
 )
 from repro.sim.engine import Simulator
-from repro.switchsim.asic import Asic
+from repro.switchsim.asic import Asic, PortStats
 from repro.tasks import (
     ALMANAC_SOURCES,
     make_ddos_task,
@@ -35,6 +40,7 @@ from repro.tasks import (
     make_entropy_task,
     make_flood_defender_task,
     make_flow_size_dist_task,
+    make_heavy_hitter_task,
     make_hierarchical_hh_task,
     make_new_tcp_conn_task,
     make_partial_tcp_task,
@@ -43,6 +49,7 @@ from repro.tasks import (
     make_ssh_brute_force_task,
     make_superspreader_task,
     make_syn_flood_task,
+    make_traffic_change_task,
 )
 from repro.tasks.heavy_hitter import ALMANAC_SOURCE as HH_SOURCE
 from tests.almanac import reference_interpreter as interpreter_module
@@ -105,11 +112,12 @@ def run_machine(source, script=(), machine=None, externals=None,
     ``loops`` maps each counted loop the closure compiler lowered to
     ``(entries, fallbacks)``: how often it ran, and how many condition
     tests took the generic closures; ``columnar`` maps it to
-    ``(columnar entries, materialized batches)``.  Only the production
-    executor runs closures, so :func:`assert_backends_identical` compares
-    without either.  A :class:`ProbeBatch` goes to the production executor
-    as it is and to the tree-walker as its packets, the way the soil and
-    the oracle each see a probe.
+    ``(columnar entries, materialized batches)`` and ``passes`` to the
+    entries its row pass served.  Only the production executor runs
+    closures, so :func:`assert_backends_identical` compares without them.
+    A :class:`ProbeBatch` goes to the production executor as it is and to
+    the tree-walker as its packets, the way the soil and the oracle each
+    see a probe.
     """
     program = parse(source)
     name = machine or program.machines[-1].name
@@ -154,6 +162,8 @@ def run_machine(source, script=(), machine=None, externals=None,
         "columnar": {loop.line: (loop.columnar, loop.materialized)
                      for loop in
                      codegen.compile_closures(compiled).counted_loops},
+        "passes": {loop.line: loop.passes for loop in
+                   codegen.compile_closures(compiled).counted_loops},
     }
 
 
@@ -165,11 +175,12 @@ def assert_backends_identical(source, script=(), machine=None,
     compiled = run_machine(source, script, machine, externals,
                            executor=MachineInstance,
                            extra_builtins=extra_builtins)
-    loops, columnar = compiled.pop("loops"), compiled.pop("columnar")
-    interpreted.pop("loops")
-    interpreted.pop("columnar")
+    counters = {key: compiled.pop(key)
+                for key in ("loops", "columnar", "passes")}
+    for key in counters:
+        interpreted.pop(key)
     assert compiled == interpreted
-    compiled["loops"], compiled["columnar"] = loops, columnar
+    compiled.update(counters)
     return compiled
 
 
@@ -601,6 +612,42 @@ PROBE_TASKS = [
 
 _SAMPLES_LOOP = re.compile(r"while \(i < size\(samples\)\)")
 
+#: The library probe machines whose samples loop the row-statement grammar
+#: admits (accumulate, distinct sets, append, row-flag filters): each runs
+#: it as one row pass.
+ROW_PASS_MACHINES = {"DDoS", "PortScan", "EntropyEstim", "SynFlood",
+                     "Slowloris", "PartialTcpFlow"}
+
+
+def _loop_bodies(source):
+    """``{line: body}`` of every ``while`` in ``source``."""
+    found = {}
+
+    def walk(node):
+        if isinstance(node, ast.While):
+            found[node.line] = node.body
+        if isinstance(node, (list, tuple)):
+            for item in node:
+                walk(item)
+        elif dataclasses.is_dataclass(node):
+            for field in dataclasses.fields(node):
+                walk(getattr(node, field.name))
+    walk(parse(source))
+    return found
+
+
+def _reacts(node):
+    """Whether ``node`` sends, transits or calls into the TCAM."""
+    if isinstance(node, (ast.Send, ast.Transit)):
+        return True
+    if isinstance(node, ast.Call) and "TCAM" in node.func:
+        return True
+    if isinstance(node, (list, tuple)):
+        return any(_reacts(item) for item in node)
+    return dataclasses.is_dataclass(node) and any(
+        _reacts(getattr(node, field.name))
+        for field in dataclasses.fields(node))
+
 
 def _trigger_kinds(task):
     compiled = flatten_machine(parse(task.source),
@@ -617,11 +664,13 @@ def _probe_filter(task, var):
 
 
 def _probe_batches(filters, steps=16, seed=3):
-    """``{filter: [packet list per step]}`` from one seeded ASIC: random
-    background traffic and three incidents that each hold for three
-    steps — a SYN flood with DNS reflection onto one victim, then a port
-    scan and a superspreader, then a Slowloris crowd with SSH guessing —
-    then rate churn on the background."""
+    """``({filter: [probe batch per step]}, [port-stat rows per step])``
+    from one seeded ASIC: random background traffic and three incidents
+    that each hold for three steps — a SYN flood with DNS reflection onto
+    one victim, then a port scan and a superspreader, then a Slowloris
+    crowd with SSH guessing — then rate churn on the background.  The
+    rows are the ASIC's own ``PortStats``, as a poll hands them to a
+    seed."""
     rng = random.Random(seed)
     sim = Simulator()
     asic = Asic(sim, num_ports=8)
@@ -664,6 +713,7 @@ def _probe_batches(filters, steps=16, seed=3):
     }
     running = []
     batches = {fil: [] for fil in filters}
+    stats = []
     for step in range(steps):
         sim.run(until=0.05 * step)
         if step in incidents or step == 13:
@@ -675,7 +725,8 @@ def _probe_batches(filters, steps=16, seed=3):
                 flow.set_rate(rng.choice([0.0, 2e3, 3e5]), sim.now)
         for fil in filters:
             batches[fil].append(asic.sample_packets(fil, 64))
-    return batches
+        stats.append(asic.read_port_stats_batch())
+    return batches, stats
 
 
 class TestProbeBatches:
@@ -696,11 +747,9 @@ class TestProbeBatches:
                     for task in PROBE_TASKS}
         filters = {task.task_id: _probe_filter(task, probe_of[task.task_id])
                    for task in PROBE_TASKS}
-        batches = _probe_batches(set(filters.values()))
-        stats = [{"__struct__": "PortStat", "port": p, "rate_bps": 1e5}
-                 for p in range(4)]
+        batches, port_stats = _probe_batches(set(filters.values()))
         reacted, packets = set(), 0
-        on_columns, materialized = set(), set()
+        on_columns, on_passes, materialized = set(), set(), set()
         for task in PROBE_TASKS:
             config = task.machines[0]
             script = []
@@ -711,7 +760,8 @@ class TestProbeBatches:
                     for var, typ in kinds[task.task_id].items():
                         if typ != "probe":
                             script.append(
-                                ("var", var, stats if typ == "poll" else None))
+                                ("var", var,
+                                 port_stats[step] if typ == "poll" else None))
             outcome = assert_backends_identical(
                 task.source, script, machine=config.machine_name,
                 externals=config.externals)
@@ -724,29 +774,82 @@ class TestProbeBatches:
                             if _SAMPLES_LOOP.search(text)}
             assert sample_loops, task.task_id
             loops, columnar = outcome["loops"], outcome["columnar"]
+            passes = outcome["passes"]
             # Every `while (i < size(samples))` was lowered and ran inline
             # on every iteration; so did every other lowered loop it entered.
             assert sample_loops <= set(loops), task.task_id
             assert all(loops[line][0] > 0 for line in sample_loops)
             assert all(fallbacks == 0 for _, fallbacks in loops.values())
             assert all(made == 0 for _, made in columnar.values())
+            # No loop that sends, transits or calls into the TCAM runs as
+            # a pass.
+            bodies = _loop_bodies(task.source)
+            assert all(passes[line] == 0 for line in loops
+                       if _reacts(bodies[line])), task.task_id
             if config.machine_name == "FloodDefender":
                 # Its handler passes the samples to a user function, so
                 # they escape: the handler turns each batch into packets
-                # on entry and the loop in ``countMisses`` never runs on
-                # columns.
+                # on entry, and the loop in ``countMisses`` (a computed
+                # key) runs neither on columns nor as a pass.
                 assert all(columnar[line][0] == 0 for line in sample_loops)
+                assert set(passes.values()) == {0}
                 materialized.add(task.task_id)
                 continue
-            # ... and every entry ran its columnar body on the batch: no
-            # handler let its samples escape, none was turned into packets.
-            assert all(columnar[line][0] == loops[line][0]
+            # ... and every entry ran its row pass or its columnar body on
+            # the batch: no handler let its samples escape, none was turned
+            # into packets.  A loop the grammar admits took the pass every
+            # time; any other never did.
+            assert all(columnar[line][0] + passes[line] == loops[line][0]
                        for line in sample_loops), task.task_id
-            on_columns.add(task.task_id)
+            if all(passes[line] == loops[line][0] for line in sample_loops):
+                on_passes.add(config.machine_name)
+            else:
+                assert all(passes[line] == 0 for line in sample_loops)
+                on_columns.add(config.machine_name)
         # The batches carried the incidents far enough to trip reactions.
         assert packets == 13 * 16 * 64
         assert len(reacted) >= 7
-        assert len(on_columns) == 12 and materialized == {"flood-defender"}
+        assert on_passes == ROW_PASS_MACHINES
+        assert on_columns == {"FlowSizeDist", "HHHFull", "Superspreader",
+                              "SshBruteForce", "DnsReflection",
+                              "NewTcpConn"}
+        assert materialized == {"flood-defender"}
+
+    def test_port_stat_loops_run_as_a_pass(self):
+        # getHH's and TrafficChange's loops over the ASIC's own PortStats
+        # rows run as a pass on every entry; on dict rows (struct values)
+        # the row-kind guard sends every entry to the closures.
+        # Mutation caught: no row-kind guard (the pass then reads a
+        # ``_StructWithAttributes`` row's attributes, where the closures
+        # read its items).
+        _, port_stats = _probe_batches(())
+        tasks = (make_heavy_hitter_task(threshold=2e6),
+                 make_traffic_change_task(factor=2))
+        for task in tasks:
+            config = task.machines[0]
+            loop = next(number for number, text in
+                        enumerate(task.source.splitlines(), start=1)
+                        if re.search(r"while \(i < size\(stats\)\)", text))
+            struct_rows = [[dict(dataclasses.asdict(row),
+                                 __struct__="PortStat") for row in rows]
+                           for rows in port_stats]
+            attribute_rows = [[_StructWithAttributes(row) for row in rows]
+                              for rows in struct_rows]
+            for rows, passed in ((port_stats, True), (struct_rows, False),
+                                 (attribute_rows, False)):
+                outcome = assert_backends_identical(
+                    task.source, [("var", "pollStats", step)
+                                  for step in rows],
+                    machine=config.machine_name, externals=config.externals)
+                assert outcome["errors"] == []
+                assert outcome["trace"], task.task_id
+                entries = outcome["loops"][loop][0]
+                assert entries == len(port_stats)
+                assert outcome["passes"][loop] == (entries if passed else 0)
+                assert all(count == 0 for line, count in
+                           outcome["passes"].items() if line != loop)
+            if config.machine_name == "HH":
+                assert any(entry[0] == "rule+" for entry in outcome["trace"])
 
     # ------------------------------------------------------------------
     # Escapes and edges: each runs on both executors (production on the
@@ -831,6 +934,28 @@ class TestProbeBatches:
                 assert outcome["errors"] == []
                 assert len(outcome["trace"]) == 2 * (5 - int(start))
 
+    def test_escaped_samples_take_the_pass_as_packet_rows(self):
+        # A handler whose samples escape hands its loop their packets; a
+        # loop of row statements still runs as a pass, on the packets'
+        # attributes.
+        outcome = assert_backends_identical(_probe_machine("""
+      send size(samples) to harvester;
+      list volume = makeMap();
+      int i = 0;
+      while (i < size(samples)) {
+        packet p = get(samples, i);
+        if (p.is_syn or p.size > 150) then {
+          mapInc(volume, p.dst_port, p.size);
+        }
+        i = i + 1;
+      }
+      send volume to harvester;"""), _fire(_batch(), _batch(rows=3)))
+        assert outcome["trace"] == [
+            ("harvester", 5), ("harvester", {81: 1000, 80: 300}),
+            ("harvester", 3), ("harvester", {81: 400})]
+        assert list(outcome["columnar"].values()) == [(0, 2)]
+        assert list(outcome["passes"].values()) == [2]
+
     def test_user_function_get_is_not_read_as_columns(self):
         # Mutation caught: no user-function check for ``get`` (the second
         # body reads the batch's ``size`` column instead of calling it).
@@ -865,6 +990,16 @@ function packet get(list l, long i) { return Row { .size = i * 10 }; }
                 == (3 if "size" in extra else 0)
 
 
+class _StructWithAttributes(dict):
+    """A struct value that also answers attribute reads, with zeros: the
+    closures read a dict row's items, so a row pass must not read it."""
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return 0.0
+
+
 def _probe_machine(body, functions=""):
     """A one-handler machine whose probe ``pkts`` binds ``samples``."""
     return functions + """
@@ -897,3 +1032,256 @@ def _batch(rows=5, now=2.5):
 
 def _fire(*batches):
     return [("var", "pkts", batch) for batch in batches]
+
+
+# ----------------------------------------------------------------------
+# Row passes against the tree-walker: loop bodies drawn from the row-
+# statement grammar run on probe batches and on port-stat rows, under
+# runtime states each built to trip one of the pass's guards.
+# ----------------------------------------------------------------------
+_ROW_MACHINE = """
+machine Rows {
+  place all;
+  probe pkts = Probe { .ival = 1, .what = port ANY };
+  poll pollStats = Poll { .ival = 1, .what = port ANY };
+  list volume = makeMap();
+  list sources = makeMap();
+  list kept;
+  long th = 700;
+  long start = 0;
+  float accInit = 0.5;
+  long rowsKept = 0;
+  long rowsCollected = 0;
+  state s {
+    when (pkts as samples) do {%(probe)s
+    }
+    when (pollStats as samples) do {
+      if (rowsKept == 1) then { kept = samples; }
+      if (rowsCollected == 1) then { mapSet(sources, 3, samples); }%(poll)s
+    }
+    when (recv string cmd from harvester) do {
+      if (cmd == "alias") then { sources = volume; }
+      if (cmd == "zero") then { mapSet(sources, 1, 0); }
+      if (cmd == "five") then { mapSet(sources, 1, 5); }
+      if (cmd == "listcount") then { mapSet(volume, 2, [1]); }
+      if (cmd == "strth") then { th = "x"; }
+      if (cmd == "stracc") then { accInit = "s"; }
+      if (cmd == "keptmap") then { kept = makeMap(); }
+      if (cmd == "volumelist") then { volume = [5]; }
+      if (cmd == "rowskept") then { rowsKept = 1; }
+      if (cmd == "rowscollected") then { rowsCollected = 1; }
+    }
+    when (recv long n from harvester) do { start = n; }
+  }
+}"""
+
+_ROW_LOOP = """
+      float acc = accInit;
+      int i = start;
+      while (i < size(samples)) {
+        packet p = get(samples, i);
+%s
+        i = i + 1;
+      }
+      send acc to harvester;"""
+
+#: The row fields a drawn body names, per row kind: two keys (small ints,
+#: so keys repeat), two values and two flags.
+_FIELDS = {
+    "probe": {"key0": "dst_ip", "key1": "dst_port", "val0": "size",
+              "val1": "src_port", "flag0": "is_syn", "flag1": "is_synack"},
+    "poll": {"key0": "port", "key1": "port", "val0": "rate_bps",
+             "val1": "tx_bytes", "flag0": "rate_bps", "flag1": "tx_packets"},
+}
+
+_DISTINCT = ("list seen = mapGet(sources, p.<key0>); if (seen == 0) then { "
+             "list fresh; mapSet(sources, p.<key0>, fresh); seen = fresh; } "
+             "if (not contains(seen, p.<val0>)) then { "
+             "append(seen, p.<val0>); }")
+
+#: Runtime state per case, each but ``none`` and ``pastend`` (a pass with
+#: no rows to walk) aimed at one guard of the row pass: the script ops
+#: that build it, the row kinds it fires, the builtins it shadows, and the
+#: statements a drawn body gets so that the guard has something to check.
+#: ``cap`` fires a batch past the (lowered) loop cap.
+_GUARD_CASES = {
+    "none": ((), ("probe", "poll"), None, ""),
+    "pastend": ((("recv", 20),), ("probe", "poll"), None, ""),
+    "negative": ((("recv", -2),), ("probe", "poll"), None, ""),
+    "cap": ((), ("probe", "poll"), None, ""),
+    "size": ((), ("probe", "poll"), {"size": lambda l: min(len(l), 3)}, ""),
+    "get": ((), ("probe", "poll"), {"get": lambda l, i: l[0]}, ""),
+    "mapInc": ((), ("probe", "poll"),
+               {"mapInc": lambda m, k, a=1: m.setdefault(k, 7)},
+               "mapInc(volume, p.<key1>);"),
+    "alias": ((("recv", "alias"),), ("probe", "poll"), None,
+              "mapInc(volume, p.<key0>, p.<val1>); " + _DISTINCT),
+    "zero": ((("recv", "zero"),), ("probe", "poll"), None, _DISTINCT),
+    "five": ((("recv", "five"),), ("probe", "poll"), None, _DISTINCT),
+    "listcount": ((("recv", "listcount"),), ("probe", "poll"), None,
+                  "mapInc(volume, p.<key1>, 2);"),
+    "strth": ((("recv", "strth"),), ("probe", "poll"), None,
+              "if (p.<val0> >= th) then { append(kept, p.<val1>); }"),
+    "stracc": ((("recv", "stracc"),), ("probe", "poll"), None,
+               "acc = acc + p.<val0>;"),
+    "keptmap": ((("recv", "keptmap"),), ("probe", "poll"), None,
+                "append(kept, p.<key0>);"),
+    "volumelist": ((("recv", "volumelist"),), ("probe", "poll"), None,
+                   "mapInc(volume, p.<key0>);"),
+    "rowskept": ((("recv", "rowskept"),), ("poll",), None,
+                 "append(kept, p.<val1>);"),
+    "rowscollected": ((("recv", "rowscollected"),), ("poll",), None,
+                      _DISTINCT),
+    "dictrows": ((), ("poll",), None, ""),
+    "introws": ((), ("poll",), None, ""),
+    "strrow": ((), ("poll",), None, "mapInc(volume, p.<key0>, p.<val0>);"),
+}
+
+_MAX_ROWS = 8
+
+
+def _row_read(role):
+    return st.tuples(st.sampled_from(["p", "get(samples, i)"]),
+                     st.sampled_from([role + "0", role + "1"])).map(
+        lambda pair: "%s.<%s>" % pair)
+
+
+def _row_condition():
+    operand = st.sampled_from(["th", "500", "1.5"])
+    atom = st.one_of(
+        _row_read("flag"),
+        st.tuples(_row_read("val"),
+                  st.sampled_from(["==", "<>", "<", "<=", ">", ">="]),
+                  operand).map(" ".join))
+    return st.recursive(atom, lambda inner: st.one_of(
+        inner.map(lambda c: f"not ({c})"),
+        st.tuples(inner, st.sampled_from(["and", "or"]), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})")), max_leaves=3)
+
+
+def _row_statement():
+    amount = st.one_of(_row_read("val"), st.sampled_from(["2", "2.5", "th"]))
+    leaf = st.one_of(
+        st.tuples(_row_read("key"), amount).map(
+            lambda t: "mapInc(volume, %s, %s);" % t),
+        _row_read("key").map(lambda k: f"mapInc(volume, {k});"),
+        _row_read("val").map(lambda v: f"append(kept, {v});"),
+        st.tuples(_row_read("key"), _row_read("val")).map(
+            lambda t: ("list seen = mapGet(sources, %s); "
+                       "if (seen == 0) then { list fresh; "
+                       "mapSet(sources, %s, fresh); seen = fresh; } "
+                       "if (not contains(seen, %s)) then { "
+                       "append(seen, %s); }") % (t[0], t[0], t[1], t[1])),
+        _row_read("val").map(lambda v: f"acc = acc + {v};"))
+    return st.recursive(leaf, lambda body: st.tuples(
+        _row_condition(), st.lists(body, max_size=2),
+        st.none() | st.lists(body, min_size=1, max_size=2)).map(
+            lambda t: "if (%s) then { %s }%s" % (
+                t[0], " ".join(t[1]),
+                "" if t[2] is None else " else { %s }" % " ".join(t[2]))),
+        max_leaves=5)
+
+
+def _probe_rows(draw, count):
+    flows = [Flow(FlowKey(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                          draw(st.integers(1000, 1003)),
+                          draw(st.integers(1, 3)), PROTO_TCP),
+                  rate_bps=1e3, packet_size=draw(st.sampled_from([64, 700])),
+                  default_tcp_flags=draw(st.sampled_from(_FLAG_CYCLE)))
+             for _ in range(count)]
+    return ProbeBatch(flows, 1.0, ProbeBatch.columns_of(flows))
+
+
+def _poll_rows(draw, count, case):
+    rows = [PortStats(draw(st.integers(1, 3)), 1.0,
+                      draw(st.sampled_from([0.0, 250.0, 900.5])),
+                      draw(st.sampled_from([0.0, 3.0])),
+                      draw(st.sampled_from([0.0, 600.0, 1200.25])))
+            for _ in range(count)]
+    if case == "strrow" and rows:
+        rows[draw(st.integers(0, count - 1))].rate_bps = "7"
+    if case == "dictrows":
+        return [dict(dataclasses.asdict(row), __struct__="PortStat")
+                for row in rows]
+    if case == "introws":
+        return [row.port for row in rows]
+    return rows
+
+
+@st.composite
+def _row_cases(draw, case):
+    """``(on the grammar?, source, script)`` of one drawn loop body under
+    ``case``'s runtime state; one body in four also sends (off the
+    grammar: its loop keeps the closures)."""
+    ops, kinds, _extra, witness = _GUARD_CASES[case]
+    statements = draw(st.lists(_row_statement(), min_size=1, max_size=4))
+    statements.insert(draw(st.integers(0, len(statements))), witness)
+    on_grammar = draw(st.integers(0, 3)) > 0
+    if not on_grammar:
+        statements.insert(draw(st.integers(0, len(statements))),
+                          "send p.<key0> to harvester;")
+    body = " ".join(statements)
+    source = _ROW_MACHINE % {
+        kind: _ROW_LOOP % re.sub(r"<(\w+)>",
+                                 lambda m: _FIELDS[kind][m.group(1)], body)
+        for kind in ("probe", "poll")}
+    script = list(ops)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        count = (draw(st.integers(_MAX_ROWS + 1, _MAX_ROWS + 3))
+                 if case == "cap" else draw(st.integers(0, _MAX_ROWS)))
+        if kind == "probe":
+            script.append(("var", "pkts", _probe_rows(draw, count)))
+        else:
+            script.append(("var", "pollStats",
+                           _poll_rows(draw, count, case)))
+    return on_grammar, source, script
+
+
+class TestRowPasses:
+    def test_row_passes_match_the_tree_walker(self):
+        # Every drawn loop runs identically on both executors.  A loop of
+        # row statements takes the pass on every entry in a benign state,
+        # and each guard's own state sends some entry to the closures.
+        # Mutations caught (one per guard, recorded in docs/performance.md
+        # "Row loops as one pass"): the builtin identity check, `i >= 0`,
+        # the loop cap, the list-row value check, the counts / sets /
+        # list target type checks, `L` among a target's values, the
+        # counts-vs-sets alias check, the operand and accumulator checks.
+        fell_back, passed = set(), set()
+
+        def check(case, drawn):
+            on_grammar, source, script = drawn
+            outcome = assert_backends_identical(
+                source, script, extra_builtins=_GUARD_CASES[case][2])
+            entries = sum(entries for entries, _ in
+                          outcome["loops"].values())
+            passes = sum(outcome["passes"].values())
+            if not on_grammar:
+                assert passes == 0
+            elif case in ("none", "pastend"):
+                assert passes == entries
+            if passes:
+                passed.add(case)
+            if on_grammar and passes < entries:
+                fell_back.add(case)
+
+        def runner(case):
+            @settings(max_examples=15, derandomize=True, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+            @given(_row_cases(case))
+            def run(drawn):
+                check(case, drawn)
+            return run
+
+        saved = codegen.MAX_LOOP_ITERATIONS
+        for module in (codegen, interpreter_module):
+            module.MAX_LOOP_ITERATIONS = _MAX_ROWS
+        try:
+            for case in _GUARD_CASES:
+                runner(case)()
+        finally:
+            for module in (codegen, interpreter_module):
+                module.MAX_LOOP_ITERATIONS = saved
+        assert fell_back == set(_GUARD_CASES) - {"none", "pastend"}
+        assert {"none", "pastend"} <= passed

@@ -14,6 +14,7 @@ from repro.placement.model import compute_objective
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 10_000), st.integers(4, 14), st.integers(2, 4))
+@example(116, 8, 2)  # "optimal" with a binary at 1 - 8e-7: C2 leaks
 def test_milp_dominates_heuristic_on_tiny_instances(rng_seed, num_seeds,
                                                     num_switches):
     """On instances small enough for HiGHS to prove optimality, the exact

@@ -141,7 +141,8 @@ class TestMilpExactness:
     def test_truncated_incumbent_is_validated(self, monkeypatch, status,
                                               expected):
         """A time-limit incumbent with an allocation a hair under its
-        piece's floor (C2) is refused; optimal solves are trusted."""
+        piece's floor (C2) is refused; an optimal solve's is lifted onto
+        the floor."""
         p = make_problem([const_seed("a", "t", (1, 2), 10.0, floor=1.0),
                           linear_seed("b", "u", (1,), floor=0.5)])
         probe = MilpPlacementSolver(p)
@@ -159,6 +160,7 @@ class TestMilpExactness:
         assert sol.status == expected
         if expected == "optimal":
             assert sol.placement["a"] == home
+            assert validate_solution(p, sol) == []
             return
         assert sol.placement == {} and sol.allocations == {}
         assert sol.objective == 0.0
