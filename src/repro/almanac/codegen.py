@@ -1767,10 +1767,8 @@ class MachineInstance:
 
     def _traced_fire_var(self, var: str, data: Any) -> bool:
         handled = self._fire_var(var, data)
-        self._tracer.instant(
-            f"fire {var}", track=f"seed/{self.instance_id}", cat="seed",
-            args={"trace_id": self.instance_id, "handled": handled,
-                  "state": self.current_state})
+        self._tracer.seed_fire(self.instance_id, var, handled,
+                               self.current_state)
         return handled
 
     def _fire_var(self, var: str, data: Any) -> bool:

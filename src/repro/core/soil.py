@@ -659,11 +659,10 @@ class Soil:
                      total: float) -> None:
         # The cost model fixes the delivery latency up front, so the whole
         # poll->handler interval is one complete span.
+        poll_span, track, now = (self.tracer.poll_span, self._track,
+                                 self.sim.now)
         for deployment, var in members:
-            self.tracer.complete(f"{deployment.seed_id}.{var}",
-                                 track=self._track, start=self.sim.now,
-                                 duration=total, cat="poll",
-                                 args={"trace_id": deployment.seed_id})
+            poll_span(deployment.seed_id, var, track, now, total)
 
     def _run_handler(self, seed_id: str, var: str, data: Any) -> None:
         deployment = self.deployments.get(seed_id)

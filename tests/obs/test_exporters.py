@@ -40,8 +40,8 @@ def _sample_tracer() -> Tracer:
                        args={"trace_id": "s1"})
     clock["now"] = 0.002
     tracer.async_end("seeder->soil/1", span_id="msg1", track="bus")
-    tracer.complete("s1.poll", track="switch/1", start=0.002,
-                    duration=0.0005, cat="poll")
+    tracer.poll_span("s1", "poll", track="switch/1", start=0.002,
+                     duration=0.0005)
     tracer.instant("reoptimize", track="seeder")
     return tracer
 
