@@ -21,18 +21,19 @@ pre-bound Python closures, and a :class:`MachineInstance` runs them:
   test and step inline while ``i`` is an int, ``L`` a list and ``size``
   the stdlib's own, falling back to the generic closures per iteration
   otherwise;
-* **columnar probe loops** — a counted loop over a probe handler's
-  samples ``L`` that reads rows only as ``get(L, i).f``, or as ``p.f``
-  after ``packet p = get(L, i)``, gets a second body in which each such
-  read is one load from a :class:`~repro.net.packet.ProbeBatch` column;
-  it runs while ``L`` is a batch, and a probe handler keeps its samples a
-  batch only when every use of them is such a loop;
 * **row passes** — a counted loop whose body only accumulates into maps
   or locals, collects distinct values or appends row fields, inside
   ``if`` statements on row fields, also compiles into one generated
   Python function over the rows' columns (a probe batch's, or attributes
   extracted once from list rows such as a poll's ``PortStats``); an
-  entry whose guards hold runs it instead of the closures.
+  entry whose guards hold runs it instead of the closures.  It is the one
+  reader of a :class:`~repro.net.packet.ProbeBatch`: a probe handler
+  keeps its samples ``L`` a batch only when every use of them is the
+  ``L`` of a loop with a row pass that reads rows only as ``get(L, i).f``,
+  or as ``p.f`` after ``packet p = get(L, i)``, for fields the batch has
+  columns for.  Any other use turns the batch into its packets on entry
+  to the handler, and an entry whose pass declines turns it into its
+  packets on entry to the loop.
 
 Every deployment runs on this executor.  The tree-walker in
 ``tests/almanac/reference_interpreter.py`` is the executable
@@ -71,14 +72,12 @@ _EMPTY_FRAME: List[Any] = []
 _NOT_CONST = object()
 
 #: The stdlib's builtins: counted loops inline ``len`` only while a seed's
-#: ``size`` builtin is the stdlib's very function, read probe batch columns
-#: only while its ``get`` is too, and run a row pass only while every
-#: builtin the loop body calls is.
+#: ``size`` builtin is the stdlib's very function, and run a row pass only
+#: while every builtin the loop body calls is.
 _STDLIB = pure_builtins()
 _STDLIB_SIZE = _STDLIB["size"]
-_STDLIB_GET = _STDLIB["get"]
 
-#: The packet fields a columnar loop body reads without a ``Packet``.
+#: The packet fields a row pass reads from a probe batch's columns.
 _ROW_FIELDS = frozenset(BATCH_COLUMNS)
 
 
@@ -170,8 +169,7 @@ class _Ctx:
     """
 
     __slots__ = ("code", "machine_vars", "state_vars", "scopes", "nslots",
-                 "probe_slot", "batch_uses", "batch_loops", "rows",
-                 "loop_records")
+                 "probe_slot", "batch_uses", "batch_loops")
 
     def __init__(self, code: MachineCode, machine_vars: frozenset,
                  state_vars: frozenset) -> None:
@@ -181,19 +179,13 @@ class _Ctx:
         self.scopes: List[Dict[str, int]] = [{}]
         self.nslots = 0
         #: The slot of a probe handler's bound samples: the one list a
-        #: probe batch can reach, so the one a columnar loop may read.
+        #: probe batch can reach, so the one a row pass may read as one.
         self.probe_slot: Optional[int] = None
         #: ids of the ``Var`` nodes that read the samples where a probe batch
-        #: may stay a batch: the ``L`` of a columnar loop.
+        #: may stay a batch: the ``L`` of a batch loop.
         self.batch_uses: set = set()
-        #: The record of each columnar loop compiled in this region.
+        #: The record of each batch loop compiled in this region.
         self.batch_loops: List[_CountedLoop] = []
-        #: The columnar loops whose second body is being compiled, as
-        #: ``(L, i, p or None, slot of L, slot of i)``.
-        self.rows: Tuple[tuple, ...] = ()
-        #: One engagement record per loop statement, however often its
-        #: body is compiled (a columnar body compiles inner loops again).
-        self.loop_records: Dict[int, _CountedLoop] = {}
 
     def push_block(self) -> None:
         self.scopes.append({})
@@ -313,10 +305,6 @@ def _compile_expr(expr: ast.Expr, ctx: _Ctx) -> Callable:
             return value
         return struct_lit
     if isinstance(expr, ast.FieldAccess):
-        if ctx.rows:
-            load = _compile_column_load(expr, ctx)
-            if load is not None:
-                return load
         obj_fn = _compile_expr(expr.obj, ctx)
         fieldname = expr.fieldname
         line = expr.line
@@ -789,19 +777,17 @@ def _compile_assign(stmt: ast.Assign, ctx: _Ctx) -> Callable:
 class _CountedLoop:
     """Engagement record of one lowered counted loop: how often it was
     entered, how many of its condition tests took the generic closures,
-    how many entries a row pass served, and — for a loop with a columnar
-    body — how many entries ran that body and how many probe batches bound
-    for it were turned into packets."""
+    how many entries a row pass served, and — for a batch loop
+    (:func:`_batch_shape`) — how many probe batches bound for it were
+    turned into packets."""
 
-    __slots__ = ("line", "entries", "fallbacks", "passes", "columnar",
-                 "materialized")
+    __slots__ = ("line", "entries", "fallbacks", "passes", "materialized")
 
     def __init__(self, line: int) -> None:
         self.line = line
         self.entries = 0
         self.fallbacks = 0
         self.passes = 0
-        self.columnar = 0
         self.materialized = 0
 
 
@@ -881,7 +867,7 @@ def _is_row_get(expr: Any, seq: str, index: str) -> bool:
 def _row_read(expr: Any, spec: tuple) -> bool:
     """``expr`` reads one packet field of the row ``spec``'s loop is at:
     ``p.f`` or ``get(L, i).f`` for a field a probe batch has a column for."""
-    seq, index, row = spec[:3]
+    seq, index, row = spec
     if not (isinstance(expr, ast.FieldAccess)
             and expr.fieldname in _ROW_FIELDS):
         return False
@@ -918,60 +904,20 @@ def _row_binding(stmt: ast.While) -> Tuple[Optional[str], List[ast.Stmt]]:
     return None, inner
 
 
-def _columnar_shape(stmt: ast.While, ctx: _Ctx, seq: str
-                    ) -> Optional[Tuple[Optional[str], List[ast.Var]]]:
-    """``(p or None, the Var nodes of L it covers)`` when a counted loop's
-    body reads ``L`` only row by row: ``L`` is a probe handler's samples,
-    no user function shadows ``get``, an optional ``T p = get(L, i)`` first
-    binds a ``p`` never written afterwards, and every other ``L`` and every
-    ``p`` is the object of a packet-field read of the current row."""
-    if (ctx.probe_slot is None or ctx.resolve(seq) != ("local", ctx.probe_slot)
-            or "get" in ctx.code.functions):
+def _batch_shape(stmt: ast.While, ctx: _Ctx, seq: str
+                 ) -> Optional[List[ast.Var]]:
+    """The ``Var`` nodes of ``L`` a counted loop covers when its body reads
+    ``L`` only row by row: ``L`` is a probe handler's samples, an optional
+    ``T p = get(L, i)`` first binds a ``p`` never written afterwards, and
+    every other ``L`` and every ``p`` is the object of a read of a field
+    the probe batch has a column for."""
+    if ctx.resolve(seq) != ("local", ctx.probe_slot):
         return None
     row, rest = _row_binding(stmt)
     if row in _written_names(rest) or _stray_use(
             rest, (seq, stmt.cond.left.name, row)):
         return None
-    return row, _var_uses(stmt.body[:-1], seq, [stmt.cond.right.args[0]])
-
-
-def _compile_column_load(expr: ast.FieldAccess, ctx: _Ctx
-                         ) -> Optional[Callable]:
-    """A row read of an enclosing columnar loop as one column load, or
-    None when ``expr`` is not one.  ``get(L, i).f`` keeps ``get``'s error
-    for an ``i`` below ``-len(L)``; ``p.f`` needs no check, the loop made
-    it when it bound ``p``."""
-    for spec in reversed(ctx.rows):
-        if _row_read(expr, spec):
-            break
-    else:
-        return None
-    seq_slot, index_slot = spec[3], spec[4]
-    fieldname = expr.fieldname
-    checked = not isinstance(expr.obj, ast.Var)
-    line = expr.obj.line
-    column = operator.attrgetter(fieldname)
-    if not checked:
-        def load_column(rt, frame):
-            return column(frame[seq_slot])[frame[index_slot]]
-        return load_column
-
-    def load_column_checked(rt, frame):
-        try:
-            return column(frame[seq_slot])[frame[index_slot]]
-        except IndexError as exc:
-            raise AlmanacRuntimeError(
-                f"builtin get() failed (line {line}): {exc}") from exc
-    return load_column_checked
-
-
-def _check_row(batch: ProbeBatch, i: int, line: int) -> None:
-    """Raise what ``get(L, i)`` raises when ``i`` is no row of ``batch``."""
-    try:
-        batch.flows[i]
-    except IndexError as exc:
-        raise AlmanacRuntimeError(
-            f"builtin get() failed (line {line}): {exc}") from exc
+    return _var_uses(stmt.body[:-1], seq, [stmt.cond.right.args[0]])
 
 
 def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
@@ -986,16 +932,12 @@ def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
     so a body that grows ``L`` through an alias behaves as the generic
     loop does, iteration cap and error messages included.
 
-    When the body reads ``L`` only row by row (:func:`_columnar_shape`) it
-    is compiled a second time with every row read a column load, and an
-    entry with a :class:`~repro.net.packet.ProbeBatch` in ``L`` and an int
-    ``i`` runs that body while ``size`` and ``get`` are the stdlib's own.
-    Otherwise — or once they stop being — the batch in ``L``'s slot is
-    replaced by its packets and the loop goes on as above.
-
     A loop whose body is all row statements (:class:`_RowPlan`) first
     offers each entry to its row pass, which runs it whole when its guards
-    hold; every other entry takes the paths above.
+    hold.  When it also reads ``L`` only row by row (:func:`_batch_shape`)
+    it is a batch loop: its ``L`` may hold a
+    :class:`~repro.net.packet.ProbeBatch`, which an entry the pass declines
+    replaces in ``L``'s slot by its packets before going on as above.
     """
     line = stmt.line
     # A local ``L`` is read from its frame slot, any other through its load
@@ -1003,63 +945,24 @@ def _compile_counted_loop(stmt: ast.While, ctx: _Ctx, cond_fn: Callable,
     kind, seq_slot = ctx.resolve(seq_name)
     load_seq = _compile_load(seq_name, ctx) if kind != "local" else None
     inner, step_fn = body[:-1], body[-1]
-    record = ctx.loop_records.get(id(stmt))
-    if record is None:
-        record = ctx.loop_records[id(stmt)] = _CountedLoop(line)
-        ctx.code.counted_loops.append(record)
+    record = _CountedLoop(line)
+    ctx.code.counted_loops.append(record)
     row_pass = _compile_row_pass(stmt, ctx, index_slot)
-    columnar: Optional[Tuple[Callable, ...]] = None
-    row_line: Optional[int] = None
-    shape = _columnar_shape(stmt, ctx, seq_name)
-    if shape is not None:
-        row, uses = shape
+    uses = None if row_pass is None else _batch_shape(stmt, ctx, seq_name)
+    if uses is not None:
         ctx.batch_uses.update(id(v) for v in uses)
         ctx.batch_loops.append(record)
-        columnar_stmts = stmt.body[:-1]
-        if row is not None:
-            row_line = columnar_stmts[0].init.line
-            columnar_stmts = columnar_stmts[1:]
-        ctx.rows += ((seq_name, stmt.cond.left.name, row, seq_slot,
-                      index_slot),)
-        ctx.push_block()
-        columnar = tuple(_compile_stmt(s, ctx) for s in columnar_stmts)
-        ctx.pop_block()
-        ctx.rows = ctx.rows[:-1]
 
     def counted_loop(rt, frame):
         record.entries += 1
         if row_pass is not None and row_pass(rt, frame):
             record.passes += 1
             return
+        if uses is not None and frame[seq_slot].__class__ is ProbeBatch:
+            record.materialized += 1
+            frame[seq_slot] = frame[seq_slot].packets()
         builtins = rt.builtins
         iterations = 0
-        if columnar is not None:
-            batch = frame[seq_slot]
-            if batch.__class__ is ProbeBatch:
-                i = frame[index_slot]
-                if (type(i) is int and builtins.get("size") is _STDLIB_SIZE
-                        and builtins.get("get") is _STDLIB_GET):
-                    record.columnar += 1
-                    n = len(batch.flows)
-                    while True:
-                        if not i < n:
-                            return
-                        iterations += 1
-                        if iterations > MAX_LOOP_ITERATIONS:
-                            raise AlmanacRuntimeError(
-                                f"while loop exceeded {MAX_LOOP_ITERATIONS} "
-                                f"iterations (line {line})")
-                        if row_line is not None and i < -n:
-                            _check_row(batch, i, row_line)
-                        for s in columnar:
-                            s(rt, frame)
-                        i += 1
-                        frame[index_slot] = i
-                        if not (builtins.get("size") is _STDLIB_SIZE
-                                and builtins.get("get") is _STDLIB_GET):
-                            break
-                record.materialized += 1
-                frame[seq_slot] = batch.packets()
         while True:
             i = frame[index_slot]
             seq = frame[seq_slot] if load_seq is None else load_seq(rt, frame)
@@ -1355,9 +1258,9 @@ def _compile_row_pass(stmt: ast.While, ctx: _Ctx,
 
     * ``size``, ``get`` and every builtin the body calls are the stdlib's;
     * ``i`` is an int ``>= 0``, and ``L`` holds at most
-      ``MAX_LOOP_ITERATIONS`` rows: a probe batch (one reaches only a loop
-      with a columnar body, whose fields are all columns), or a list of
-      non-dict rows whose fields are all ints, floats or bools;
+      ``MAX_LOOP_ITERATIONS`` rows: a probe batch (one reaches only a batch
+      loop, whose fields are all columns), or a list of non-dict rows
+      whose fields are all ints, floats or bools;
     * each ``mapInc`` target is a dict of ints and floats, each
       distinct-set target a dict of lists (``L`` not among them) and not a
       ``mapInc`` target too, each ``append`` target a list other than
@@ -1479,7 +1382,7 @@ def _trigger_in_state_raiser(name: str, state: str) -> Callable:
 def _batch_only(name: str, stmts: List[ast.Stmt], ctx: _Ctx) -> bool:
     """Every use of the local ``name`` in ``stmts`` (compiled in ``ctx``)
     lets a probe batch stay one: none writes it, and each read is the list
-    of a columnar loop."""
+    of a batch loop."""
     return (name not in _written_names(stmts)
             and all(id(v) in ctx.batch_uses
                     for v in _var_uses(stmts, name, [])))
@@ -1488,7 +1391,7 @@ def _batch_only(name: str, stmts: List[ast.Stmt], ctx: _Ctx) -> bool:
 def _materialize_prologue(bind_slot: int,
                           records: Tuple[_CountedLoop, ...]) -> Callable:
     """A probe handler's first statement when its samples escape: a batch
-    becomes its packets, counted on the handler's columnar loops over it."""
+    becomes its packets, counted on the handler's batch loops over it."""
     def materialize_samples(rt, frame):
         data = frame[bind_slot]
         if data.__class__ is ProbeBatch:
@@ -1514,9 +1417,8 @@ def _compile_handler(event: ast.Event, code: MachineCode,
         ctx.probe_slot = bind_slot
     body = tuple(_compile_stmt(s, ctx) for s in event.actions)
     if probe and not _batch_only(trigger.bind, event.actions, ctx):
-        records = tuple({id(record): record
-                         for record in ctx.batch_loops}.values())
-        body = (_materialize_prologue(bind_slot, records),) + body
+        prologue = _materialize_prologue(bind_slot, tuple(ctx.batch_loops))
+        body = (prologue,) + body
     return _Handler(ctx.nslots, bind_slot, body)
 
 

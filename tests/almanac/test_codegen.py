@@ -111,9 +111,9 @@ def run_machine(source, script=(), machine=None, externals=None,
 
     ``loops`` maps each counted loop the closure compiler lowered to
     ``(entries, fallbacks)``: how often it ran, and how many condition
-    tests took the generic closures; ``columnar`` maps it to
-    ``(columnar entries, materialized batches)`` and ``passes`` to the
-    entries its row pass served.  Only the production executor runs
+    tests took the generic closures; ``materialized`` maps it to the probe
+    batches bound for it that were turned into packets and ``passes`` to
+    the entries its row pass served.  Only the production executor runs
     closures, so :func:`assert_backends_identical` compares without them.
     A :class:`ProbeBatch` goes to the production executor as it is and to
     the tree-walker as its packets, the way the soil and the oracle each
@@ -159,9 +159,8 @@ def run_machine(source, script=(), machine=None, externals=None,
         "errors": errors,
         "loops": {loop.line: (loop.entries, loop.fallbacks) for loop in
                   codegen.compile_closures(compiled).counted_loops},
-        "columnar": {loop.line: (loop.columnar, loop.materialized)
-                     for loop in
-                     codegen.compile_closures(compiled).counted_loops},
+        "materialized": {loop.line: loop.materialized for loop in
+                         codegen.compile_closures(compiled).counted_loops},
         "passes": {loop.line: loop.passes for loop in
                    codegen.compile_closures(compiled).counted_loops},
     }
@@ -176,7 +175,7 @@ def assert_backends_identical(source, script=(), machine=None,
                            executor=MachineInstance,
                            extra_builtins=extra_builtins)
     counters = {key: compiled.pop(key)
-                for key in ("loops", "columnar", "passes")}
+                for key in ("loops", "materialized", "passes")}
     for key in counters:
         interpreted.pop(key)
     assert compiled == interpreted
@@ -739,7 +738,8 @@ class TestProbeBatches:
                 with_probe.add(machine)
         assert covered == with_probe and len(covered) == 13
 
-    def test_probe_handlers_identical_and_counted_loops_engage(self):
+    def test_probe_handlers_identical_and_counted_loops_engage(
+            self, monkeypatch):
         kinds = {task.task_id: _trigger_kinds(task) for task in PROBE_TASKS}
         probe_of = {task.task_id: next(var for var, typ in
                                        kinds[task.task_id].items()
@@ -748,8 +748,15 @@ class TestProbeBatches:
         filters = {task.task_id: _probe_filter(task, probe_of[task.task_id])
                    for task in PROBE_TASKS}
         batches, port_stats = _probe_batches(set(filters.values()))
+        made = []
+        packets_of = ProbeBatch.packets
+
+        def counted_packets(batch):
+            made.append(batch)
+            return packets_of(batch)
+        monkeypatch.setattr(ProbeBatch, "packets", counted_packets)
         reacted, packets = set(), 0
-        on_columns, on_passes, materialized = set(), set(), set()
+        on_passes, on_entry = set(), set()
         for task in PROBE_TASKS:
             config = task.machines[0]
             script = []
@@ -762,10 +769,15 @@ class TestProbeBatches:
                             script.append(
                                 ("var", var,
                                  port_stats[step] if typ == "poll" else None))
+            made.clear()
             outcome = assert_backends_identical(
                 task.source, script, machine=config.machine_name,
                 externals=config.externals)
             assert outcome["errors"] == []
+            # The tree-walker gets each batch as its packets, one call per
+            # firing; the production executor made the rest.
+            firings = len(batches[filters[task.task_id]])
+            made_by_closures = len(made) - firings
             if any(entry[0] == "rule+" for entry in outcome["trace"]):
                 reacted.add(task.task_id)
             lines = task.source.splitlines()
@@ -773,47 +785,40 @@ class TestProbeBatches:
                             enumerate(lines, start=1)
                             if _SAMPLES_LOOP.search(text)}
             assert sample_loops, task.task_id
-            loops, columnar = outcome["loops"], outcome["columnar"]
-            passes = outcome["passes"]
+            loops, passes = outcome["loops"], outcome["passes"]
             # Every `while (i < size(samples))` was lowered and ran inline
             # on every iteration; so did every other lowered loop it entered.
             assert sample_loops <= set(loops), task.task_id
             assert all(loops[line][0] > 0 for line in sample_loops)
             assert all(fallbacks == 0 for _, fallbacks in loops.values())
-            assert all(made == 0 for _, made in columnar.values())
+            assert set(outcome["materialized"].values()) == {0}
             # No loop that sends, transits or calls into the TCAM runs as
             # a pass.
             bodies = _loop_bodies(task.source)
             assert all(passes[line] == 0 for line in loops
                        if _reacts(bodies[line])), task.task_id
-            if config.machine_name == "FloodDefender":
-                # Its handler passes the samples to a user function, so
-                # they escape: the handler turns each batch into packets
-                # on entry, and the loop in ``countMisses`` (a computed
-                # key) runs neither on columns nor as a pass.
-                assert all(columnar[line][0] == 0 for line in sample_loops)
-                assert set(passes.values()) == {0}
-                materialized.add(task.task_id)
-                continue
-            # ... and every entry ran its row pass or its columnar body on
-            # the batch: no handler let its samples escape, none was turned
-            # into packets.  A loop the grammar admits took the pass every
-            # time; any other never did.
-            assert all(columnar[line][0] + passes[line] == loops[line][0]
-                       for line in sample_loops), task.task_id
             if all(passes[line] == loops[line][0] for line in sample_loops):
+                # Every entry ran its row pass on the batch, and no batch
+                # was turned into packets.
+                assert made_by_closures == 0, task.task_id
                 on_passes.add(config.machine_name)
             else:
+                # A samples loop no pass serves (a computed key, a user
+                # function) lets the samples escape: the handler turns each
+                # batch into packets on entry, once per firing.
                 assert all(passes[line] == 0 for line in sample_loops)
-                on_columns.add(config.machine_name)
+                assert made_by_closures == firings, task.task_id
+                on_entry.add(config.machine_name)
+            if config.machine_name == "FloodDefender":
+                # The loop in ``countMisses`` (a computed key) is no pass.
+                assert set(passes.values()) == {0}
         # The batches carried the incidents far enough to trip reactions.
         assert packets == 13 * 16 * 64
         assert len(reacted) >= 7
         assert on_passes == ROW_PASS_MACHINES
-        assert on_columns == {"FlowSizeDist", "HHHFull", "Superspreader",
-                              "SshBruteForce", "DnsReflection",
-                              "NewTcpConn"}
-        assert materialized == {"flood-defender"}
+        assert on_entry == {"FlowSizeDist", "HHHFull", "Superspreader",
+                            "SshBruteForce", "DnsReflection", "NewTcpConn",
+                            "FloodDefender"}
 
     def test_port_stat_loops_run_as_a_pass(self):
         # getHH's and TrafficChange's loops over the ASIC's own PortStats
@@ -854,11 +859,12 @@ class TestProbeBatches:
     # ------------------------------------------------------------------
     # Escapes and edges: each runs on both executors (production on the
     # batch, the tree-walker on its packets) and names the one-line
-    # mutation of the columnar lowering it fails.
+    # mutation of the batch lowering it fails.
     # ------------------------------------------------------------------
     def test_packet_stored_in_a_machine_list_escapes(self):
-        # Mutation caught: a bare ``p`` accepted as a row read (the second
-        # body then loads an undeclared ``p``).
+        # Mutation caught: the batch offered to a loop without a row pass
+        # (``_batch_shape`` asked of every counted loop): the first loop, a
+        # sum into a machine variable, then counts both materialisations.
         outcome = assert_backends_identical(_probe_machine("""
       int i = 0;
       while (i < size(samples)) { total = total + get(samples, i).size;
@@ -873,9 +879,10 @@ class TestProbeBatches:
         assert outcome["trace"] == [("harvester", 5), ("harvester", 7)]
         assert outcome["snapshot"]["machine_vars"]["kept"] \
             == _batch().packets() + _batch(rows=2).packets()
-        # The first loop could run on columns; the second let the samples
-        # escape, so both firings handed the handler packets.
-        assert list(outcome["columnar"].values()) == [(0, 2), (0, 0)]
+        # Neither loop is a row pass, so neither is a batch loop: the
+        # second let the samples escape, and both firings handed the
+        # handler packets that no loop counts.
+        assert list(outcome["materialized"].values()) == [0, 0]
 
     def test_send_p_escapes(self):
         # Mutation caught: no prologue for a handler whose samples escape
@@ -889,27 +896,29 @@ class TestProbeBatches:
         i = i + 1;
       }"""), _fire(_batch()))
         assert outcome["trace"] == [("harvester", _batch().packets()[1])]
-        assert list(outcome["columnar"].values()) == [(0, 0)]
+        assert list(outcome["materialized"].values()) == [0]
 
     def test_samples_used_outside_a_loop_materialize_on_entry(self):
         # Mutation caught: ``any`` for ``all`` in ``_batch_only``, so that
         # ``size(samples)`` outside a loop passes as a covered use (the
-        # batch reaches ``append``, which rejects it).
+        # batch reaches ``append``, which rejects it).  The loop sums into
+        # a local, so it is a batch loop and counts the materialisation.
         outcome = assert_backends_identical(_probe_machine("""
       send size(samples) to harvester;
       append(samples, get(samples, 0));
+      long sum = 0;
       int i = 0;
-      while (i < size(samples)) { total = total + get(samples, i).size;
+      while (i < size(samples)) { sum = sum + get(samples, i).size;
                                   i = i + 1; }
-      send total to harvester;"""), _fire(_batch(rows=3)))
+      send sum to harvester;"""), _fire(_batch(rows=3)))
         assert outcome["errors"] == []
         assert outcome["trace"] == [("harvester", 3), ("harvester", 600)]
-        assert list(outcome["columnar"].values()) == [(0, 1)]
+        assert list(outcome["materialized"].values()) == [1]
+        assert list(outcome["passes"].values()) == [1]
 
     def test_index_starting_negative_or_past_zero(self):
-        # Mutation caught: the loop's row check for ``packet p = get(L, i)``
-        # left out (an ``i`` below -len(L) then fails in a column load with
-        # a bare IndexError instead of ``get``'s error).
+        # Mutation caught: the loop's ``packets()`` after a declined pass
+        # left out (the closures' ``get`` then rejects the batch).
         for start, bound in (("-3", "5"), ("2", "5"), ("-7", "5")):
             outcome = assert_backends_identical(_probe_machine(f"""
       int i = {start};
@@ -924,15 +933,35 @@ class TestProbeBatches:
           to harvester;
         j = j + 1;
       }}"""), _fire(_batch(rows=int(bound))))
+            assert list(outcome["materialized"].values()) == [0, 0]
+            # A loop the pass admits, alone in its handler: the pass
+            # declines a negative start, and the loop turns the batch into
+            # its packets once.
+            volume = assert_backends_identical(_probe_machine(f"""
+      list volume = makeMap();
+      int k = {start};
+      while (k < size(samples)) {{
+        packet p = get(samples, k);
+        mapInc(volume, p.dst_port, p.size);
+        k = k + 1;
+      }}
+      send volume to harvester;"""), _fire(_batch(rows=int(bound))))
+            declined = start.startswith("-")
+            assert list(volume["materialized"].values()) == [int(declined)]
+            assert list(volume["passes"].values()) == [int(not declined)]
             if start == "-7":
-                assert list(outcome["columnar"].values()) == [(1, 0), (0, 0)]
                 assert outcome["errors"] == [(
                     "var", "builtin get() failed (line 11): "
                            "list index out of range")]
+                assert volume["errors"] == [(
+                    "var", "builtin get() failed (line 12): "
+                           "list index out of range")]
             else:
-                assert list(outcome["columnar"].values()) == [(1, 0), (1, 0)]
-                assert outcome["errors"] == []
+                assert outcome["errors"] == volume["errors"] == []
                 assert len(outcome["trace"]) == 2 * (5 - int(start))
+                assert volume["trace"] == [("harvester", (
+                    {80: 300, 81: 800} if start == "2" else
+                    {80: 700, 81: 1800}))]
 
     def test_escaped_samples_take_the_pass_as_packet_rows(self):
         # A handler whose samples escape hands its loop their packets; a
@@ -953,39 +982,63 @@ class TestProbeBatches:
         assert outcome["trace"] == [
             ("harvester", 5), ("harvester", {81: 1000, 80: 300}),
             ("harvester", 3), ("harvester", {81: 400})]
-        assert list(outcome["columnar"].values()) == [(0, 2)]
+        assert list(outcome["materialized"].values()) == [2]
         assert list(outcome["passes"].values()) == [2]
-
-    def test_user_function_get_is_not_read_as_columns(self):
-        # Mutation caught: no user-function check for ``get`` (the second
-        # body reads the batch's ``size`` column instead of calling it).
+        # A pass reading ``timestamp``, a field no batch column holds, is
+        # no batch loop: its samples escape too.  Mutation caught: the
+        # batch offered to every loop with a row pass (``_batch_shape``
+        # not asked), whose column read of ``timestamp`` then raises
+        # AttributeError.
         outcome = assert_backends_identical(_probe_machine("""
+      list seen = makeMap();
       int i = 0;
       while (i < size(samples)) {
         packet p = get(samples, i);
-        total = total + p.size;
+        mapInc(seen, p.src_port, p.timestamp);
         i = i + 1;
       }
-      send total to harvester;""", functions="""
+      send seen to harvester;"""), _fire(_batch(rows=3)))
+        assert outcome["errors"] == []
+        assert outcome["trace"] == [("harvester", {1000: 2.5, 1001: 5.0})]
+        assert list(outcome["materialized"].values()) == [0]
+        assert list(outcome["passes"].values()) == [1]
+
+    def test_user_function_get_is_not_read_as_columns(self):
+        # Mutation caught: no user-function check on the builtins a row
+        # pass calls (the pass reads the batch's ``size`` column instead of
+        # calling the user's ``get``).
+        outcome = assert_backends_identical(_probe_machine("""
+      long sum = 0;
+      int i = 0;
+      while (i < size(samples)) {
+        packet p = get(samples, i);
+        sum = sum + p.size;
+        i = i + 1;
+      }
+      send sum to harvester;""", functions="""
 function packet get(list l, long i) { return Row { .size = i * 10 }; }
 """), _fire(_batch(rows=4)))
         assert outcome["trace"] == [("harvester", 60)]
-        assert list(outcome["columnar"].values()) == [(0, 0)]
+        assert list(outcome["materialized"].values()) == [0]
+        assert list(outcome["passes"].values()) == [0]
 
     def test_host_shadowed_size_and_get_materialize_in_the_loop(self):
-        # Mutation caught: no ``size`` identity check on the columnar path
-        # (the loop walks all five rows, not the two ``size`` reports).
+        # Mutation caught: no builtin identity check in the row pass (the
+        # pass sums all five rows' sizes, not what the host's ``size`` and
+        # ``get`` report).
         body = """
+      long sum = 0;
       int i = 0;
-      while (i < size(samples)) { total = total + get(samples, i).size;
+      while (i < size(samples)) { sum = sum + get(samples, i).size;
                                   i = i + 1; }
-      send total to harvester;"""
+      send sum to harvester;"""
         for extra, sent in (({"size": lambda l: min(len(l), 2)}, 300),
                             ({"get": lambda l, i: l[0]}, 500)):
             outcome = assert_backends_identical(
                 _probe_machine(body), _fire(_batch()), extra_builtins=extra)
             assert outcome["trace"] == [("harvester", sent)]
-            assert list(outcome["columnar"].values()) == [(0, 1)]
+            assert list(outcome["materialized"].values()) == [1]
+            assert list(outcome["passes"].values()) == [0]
             assert list(outcome["loops"].values())[0][1] \
                 == (3 if "size" in extra else 0)
 
