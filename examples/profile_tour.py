@@ -18,7 +18,9 @@ The script writes three files into the directory it runs from:
 * ``profile.postmortem.json`` — a flight-recorder postmortem bundle.
 
 The costs are host wall-clock, so the printed numbers vary from run to
-run; the ranking of the switches does not.
+run, and on a loaded host even the order of two neighbouring switches
+can.  What the skew fixes is the number of events each switch
+dispatches (the ``events`` of the postmortem's cost entries).
 
 See docs/observability.md ("Profiling & cost attribution") for the
 attribution model.

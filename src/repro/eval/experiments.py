@@ -217,24 +217,6 @@ class CpuLoadPoint:
     system: str
     flows: int
     cpu_load_percent: float
-    #: Load recomputed from the registry counters (``farm_cpu_*_total``)
-    #: instead of the CPU model's private integrals — the Fig. 5 check.
-    registry_cpu_load_percent: float = 0.0
-
-
-def _registry_cpu_load_percent(switch: Switch, horizon_s: float) -> float:
-    """Mean CPU load in percent from the metrics registry alone.
-
-    The registry counters mirror the CPU model's work/standing integrals
-    add-for-add, so this matches ``mean_load_percent()`` exactly.
-    """
-    switch.cpu.mean_load_percent()  # flush the standing-load integral
-    labels = {"switch": switch.switch_id}
-    work = switch.metrics.value("farm_cpu_work_seconds_total", labels)
-    standing = switch.metrics.value(
-        "farm_cpu_standing_core_seconds_total", labels)
-    demand = (work + standing) / horizon_s * 100.0
-    return min(demand, switch.cpu.num_cores * 100.0)
 
 
 def run_fig5_cpu_load(flow_counts: Tuple[int, ...] = (100, 200, 400, 600,
@@ -256,8 +238,7 @@ def run_fig5_cpu_load(flow_counts: Tuple[int, ...] = (100, 200, 400, 600,
                              event_cpu_s=event_cpu)
         sim.run(until=duration_s)
         points.append(CpuLoadPoint(
-            "FARM", flows, switch.cpu.mean_load_percent(),
-            _registry_cpu_load_percent(switch, duration_s)))
+            "FARM", flows, switch.cpu.mean_load_percent()))
         # sFlow: agent samples and forwards, cost per sample, no analysis.
         sim = Simulator()
         switch = Switch(sim, 1)
@@ -268,8 +249,7 @@ def run_fig5_cpu_load(flow_counts: Tuple[int, ...] = (100, 200, 400, 600,
                    probe_period_s=0.010)
         sim.run(until=duration_s)
         points.append(CpuLoadPoint(
-            "sFlow", flows, switch.cpu.mean_load_percent(),
-            _registry_cpu_load_percent(switch, duration_s)))
+            "sFlow", flows, switch.cpu.mean_load_percent()))
     return points
 
 
@@ -968,7 +948,7 @@ class ProfilePoint:
     seeds: int
     wall_s: float
     attributed_s: float
-    coverage: float          # attributed / wall (exact mode: >= 0.99)
+    coverage: float          # attributed / wall (>= 0.99)
     dispatches: int
     gini: float
     max_mean_skew: float

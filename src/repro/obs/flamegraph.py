@@ -83,8 +83,7 @@ def _build_tree(model: CostModel) -> _Node:
 def to_collapsed(model: CostModel) -> str:
     """Folded-stack text: one ``frame;frame <ns>`` line per cost key.
 
-    Lines are sorted hottest-first; values are attributed nanoseconds
-    (scaled to fleet estimates in sampling mode).
+    Lines are sorted hottest-first; values are attributed nanoseconds.
     """
     lines = sorted(
         ((";".join(_frames(entry)), entry.ns) for entry in model.entries),
@@ -238,8 +237,6 @@ def render_flamegraph(model: CostModel,
     if report is None:
         report = model.imbalance_report()
     tiles = [
-        ("mode", model.mode + (f" (1/{model.scale})"
-                               if model.scale > 1 else "")),
         ("attributed", _fmt_ns(model.total_ns)),
         ("events", f"{model.total_events}"),
         ("cost keys", f"{len(model.entries)}"),

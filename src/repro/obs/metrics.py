@@ -68,8 +68,8 @@ class Counter:
         """``repeats`` rounds of ``inc(a) for a in amounts`` in one call.
 
         The value advances through the identical float-add sequence, so a
-        counter mirroring an integral add for add keeps its bits when the
-        caller batches its increments.
+        caller that batches its increments keeps the bits the single
+        increments would give.
         """
         value = self._value
         for _ in range(repeats):

@@ -8,23 +8,20 @@ seed_id, label)`` **cost key** carried on the event (components pass a
 precomputed shared tuple at schedule time, so disabled profiling costs
 one kernel branch and nothing else).
 
-Two measurement modes:
-
-* **exact** — one ``perf_counter_ns`` call per dispatch.  Each event is
-  charged the delta since the previous dispatch finished, so kernel
-  overhead (heap pops, pushes the callback performed, tombstone
-  compaction) lands on the event that incurred it and the attributed
-  total is exactly the last clock read minus the first — the wall-clock
-  of the profiled run (asserted under a fake clock in
-  ``tests/obs/test_profiler.py``).
-* **sampling** — times one dispatch in ``sample_every`` (two clock
-  calls around the callback) and scales counts and nanoseconds up by
-  the period; unsampled dispatches pay a counter decrement and a
-  branch.
+Attribution is exact, and its clock-read contract is one
+``perf_counter_ns`` call per dispatch, plus an anchor read at the first
+dispatch after a start or :meth:`Profiler.reanchor`; a stopped profiler
+reads no clock.  Each
+event is charged the delta since the previous dispatch finished, so
+kernel overhead (heap pops, pushes the callback performed, tombstone
+compaction) lands on the event that incurred it and the attributed
+total is exactly the last clock read minus the first — the wall-clock
+of the profiled run (asserted under a fake clock in
+``tests/obs/test_profiler.py``).
 
 Profiling never touches sim-time, event ordering, or seed state: the
-simulator's outputs are bit-identical with profiling off, exact, or
-sampled (asserted in ``tests/obs/test_profiler.py``).
+simulator's outputs are bit-identical with profiling off and on
+(asserted in ``tests/obs/test_profiler.py``).
 
 On top of the raw attribution:
 
@@ -56,51 +53,31 @@ from repro.obs.trace import Tracer
 #: callbacks).  The label falls back to the event label at dispatch time.
 KERNEL_COMPONENT = "kernel"
 
-#: Default sampling period: 1-in-32 keeps the hot-loop cost to a counter
-#: decrement while a multi-second run still collects thousands of samples.
-DEFAULT_SAMPLE_EVERY = 32
-
 
 class Profiler:
     """Dispatch-level cost attribution for one :class:`Simulator`.
 
-    >>> profiler = Profiler(sim)            # exact mode
+    >>> profiler = Profiler(sim)
     >>> profiler.start()
     >>> sim.run(until=10.0)
     >>> model = profiler.cost_model()
     >>> model.top_switches(3)
 
-    ``mode`` is ``"exact"`` or ``"sampling"``; switch off with
-    :meth:`stop` (which uninstalls from the kernel, restoring the
-    plain-dispatch fast path bit-for-bit).
+    Switch off with :meth:`stop` (which uninstalls from the kernel,
+    restoring the plain-dispatch fast path bit-for-bit).  ``mode`` accepts
+    only ``"exact"``, the one way Surveyor measures.
     """
 
-    __slots__ = ("sim", "mode", "sample_every", "costs", "dispatch",
-                 "_last_ns", "_countdown", "_fallback_keys",
-                 "_dispatch_base", "_sample_base")
+    __slots__ = ("sim", "costs", "_last_ns", "_fallback_keys")
 
-    def __init__(self, sim: Any, mode: str = "exact",
-                 sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
-        if mode not in ("exact", "sampling"):
+    def __init__(self, sim: Any, mode: str = "exact") -> None:
+        if mode != "exact":
             raise ValueError(f"unknown profiler mode {mode!r}")
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {sample_every}")
         self.sim = sim
-        self.mode = mode
-        self.sample_every = int(sample_every)
-        #: ``{cost_key: [ns, fires]}`` — raw (unscaled) accumulators.
+        #: ``{cost_key: [ns, fires]}`` accumulators.
         self.costs: Dict[tuple, List[int]] = {}
         self._last_ns: Optional[int] = None
-        self._countdown = 1
         self._fallback_keys: Dict[str, tuple] = {}
-        # Dispatch totals are *derived* (see :attr:`dispatches`) so the
-        # unsampled hot path touches only the countdown.  The bases fold
-        # in blocks left unfinished by a previous start/stop cycle.
-        self._dispatch_base = 0
-        self._sample_base = 0
-        self.dispatch: Callable[[Any], None] = (
-            self._dispatch_exact if mode == "exact"
-            else self._dispatch_sampling)
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -109,14 +86,7 @@ class Profiler:
 
     def start(self) -> "Profiler":
         """Install into the kernel; begins attributing at the next event."""
-        if self.mode == "sampling":
-            # Settle the partially-consumed sampling block before the
-            # countdown resets, so `dispatches` stays consistent across
-            # stop/start cycles.
-            self._dispatch_base = self.dispatches
-            self._sample_base = self._samples()
         self._last_ns = None
-        self._countdown = 1
         self.sim.set_profiler(self)
         return self
 
@@ -146,7 +116,7 @@ class Profiler:
             self._fallback_keys[label] = key
         return key
 
-    def _dispatch_exact(self, event: Any) -> None:
+    def dispatch(self, event: Any) -> None:
         last = self._last_ns
         if last is None:
             last = perf_counter_ns()
@@ -160,60 +130,21 @@ class Profiler:
             entry[0] += now - last
             entry[1] += 1
 
-    def _dispatch_sampling(self, event: Any) -> None:
-        remaining = self._countdown - 1
-        if remaining:
-            self._countdown = remaining
-            event.callback(*event.args)
-            return
-        self._countdown = self.sample_every
-        start = perf_counter_ns()
-        event.callback(*event.args)
-        elapsed = perf_counter_ns() - start
-        entry = self.costs.get(self._key_for(event))
-        if entry is None:
-            self.costs[self._key_for(event)] = [elapsed, 1]
-        else:
-            entry[0] += elapsed
-            entry[1] += 1
-
     # -- reading -----------------------------------------------------------
-    def _samples(self) -> int:
-        return sum(entry[1] for entry in self.costs.values())
-
     @property
     def dispatches(self) -> int:
-        """Total dispatches seen while enabled (sampled or not).
-
-        Derived rather than counted so unsampled dispatches touch only
-        the countdown: in exact mode every dispatch lands in exactly one
-        accumulator; in sampling mode each sample closes one
-        ``sample_every``-sized block and the countdown says how far into
-        the next block the kernel is.
-        """
-        samples = self._samples()
-        if self.mode == "exact":
-            return samples
-        fresh = samples - self._sample_base
-        if fresh <= 0:
-            return self._dispatch_base
-        return (self._dispatch_base + fresh * self.sample_every
-                - (self._countdown - 1))
-
-    @property
-    def scale(self) -> int:
-        """Multiplier from sampled accumulators to fleet estimates."""
-        return self.sample_every if self.mode == "sampling" else 1
+        """Total dispatches seen while enabled: every one lands in exactly
+        one accumulator."""
+        return sum(entry[1] for entry in self.costs.values())
 
     def cost_model(self) -> "CostModel":
         """Freeze the current accumulators into an aggregate view."""
-        return CostModel(dict(self.costs), scale=self.scale,
-                         mode=self.mode, dispatches=self.dispatches)
+        return CostModel(dict(self.costs), dispatches=self.dispatches)
 
 
 @dataclass
 class CostEntry:
-    """One attributed cost key, scaled to fleet estimates."""
+    """One attributed cost key."""
 
     component: Optional[str]
     switch: Optional[Any]
@@ -282,21 +213,14 @@ def gini_coefficient(values: List[float]) -> float:
 
 
 class CostModel:
-    """Aggregated view over a profiler's raw cost accumulators.
+    """Aggregated view over a profiler's cost accumulators."""
 
-    All numbers are scaled to fleet estimates (raw * ``scale``), so the
-    exact and sampling modes read identically.
-    """
-
-    def __init__(self, costs: Dict[tuple, List[int]], scale: int = 1,
-                 mode: str = "exact", dispatches: int = 0) -> None:
-        self.mode = mode
-        self.scale = int(scale)
+    def __init__(self, costs: Dict[tuple, List[int]],
+                 dispatches: int = 0) -> None:
         self.dispatches = dispatches
         self.entries: List[CostEntry] = [
             CostEntry(component=key[0], switch=key[1], seed=key[2],
-                      label=key[3], ns=ns * self.scale,
-                      events=fires * self.scale)
+                      label=key[3], ns=ns, events=fires)
             for key, (ns, fires) in costs.items()]
         self.entries.sort(key=lambda e: (-e.ns, str(e.key)))
 
@@ -369,8 +293,6 @@ class CostModel:
     def to_jsonable(self) -> Dict[str, Any]:
         """JSON-able summary (postmortem bundles, BENCH artifacts)."""
         return {
-            "mode": self.mode,
-            "scale": self.scale,
             "dispatches": self.dispatches,
             "total_ns": self.total_ns,
             "total_events": self.total_events,
@@ -500,14 +422,11 @@ class ProfilingBundle:
     rides along in the exported trace next to the event timeline.
     """
 
-    def __init__(self, sim: Any, obs: Any, mode: str = "exact",
-                 sample_every: int = DEFAULT_SAMPLE_EVERY,
-                 flight_recorder: bool = True,
+    def __init__(self, sim: Any, obs: Any, flight_recorder: bool = True,
                  counter_interval_s: Optional[float] = None) -> None:
         self.sim = sim
         self.obs = obs
-        self.profiler = Profiler(sim, mode=mode,
-                                 sample_every=sample_every).start()
+        self.profiler = Profiler(sim).start()
         self.recorder: Optional[FlightRecorder] = None
         if flight_recorder:
             self.recorder = FlightRecorder(sim, obs.tracer,

@@ -44,12 +44,10 @@ class ManagementCpu:
         # reads it once per charge, and re-summing there is O(seeds) per
         # event.
         self._standing_sum = self._sum_standing()
-        self._work_integral = 0.0  # cpu-seconds of one-off work
         self._last_accumulate = sim.now
-        self._standing_integral = 0.0  # integral of standing load (core*s)
-        # Registry counters mirror the two integrals with the identical
-        # float-add sequence, so load recomputed from the registry matches
-        # mean_demand_percent() bit-for-bit (the Fig. 5 cross-check).
+        # The two integrals mean_demand_percent() reads live only in these
+        # registry counters: one-off work (cpu-seconds) and standing load
+        # over sim time (core-seconds).
         self.metrics = registry or MetricsRegistry()
         self._m_work = self.metrics.counter(
             "farm_cpu_work_seconds_total",
@@ -115,7 +113,6 @@ class ManagementCpu:
         if cpu_seconds < 0:
             raise SwitchError(f"work must be non-negative: {cpu_seconds}")
         total = cpu_seconds + context_switches * CONTEXT_SWITCH_COST_S
-        self._work_integral += total
         self._m_work.inc(total)
         if context_switches:
             self._m_ctx.inc(context_switches)
@@ -128,12 +125,11 @@ class ManagementCpu:
         pairs — ``repeats`` times over, as that many :meth:`charge_work`
         calls in that order would.
 
-        The work integral and its registry mirror advance through the same
-        float-add sequence (``n * x`` rounds differently from ``x`` added
-        ``n`` times), so load recomputed from the registry still matches
-        :meth:`mean_demand_percent` bit for bit.  Completion times are
-        those of the single charges: the slowdown only moves with the
-        standing load.
+        The work counter advances through the same float-add sequence
+        (``n * x`` rounds differently from ``x`` added ``n`` times), so
+        :meth:`mean_demand_percent` reads what the single charges would
+        have left.  Completion times are those of the single charges: the
+        slowdown only moves with the standing load.
         """
         totals = []
         switches = 0
@@ -143,11 +139,6 @@ class ManagementCpu:
             totals.append(cpu_seconds
                           + context_switches * CONTEXT_SWITCH_COST_S)
             switches += context_switches
-        work = self._work_integral
-        for _ in range(repeats):
-            for total in totals:
-                work += total
-        self._work_integral = work
         self._m_work.inc_repeated(totals, repeats)
         if switches:
             self._m_ctx.inc(switches * repeats)
@@ -158,9 +149,7 @@ class ManagementCpu:
     def _accumulate(self) -> None:
         dt = self.sim.now - self._last_accumulate
         if dt > 0:
-            delta = self.standing_load_cores * dt
-            self._standing_integral += delta
-            self._m_standing_s.inc(delta)
+            self._m_standing_s.inc(self.standing_load_cores * dt)
         self._last_accumulate = self.sim.now
 
     def mean_demand_percent(self, window: float = 0.0) -> float:
@@ -171,7 +160,7 @@ class ManagementCpu:
         horizon = self.sim.now if window == 0.0 else window
         if horizon <= 0:
             return self.standing_load_cores * 100.0
-        mean_cores = (self._standing_integral + self._work_integral) / horizon
+        mean_cores = (self._m_standing_s.value + self._m_work.value) / horizon
         return mean_cores * 100.0
 
     def mean_load_percent(self, window: float = 0.0) -> float:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SwitchError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
+from repro.switchsim.chassis import SwitchFleet
 from repro.switchsim.cpu import (
     CONTEXT_SWITCH_COST_S,
     ManagementCpu,
@@ -85,10 +86,37 @@ def _cpu_with_registry(sim):
     return ManagementCpu(sim, num_cores=4, registry=registry), registry
 
 
+class TestLoadLivesInTheCounters:
+    """``mean_demand_percent`` reads the ``farm_cpu_*_total`` counters of
+    its own switch: the model keeps no other copy of its load."""
+
+    def test_fleet_switches_read_only_their_own_counters(self):
+        sim = Simulator()
+        fleet = SwitchFleet(sim)
+        one, two = fleet.add(1), fleet.add(2)
+        assert one.metrics is two.metrics  # kept apart by the label
+        one.cpu.set_standing_load("seed/a", 0.25)
+        two.cpu.set_standing_load("seed/b", 1.5)
+        sim.run(until=2.0)
+        one.cpu.charge_work(0.125)
+        two.cpu.charge_work(0.5, context_switches=3)
+        for switch, percent in ((one, (0.25 * 2.0 + 0.125) / 2.0 * 100.0),
+                                (two, (1.5 * 2.0 + 0.5
+                                       + 3 * CONTEXT_SWITCH_COST_S)
+                                 / 2.0 * 100.0)):
+            assert switch.cpu.mean_demand_percent() == pytest.approx(percent)
+            labels = {"switch": switch.switch_id}
+            work = fleet.metrics.value("farm_cpu_work_seconds_total", labels)
+            standing = fleet.metrics.value(
+                "farm_cpu_standing_core_seconds_total", labels)
+            assert switch.cpu.mean_demand_percent() == (
+                (standing + work) / sim.now * 100.0)
+
+
 class TestBulkCharge:
     """``charge_work_repeated`` against the sequential calls it stands
-    for: bit for bit, because Fig. 4/5 recompute load from the registry
-    and compare it with the integral using ``==``."""
+    for: the work counter, which ``mean_demand_percent`` reads, must end
+    bit for bit where the single charges leave it."""
 
     # Values whose sum depends on the order and grouping of the adds.
     CHARGES = ((1e-6, 0), (10e-6 + 1e-6, 0))
@@ -112,10 +140,10 @@ class TestBulkCharge:
         for _ in range(repeats):
             for cpu_seconds, switches in charges:
                 seq.charge_work(cpu_seconds, context_switches=switches)
-        assert bulk.mean_demand_percent() == seq.mean_demand_percent()
         for name in ("farm_cpu_work_seconds_total",
                      "farm_cpu_context_switches_total"):
             assert bulk_reg.value(name) == seq_reg.value(name)
+        assert bulk.mean_demand_percent() == seq.mean_demand_percent()
         work = "farm_cpu_work_seconds_total"
         # ...and n * x is NOT what the sequence gives (why it is replayed).
         if repeats == 1000 and charges is self.CHARGES:
