@@ -30,18 +30,18 @@ def head_to_head() -> None:
         milp_fast = solve_milp(problem, time_limit_s=1.0)
         milp_slow = solve_milp(problem, time_limit_s=30.0)
         assert validate_solution(problem, heuristic) == []
-        for name, solution in (("FARM heuristic", heuristic),
-                               ("MILP (1 s)", milp_fast),
-                               ("MILP (30 s)", milp_slow)):
+        for name, solution, limit in (("FARM heuristic", heuristic, None),
+                                      ("MILP (1 s)", milp_fast, "1 s"),
+                                      ("MILP (30 s)", milp_slow, "30 s")):
             utility = f"{solution.objective:.0f}"
             placed = len(solution.placement)
             migrated = len(solution.migrated_seeds(problem))
-            if solution is milp_fast:
-                # How far the solver gets in 1 s depends on the host, so
-                # the table keeps only this row's runtime.
+            if limit is not None:
+                # How far a time-limited solve gets depends on the host,
+                # so the table keeps only the runtime of these rows.
                 host_dependent.append(
-                    f"host-dependent (1 s time limit): {num_seeds} seeds: "
-                    f"utility {utility}, placed {placed}, "
+                    f"host-dependent ({limit} time limit): {num_seeds} "
+                    f"seeds: utility {utility}, placed {placed}, "
                     f"migrated {migrated}")
                 utility = placed = migrated = "-"
             rows.append((num_seeds, name, utility,

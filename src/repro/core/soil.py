@@ -554,7 +554,9 @@ class Soil:
         interval = plan.interval or MIN_POLL_INTERVAL_S
         if self.config.aggregation:
             cached = self._poll_cache.get(cache_key)
-            if cached is not None and self.sim.now - cached.time < interval:
+            # ``cached.time + interval`` repeats the poll timer's own float
+            # add, so a poll at the timer's next deadline always misses.
+            if cached is not None and self.sim.now < cached.time + interval:
                 self._m_cache_hits.inc()
                 # Aggregated fan-out: no PCIe crossing, but the data must
                 # reach the seed — trivial for threads (shared buffer),

@@ -444,11 +444,10 @@ def run_fig8_pcie(seed_counts: Tuple[int, ...] = (1, 2, 4, 8, 16, 32),
             _deploy_polling_seed(soil, f"s{index}", interval_s=interval_s,
                                  event_cpu_s=5e-6)
         sim.run(until=duration_s)
-        switch.asic.refresh_fabric_demand()
         points.append(BusLoadPoint(
             seeds=count,
             pcie_oversubscription=switch.pcie.oversubscription,
-            asic_utilization=switch.asic.fabric.utilization))
+            asic_utilization=switch.asic.fabric_utilization()))
     return points
 
 

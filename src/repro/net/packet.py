@@ -224,11 +224,6 @@ class Flow:
         watches.remove(watch)
         self._watches = tuple(watches)
 
-    @property
-    def rate_bps(self) -> float:
-        """Current (latest-segment) rate in bytes/s."""
-        return self._segments[-1][1]
-
     def rate_at(self, time: float) -> float:
         """The rate in effect at ``time``."""
         seg_time, rate = self._segments[-1]
@@ -289,4 +284,4 @@ class Flow:
         return Packet(self.key, self.packet_size, flags, timestamp=timestamp)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Flow {self.key} {self.rate_bps:.0f} B/s {self.label}>"
+        return f"<Flow {self.key} {self._segments[-1][1]:.0f} B/s {self.label}>"

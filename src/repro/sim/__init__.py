@@ -7,7 +7,6 @@ from repro.sim.engine import (
     PeriodicTimer,
     Simulator,
 )
-from repro.sim.resources import CapacityMeter
 
 __all__ = [
     "MICROS",
@@ -15,5 +14,4 @@ __all__ = [
     "Event",
     "PeriodicTimer",
     "Simulator",
-    "CapacityMeter",
 ]

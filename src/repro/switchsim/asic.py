@@ -20,7 +20,6 @@ from repro.errors import SwitchError
 from repro.net.filters import ANY_PORT, Filter
 from repro.net.packet import Flow, FlowWatch, ProbeBatch
 from repro.sim.engine import Simulator
-from repro.sim.resources import CapacityMeter
 from repro.switchsim.tcam import RuleAction, Tcam, TcamRule
 
 _first = itemgetter(0)
@@ -106,8 +105,7 @@ class Asic:
         self.name = name
         self.tcam = tcam if tcam is not None else Tcam(capacity=2048)
         #: Aggregate fabric bandwidth; Fig. 8's "ASIC bus".
-        self.fabric = CapacityMeter(sim, capacity=line_rate_bps * num_ports,
-                                    name=f"{name}.fabric")
+        self.fabric_capacity_bps = line_rate_bps * num_ports
         self._attachments: List[_Attachment] = []
         self._live: Dict[int, _Attachment] = {}  # by id(flow)
         self._flow_watch = FlowWatch()
@@ -140,7 +138,6 @@ class Asic:
         self._live[id(flow)] = attachment
         flow.watch(self._flow_watch)
         self._table_changed()
-        self.fabric.add_demand(flow.rate_bps)
 
     def detach_flow(self, flow: Flow) -> None:
         """Stop carrying ``flow``; its counters freeze at the detach time."""
@@ -154,9 +151,6 @@ class Asic:
             attachment.frozen_bytes = flow.bytes_between(lo, hi)
         flow.unwatch(self._flow_watch)
         self._table_changed()
-        # The meter may already hold less than the raw rate: a refresh after
-        # a DROP / RATE_LIMIT install, or a rate raised behind our back.
-        self.fabric.remove_demand(min(flow.rate_at(now), self.fabric.demand))
 
     def _table_changed(self) -> None:
         self._probe_memo = {}
@@ -430,18 +424,14 @@ class Asic:
         return sorted({a.out_port for a in self._live.values()
                        if a.flow.rate_at(now) > 0})
 
-    def refresh_fabric_demand(self) -> None:
-        """Re-derive fabric demand from current flow rates.
-
-        Flow rates can change behind the ASIC's back (workload churn calls
-        ``Flow.set_rate`` directly), so meters are refreshed lazily before
-        utilization reads.
-        """
+    def fabric_demand_bps(self) -> float:
+        """Offered fabric load now: the live flows' rates as shaped by the
+        TCAM.  Read from the flow table, so it follows every attach,
+        detach, rule change and ``Flow.set_rate`` without bookkeeping."""
         now = self.sim.now
-        demand = sum(self._shaped(a.flow.rate_at(now), self._winning_rule(a))
-                     for a in self._live.values())
-        delta = demand - self.fabric.demand
-        if delta > 0:
-            self.fabric.add_demand(delta)
-        elif delta < 0:
-            self.fabric.remove_demand(-delta)
+        return sum(self._shaped(a.flow.rate_at(now), self._winning_rule(a))
+                   for a in self._live.values())
+
+    def fabric_utilization(self) -> float:
+        """Granted fabric load over capacity, in [0, 1] (Fig. 8)."""
+        return min(self.fabric_demand_bps() / self.fabric_capacity_bps, 1.0)

@@ -17,7 +17,6 @@ from typing import Any, Dict, Mapping, Optional
 from repro.errors import SwitchError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
-from repro.sim.resources import CapacityMeter
 
 #: Paper-measured polling capacity: 8 Mbps = 1e6 bytes/s.
 DEFAULT_POLL_CAPACITY_BPS = 1e6
@@ -41,7 +40,8 @@ class PcieBus:
     Two views are maintained:
 
     * **standing demand** — periodic pollers register their steady-state
-      byte rate; the meter's oversubscription is what Fig. 8 plots.
+      byte rate in one table, whose sum over capacity is the
+      oversubscription Fig. 8 plots.
     * **per-transfer latency** — individual transactions are charged a
       latency that includes an M/M/1-style congestion factor, so seed
       detection latency degrades gracefully as the bus fills up.
@@ -54,9 +54,13 @@ class PcieBus:
                  labels: Optional[Mapping[str, Any]] = None) -> None:
         self.sim = sim
         self.name = name
-        self.meter = CapacityMeter(sim, poll_capacity_bps,
-                                   name=f"{name}.poll")
+        if poll_capacity_bps <= 0:
+            raise SwitchError(
+                f"poll capacity must be positive: {poll_capacity_bps}")
+        self.capacity = poll_capacity_bps
+        #: The poller table: key -> standing rate in bytes/s.
         self._standing: Dict[str, float] = {}
+        self.standing_demand_bps = 0.0
         self.metrics = registry or MetricsRegistry()
         self._m_bytes = self.metrics.counter(
             "farm_pcie_bytes_total",
@@ -79,28 +83,21 @@ class PcieBus:
         """
         if rate_bps < 0:
             raise SwitchError(f"poller rate must be non-negative: {rate_bps}")
-        old = self._standing.get(key, 0.0)
-        if rate_bps > old:
-            self.meter.add_demand(rate_bps - old)
-        elif rate_bps < old:
-            self.meter.remove_demand(old - rate_bps)
         self._standing[key] = rate_bps
-        self._g_demand.set(self.standing_demand_bps)
+        self._resum()
 
     def unregister_poller(self, key: str) -> None:
-        old = self._standing.pop(key, 0.0)
-        if old:
-            self.meter.remove_demand(old)
-        self._g_demand.set(self.standing_demand_bps)
+        self._standing.pop(key, None)
+        self._resum()
 
-    @property
-    def standing_demand_bps(self) -> float:
-        return sum(self._standing.values())
+    def _resum(self) -> None:
+        self.standing_demand_bps = sum(self._standing.values())
+        self._g_demand.set(self.standing_demand_bps)
 
     @property
     def oversubscription(self) -> float:
         """Offered/available; > 1 means the bus cannot keep up (Fig. 8)."""
-        return self.meter.oversubscription
+        return self.standing_demand_bps / self.capacity
 
     # ------------------------------------------------------------------
     # Individual transfers
@@ -113,9 +110,8 @@ class PcieBus:
         """
         if nbytes < 0:
             raise SwitchError(f"transfer size must be non-negative: {nbytes}")
-        capacity = self.meter.capacity
-        service = nbytes / capacity
-        rho = min(self.meter.oversubscription, 0.99)
+        service = nbytes / self.capacity
+        rho = min(self.oversubscription, 0.99)
         congestion = 1.0 / (1.0 - rho) if rho < 0.99 else 100.0
         return TRANSACTION_OVERHEAD_S + service * congestion
 

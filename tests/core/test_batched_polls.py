@@ -450,39 +450,112 @@ class TestGroupLevelFiringParity:
         assert kernel_overhead(False) == 2 * seeds * rounds
 
 
-class TestStaleRoundCacheHit:
-    """Characterisation, not endorsement (ISSUE 12, "stale-round cache hit").
+READING_SEED = """
+machine Reader {
+  place all;
+  poll pollStats = Poll { .ival = 0.01, .what = port ANY };
+  state reading {
+    when (pollStats as stats) do {
+      send get(stats, 1).tx_bytes to harvester;
+    }
+  }
+}
+"""
 
-    The aggregation cache serves a poll when ``now - cached.time <
-    interval``.  Timers advance by ``now + interval``, and in floats
-    ``(t + 0.01) - t < 0.01`` holds for some ``t``: on those rounds the
-    whole group — or a lone seed — is served the *previous* round's
-    counters and sees a zero delta.  It predates group-level firing, is
-    identical with and without batching, and fixing it moves every
-    ``sim_digest``; so it is pinned here and listed as a fidelity gap
-    ("polling aggregation never changes what a seed sees") in
-    docs/performance.md.  A fix should flip these numbers to 40 / 0.
+
+class TestAggregationTransparency:
+    """Polling aggregation saves PCIe reads without changing what a seed
+    sees (SVI-E): with the soil's aggregation cache on or off, every seed
+    receives the same sequence of counter values."""
+
+    @staticmethod
+    def _inputs(aggregation, batching):
+        from repro.core.comm import SoilCommConfig
+        sim, switch, bus, soil, obs = _make_world(
+            batching, SoilCommConfig(aggregation=aggregation))
+        _attach_flow(switch, rate=5e6)
+        arrivals = []
+        _deploy_timed(sim, soil, bus, READING_SEED, 6, arrivals)
+        sim.run(until=0.405)  # 40 rounds at 10 ms
+        inputs = {}
+        for _, seed_id, value in arrivals:
+            inputs.setdefault(seed_id, []).append(value)
+        return inputs, obs.registry.sum_values("farm_soil_polls_total")
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_aggregation_on_off_yields_identical_seed_inputs(self, batching):
+        on, on_polls = self._inputs(True, batching)
+        off, off_polls = self._inputs(False, batching)
+        assert on == off
+        assert sorted(on) == [f"s{i}" for i in range(6)]
+        for values in on.values():
+            assert len(values) == 40
+            # A round served the previous round's counters repeats a value.
+            assert all(a < b for a, b in zip(values, values[1:]))
+        assert (on_polls, off_polls) == (40, 6 * 40)
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_each_plan_interval_is_its_timers_interval(self, batching):
+        # The cache's expiry repeats the timer's float add, which is exact
+        # only while the two intervals are the same number.
+        sim, switch, bus, soil, _ = _make_world(batching)
+        _attach_flow(switch)
+        received = []
+        _deploy_n(soil, bus, COUNTING_SEED, 3, received, prefix="c")
+        _deploy_n(soil, bus, INTERVAL_CHANGER, 3, received, prefix="v")
+
+        def check():
+            for seed_id, deployment in soil.deployments.items():
+                for var, plan in deployment.poll_plans.items():
+                    timer = soil._memberships[seed_id, var].timer
+                    assert deployment.timers[var] is timer
+                    assert plan.interval == timer.interval
+
+        check()
+        sim.run(until=0.1)  # the changers retime themselves to 5 ms
+        assert {d.poll_plans["p"].interval for sid, d in
+                soil.deployments.items() if sid.startswith("v")} == {0.005}
+        check()
+        deployment = soil.deployments["c0"]
+        soil.set_trigger_interval(deployment, "pollStats", 0.0137)
+        assert deployment.poll_plans["pollStats"].interval == 0.0137
+        check()
+
+
+class TestStaleRoundCacheHit:
+    """No poll round is served the previous round's counters.
+
+    A cached poll expires at its timer's own deadline: the cache test is
+    ``now < cached.time + interval``, the float add the timer makes to arm
+    its next firing.  The older test, ``now - cached.time < interval``,
+    held on rounds where ``(t + 0.01) - t < 0.01`` in floats, and on those
+    the whole group — or a lone seed — saw a zero counter delta.
     """
 
-    STALE_ROUNDS = [3, 8, 10, 12, 25]  # of 40 at 10 ms from t = 0
+    OLD_STALE_ROUNDS = [3, 8, 10, 12, 25]  # of 40 at 10 ms from t = 0
 
     def test_float_arithmetic_predicts_the_stale_rounds(self):
-        now, cached_at, stale = 0.0, None, []
-        for round_no in range(1, 41):
-            now = now + 0.01
-            if cached_at is not None and now - cached_at < 0.01:
-                stale.append(round_no)
-            else:
-                cached_at = now
-        assert stale == self.STALE_ROUNDS
+        def stale_rounds(fresh):
+            now, cached_at, stale = 0.0, None, []
+            for round_no in range(1, 41):
+                now = now + 0.01
+                if cached_at is not None and fresh(now, cached_at):
+                    stale.append(round_no)
+                else:
+                    cached_at = now
+            return stale
+
+        assert stale_rounds(lambda now, at: now - at < 0.01) \
+            == self.OLD_STALE_ROUNDS
+        assert stale_rounds(lambda now, at: now < at + 0.01) == []
 
     @pytest.mark.parametrize("batching", [True, False])
     @pytest.mark.parametrize("seeds", [1, 10])
     def test_todays_poll_counts(self, batching, seeds):
         obs, soil = _run_counting(batching, seeds=seeds, until=0.405)
-        rounds, stale = 40, len(self.STALE_ROUNDS)
+        rounds = 40
         assert obs["events"] == seeds * rounds
-        assert obs["polls"] == rounds - stale          # 35 ASIC polls
-        assert obs["cache_hits"] == seeds * rounds - (rounds - stale)
+        assert obs["polls"] == rounds                  # 40 ASIC polls
+        assert obs["cache_hits"] == (seeds - 1) * rounds
         if batching and seeds > 1:
             assert soil._m_batched_polls.value == rounds  # 40 firings

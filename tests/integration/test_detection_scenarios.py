@@ -223,6 +223,6 @@ class TestTrafficChangeScenario:
         reports_before = len(task.harvester.reports)
         # 10x surge on every port
         for flow in workload.flows:
-            flow.set_rate(flow.rate_bps * 10, at_time=farm.sim.now)
+            flow.set_rate(flow.rate_at(farm.sim.now) * 10, at_time=farm.sim.now)
         farm.run(until=farm.sim.now + 0.3)
         assert len(task.harvester.reports) > reports_before

@@ -86,7 +86,7 @@ class TestFlow:
         flow = Flow(key(), rate_bps=100.0)
         flow.stop(at_time=4.0)
         assert flow.bytes_between(0.0, 100.0) == pytest.approx(400.0)
-        assert flow.rate_bps == 0.0
+        assert flow.rate_at(4.0) == 0.0
 
     def test_chronological_changes_enforced(self):
         flow = Flow(key(), rate_bps=100.0)

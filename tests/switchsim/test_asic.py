@@ -188,9 +188,15 @@ class TestSampling:
     def test_fabric_demand_refresh(self, sim, asic):
         flow = make_flow(rate=100.0)
         asic.attach_flow(flow, 0, 1)
-        flow.set_rate(500.0, at_time=0.0)
-        asic.refresh_fabric_demand()
-        assert asic.fabric.demand == pytest.approx(500.0)
+        assert asic.fabric_demand_bps() == 100.0
+        flow.set_rate(500.0, at_time=0.0)  # behind the ASIC's back
+        assert asic.fabric_demand_bps() == 500.0
+        assert asic.fabric_utilization() == 500.0 / asic.fabric_capacity_bps
+
+    def test_fabric_utilization_saturates(self, sim, asic):
+        asic.attach_flow(make_flow(rate=1.5 * asic.fabric_capacity_bps), 0, 1)
+        assert asic.fabric_demand_bps() == 1.5 * asic.fabric_capacity_bps
+        assert asic.fabric_utilization() == 1.0
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_probe_budget_below_one_rejected(self, asic, budget):
@@ -206,10 +212,10 @@ class TestSampling:
         asic.attach_flow(flow, 0, 1)
         asic.tcam.install(TcamRule(flt.TrueFilter(), RuleAction.DROP,
                                    region=MONITORING))
-        asic.refresh_fabric_demand()
-        assert asic.fabric.demand == 0.0
-        asic.detach_flow(flow)  # used to drive the meter negative and raise
-        assert asic.fabric.demand == 0.0
+        assert asic.fabric_demand_bps() == 0.0
+        # Used to drive a delta-fed meter negative and raise.
+        asic.detach_flow(flow)
+        assert asic.fabric_demand_bps() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +331,7 @@ def _check_against_oracle(asic, rows, now, plans):
     live = [r for r in rows if r.live(now)]
     assert asic.ports_with_traffic() == sorted(
         {r.out_port for r in live if r.flow.rate_at(now) > 0})
-    asic.refresh_fabric_demand()
-    assert asic.fabric.demand == pytest.approx(
+    assert asic.fabric_demand_bps() == pytest.approx(
         sum(_oracle_rate(tcam, r, now) for r in live))
 
 

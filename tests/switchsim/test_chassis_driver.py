@@ -58,7 +58,7 @@ class TestSwitch:
     def test_components_wired(self):
         switch = Switch(Simulator(), 7)
         assert switch.asic.tcam is switch.tcam
-        assert switch.pcie.meter.capacity == ACCTON_AS5712.pcie_poll_bps
+        assert switch.pcie.capacity == ACCTON_AS5712.pcie_poll_bps
 
     def test_available_resources_includes_monitoring_tcam_share(self):
         switch = Switch(Simulator(), 1)

@@ -1,5 +1,7 @@
 """Management CPU and PCIe bus model tests."""
 
+import random
+
 import pytest
 
 from repro.errors import SwitchError
@@ -248,3 +250,42 @@ class TestPcieBus:
             bus.register_poller("x", -1.0)
         with pytest.raises(SwitchError):
             bus.transfer_latency(-5)
+
+    def test_negative_rate_leaves_table_untouched(self):
+        bus = PcieBus(Simulator())
+        bus.register_poller("x", 5.0)
+        with pytest.raises(SwitchError):
+            bus.register_poller("x", -1.0)
+        assert bus.standing_demand_bps == 5.0
+        assert bus.metrics.value("farm_pcie_standing_demand_bps") == 5.0
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(SwitchError):
+            PcieBus(Simulator(), poll_capacity_bps=0.0)
+
+    def test_unregister_unknown_key_is_a_noop(self):
+        bus = PcieBus(Simulator())
+        bus.register_poller("a", 300.0)
+        bus.unregister_poller("never-registered")
+        assert bus.standing_demand_bps == 300.0
+        assert bus.metrics.value("farm_pcie_standing_demand_bps") == 300.0
+
+    def test_one_account_under_reregistration(self):
+        # The poller table is the only account: the gauge, the
+        # oversubscription and the transfer latency all read its sum.
+        # A delta-fed second copy drifted from it on 1 962 of these steps.
+        bus = PcieBus(Simulator(), poll_capacity_bps=1e6)
+        rng, table = random.Random(1), {}
+        for _ in range(2000):
+            key, rate = f"k{rng.randrange(20)}", rng.random() * 1e7
+            bus.register_poller(key, rate)
+            table[key] = rate
+            demand = sum(table.values())
+            assert bus.standing_demand_bps == demand
+            assert bus.metrics.value("farm_pcie_standing_demand_bps") \
+                == demand
+            assert bus.oversubscription == demand / bus.capacity
+        for key in list(table):
+            bus.unregister_poller(key)
+        assert bus.standing_demand_bps == 0.0
+        assert bus.transfer_latency(0) == TRANSACTION_OVERHEAD_S
