@@ -3,7 +3,9 @@
 Replaces the paper's Gurobi / rust ``lp-modeler`` dependencies.  Both the
 MILP solver and the heuristic's LP redistribution phase express their
 models through this builder; it keeps variable bookkeeping by name and
-hands scipy sparse matrices to HiGHS.
+hands one CSR matrix of two-sided rows to HiGHS through
+:func:`scipy.optimize.milp`, with integrality for the MILP and without it
+for the LP.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import PlacementError
 
@@ -99,82 +101,44 @@ class LinProgram:
         return -c if self.maximize else c
 
     def _matrices(self):
-        n = self.num_vars
+        """Cost vector and the rows as one CSR ``LinearConstraint``."""
         c = self._cost()
-        if self._rows:
-            data, rows, cols = [], [], []
-            lbs, ubs = [], []
-            for row_index, (coeffs, lb, ub) in enumerate(self._rows):
-                for col, coeff in coeffs.items():
-                    rows.append(row_index)
-                    cols.append(col)
-                    data.append(coeff)
-                lbs.append(lb)
-                ubs.append(ub)
-            a_matrix = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(len(self._rows), n))
-            constraint = LinearConstraint(a_matrix, np.array(lbs),
-                                          np.array(ubs))
-        else:
-            constraint = None
-        return c, constraint
+        if not self._rows:
+            return c, None
+        data: List[float] = []
+        indices: List[int] = []
+        indptr = [0]
+        for coeffs, _lb, _ub in self._rows:
+            indices.extend(coeffs)
+            data.extend(coeffs.values())
+            indptr.append(len(indices))
+        a_matrix = sparse.csr_matrix((data, indices, indptr),
+                                     shape=(len(self._rows), self.num_vars))
+        return c, LinearConstraint(
+            a_matrix, np.array([lb for _coeffs, lb, _ub in self._rows]),
+            np.array([ub for _coeffs, _lb, ub in self._rows]))
 
-    def _lp_matrices(self):
-        """``(A_ub, b_ub, A_eq, b_eq)`` as :func:`linprog` wants them.
-
-        ``lb == ub`` is an equality row; otherwise a finite ``ub`` gives
-        the row as is and a finite ``lb`` the negated row, in that order.
-        A side with no rows is ``None``.
-        """
-        ub_rows: List[Tuple[Dict[int, float], float, float]] = []
-        eq_rows: List[Tuple[Dict[int, float], float, float]] = []
-        for coeffs, lb, ub in self._rows:
-            if lb == ub:
-                eq_rows.append((coeffs, 1.0, lb))
-                continue
-            if ub < INF:
-                ub_rows.append((coeffs, 1.0, ub))
-            if lb > -INF:
-                ub_rows.append((coeffs, -1.0, -lb))
-        return (_stack_rows(ub_rows, self.num_vars)
-                + _stack_rows(eq_rows, self.num_vars))
+    def _solve(self, integrality: Optional[np.ndarray],
+               options: Dict[str, object]) -> SolveResult:
+        if self.num_vars == 0:
+            return SolveResult("optimal", 0.0, np.zeros(0))
+        c, constraint = self._matrices()
+        result = milp(c=c, constraints=constraint, integrality=integrality,
+                      bounds=Bounds(np.array(self._lb), np.array(self._ub)),
+                      options=options)
+        return self._interpret(result, c)
 
     def solve_milp(self, time_limit_s: Optional[float] = None,
                    mip_rel_gap: float = 1e-4) -> SolveResult:
         """Solve as a MILP via HiGHS branch-and-bound."""
-        if self.num_vars == 0:
-            return SolveResult("optimal", 0.0, np.zeros(0))
-        c, constraint = self._matrices()
         options: Dict[str, object] = {"mip_rel_gap": mip_rel_gap}
         if time_limit_s is not None:
             options["time_limit"] = float(time_limit_s)
-        result = milp(
-            c=c,
-            constraints=constraint,
-            integrality=np.array([1 if f else 0 for f in self._integer]),
-            bounds=_bounds_from(self._lb, self._ub),
-            options=options,
-        )
-        return self._interpret(result, c)
+        return self._solve(np.array(self._integer, dtype=np.uint8), options)
 
-    def solve_lp(self, time_limit_s: Optional[float] = None) -> SolveResult:
+    def solve_lp(self) -> SolveResult:
         """Solve the LP relaxation (integrality dropped) via HiGHS."""
-        if self.num_vars == 0:
-            return SolveResult("optimal", 0.0, np.zeros(0))
-        c = self._cost()
-        a_ub, b_ub, a_eq, b_eq = self._lp_matrices()
-        options = {}
-        if time_limit_s is not None:
-            options["time_limit"] = float(time_limit_s)
-        result = linprog(
-            c=c,
-            A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=list(zip(self._lb, [u if u < INF else None
-                                       for u in self._ub])),
-            method="highs",
-            options=options,
-        )
-        return self._interpret(result, c)
+        return self._solve(None, {})
 
     def _interpret(self, result, c: np.ndarray) -> SolveResult:
         status_map = {0: "optimal", 1: "timeout", 2: "infeasible",
@@ -190,25 +154,3 @@ class LinProgram:
                                message=str(getattr(result, "message", "")))
         return SolveResult(status, float("nan"), None,
                            message=str(getattr(result, "message", "")))
-
-
-def _stack_rows(rows: List[Tuple[Dict[int, float], float, float]],
-                num_vars: int):
-    """CSR matrix and right-hand side of ``(coeffs, sign, rhs)`` rows."""
-    if not rows:
-        return None, None
-    data: List[float] = []
-    indices: List[int] = []
-    indptr = [0]
-    for coeffs, sign, _rhs in rows:
-        indices.extend(coeffs)
-        data.extend(sign * coeff for coeff in coeffs.values())
-        indptr.append(len(indices))
-    return (sparse.csr_matrix((data, indices, indptr),
-                              shape=(len(rows), num_vars)),
-            np.array([rhs for _coeffs, _sign, rhs in rows]))
-
-
-def _bounds_from(lbs: List[float], ubs: List[float]):
-    from scipy.optimize import Bounds
-    return Bounds(np.array(lbs), np.array(ubs))

@@ -1,21 +1,28 @@
 """Direct tests for the LP/MILP builder over HiGHS."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 from repro.errors import PlacementError
+from repro.placement.heuristic import solve_heuristic
+from repro.placement.instances import generate_problem
 from repro.placement.linprog_builder import INF, LinProgram
+
+SOLVE_LP = LinProgram.solve_lp  # unpatched, for the hook test below
 
 
 def split_rows_via_csr(lp):
-    """The row splitting ``solve_lp`` used to do: CSR -> getrow -> vstack.
-
-    Kept as the oracle for ``LinProgram._lp_matrices``: same rows in the
-    same order is what keeps HiGHS on the same vertex.
-    """
+    """The row splitting ``scipy.optimize.linprog`` needs: CSR -> getrow
+    -> vstack, a finite ``ub`` as the row, a finite ``lb`` as the negated
+    row, ``lb == ub`` as an equality row."""
     _c, constraint = lp._matrices()
     a_ub_rows, b_ub, a_eq_rows, b_eq = [], [], [], []
+    if constraint is None:
+        return None, b_ub, None, b_eq
     matrix = constraint.A.tocsr()
     for i in range(matrix.shape[0]):
         row = matrix.getrow(i)
@@ -96,8 +103,34 @@ class TestLpSolving:
         assert result.objective == 0.0
 
 
-class TestLpMatrices:
-    def test_mixed_rows_match_the_csr_row_splitting(self):
+def solve_via_linprog(lp):
+    """The oracle: the same program through ``linprog`` on split rows."""
+    a_ub, b_ub, a_eq, b_eq = split_rows_via_csr(lp)
+    c = lp._cost()
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub or None, A_eq=a_eq,
+                     b_eq=b_eq or None,
+                     bounds=list(zip(lp._lb, [u if u < INF else None
+                                              for u in lp._ub])),
+                     method="highs")
+    return lp._interpret(result, c)
+
+
+def assert_same_as_linprog(lp):
+    """``solve_lp`` lands on exactly ``linprog``'s answer, not near it:
+    the heuristic's allocations, hence every digest, rest on the vertex."""
+    got, ref = SOLVE_LP(lp), solve_via_linprog(lp)
+    assert got.status == ref.status
+    assert (got.values is None) == (ref.values is None)
+    if ref.values is not None:
+        assert np.array_equal(got.values, ref.values)
+        assert got.objective == ref.objective
+    else:
+        assert math.isnan(got.objective) and math.isnan(ref.objective)
+    return got
+
+
+class TestSolveLpMatchesLinprog:
+    def test_mixed_rows(self):
         lp = LinProgram(maximize=True)
         x, y, z = (lp.add_var(name, ub=10.0) for name in "xyz")
         lp.add_objective_term(x, 1.0)
@@ -107,37 +140,51 @@ class TestLpMatrices:
         lp.add_constraint({y: 3.0, z: -1.0}, lb=4.0, ub=4.0)  # equality
         lp.add_constraint({}, ub=1.0)                         # empty row
         lp.add_constraint({x: 1.0}, lb=-INF, ub=INF)          # free row
-        a_ub, b_ub, a_eq, b_eq = lp._lp_matrices()
-        ref_ub, ref_b_ub, ref_eq, ref_b_eq = split_rows_via_csr(lp)
-        assert np.array_equal(a_ub.toarray(), ref_ub.toarray())
-        assert np.array_equal(a_eq.toarray(), ref_eq.toarray())
-        assert b_ub.tolist() == ref_b_ub == [8.0, -1.0, 9.0, -2.0, 1.0]
-        assert b_eq.tolist() == ref_b_eq == [4.0]
-        assert a_ub.toarray().tolist() == [
-            [1.0, 0.0, 2.0], [0.5, -1.0, 0.0], [1.0, 1.0, 1.0],
-            [-1.0, -1.0, -1.0], [0.0, 0.0, 0.0]]
-        assert lp.solve_lp().status == "optimal"
+        assert assert_same_as_linprog(lp).status == "optimal"
 
-    def test_all_equality_program_solves(self):
+    def test_all_equality_program(self):
         lp = LinProgram(maximize=True)
         x = lp.add_var("x", ub=10.0)
         y = lp.add_var("y", ub=10.0)
         lp.add_objective_term(x, 1.0)
         lp.add_constraint({x: 1.0, y: 1.0}, lb=5.0, ub=5.0)
         lp.add_constraint({x: 1.0, y: -1.0}, lb=1.0, ub=1.0)
-        a_ub, b_ub, a_eq, b_eq = lp._lp_matrices()
-        assert a_ub is None and b_ub is None
-        assert a_eq.shape == (2, 2) and b_eq.tolist() == [5.0, 1.0]
-        result = lp.solve_lp()
+        result = assert_same_as_linprog(lp)
         assert result.value(x) == pytest.approx(3.0)
         assert result.value(y) == pytest.approx(2.0)
 
-    def test_program_without_constraints_solves(self):
+    def test_program_without_constraints(self):
         lp = LinProgram(maximize=True)
         x = lp.add_var("x", ub=2.5)
         lp.add_objective_term(x, 2.0)
-        assert lp._lp_matrices() == (None, None, None, None)
-        assert lp.solve_lp().objective == pytest.approx(5.0)
+        assert lp._matrices()[1] is None
+        assert assert_same_as_linprog(lp).objective == pytest.approx(5.0)
+
+    def test_unbounded_program(self):
+        lp = LinProgram(maximize=True)
+        x = lp.add_var("x")
+        y = lp.add_var("y", ub=1.0)
+        lp.add_objective_term(x, 1.0)
+        lp.add_constraint({x: 1.0, y: -1.0}, lb=0.0)
+        assert assert_same_as_linprog(lp).status == "unbounded"
+
+    @pytest.mark.parametrize("size", [(120, 30, 4, 1), (400, 100, 8, 11)],
+                             ids=["fig7-smoke", "400-100-11"])
+    def test_every_per_switch_lp_of_a_heuristic_solve(self, size,
+                                                      monkeypatch):
+        checked = []
+
+        def both_ways(lp):
+            result = assert_same_as_linprog(lp)
+            checked.append(result.status)
+            return result
+
+        monkeypatch.setattr(LinProgram, "solve_lp", both_ways)
+        seeds, switches, tasks, seed = size
+        solve_heuristic(generate_problem(seeds, switches, num_tasks=tasks,
+                                         seed=seed))
+        assert len(checked) >= switches
+        assert set(checked) == {"optimal"}
 
 
 class TestMilpSolving:
