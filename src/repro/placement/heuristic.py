@@ -4,7 +4,8 @@
 2. Greedily place each task's seeds at their cheapest feasible footprint,
    preferring the current location (no unnecessary migration); drop the
    whole task if any seed cannot be placed (C1).
-3. Redistribute resources per switch with an LP (placements fixed).
+3. Redistribute resources per switch with an LP (placements fixed), then
+   trim each seed to what its achieved utility needs.
 4. Compute migration benefits for movable seeds.
 5. Migrate in decreasing benefit order, then redistribute again.
 
@@ -17,17 +18,22 @@ seeds that depend on a switch the last commit marked: the cost of one
 commit is the number of remaining seeds sharing a switch with it, not the
 size of the task (a task whose seeds all share their candidates still
 pays ``O(seeds^2)``; the Fig. 7 instances pay ~2 evaluations per seed).
-The same marks feed ``touched``, so the per-switch LPs after the migrate
-step solve only the switches it changed.  This is what lets the heuristic
-track the MILP's utility at a fraction of the runtime (Fig. 7).
+The same marks feed ``touched``, so the LP pass after the migrate step
+solves only the switches it changed.  Each switch is one block of a
+block-diagonal program, and a pass stacks its blocks into a few programs,
+so HiGHS is called per program rather than per switch.  This is what lets
+the heuristic track the MILP's utility at a fraction of the runtime
+(Fig. 7).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -48,6 +54,12 @@ from repro.placement.model import (
     SeedSpec,
     compute_objective,
 )
+
+
+#: Blocks (one per switch) stacked into one LP program.  A program's
+#: size, not the pass's, bounds the solve's memory: docs/performance.md
+#: gives peak RSS by this value.
+_BLOCKS_PER_PROGRAM = 16
 
 
 def _minimal_alloc(piece: UtilityPiece,
@@ -453,37 +465,77 @@ class HeuristicPlacementSolver:
     # Step 3: LP resource redistribution
     # ------------------------------------------------------------------
     def redistribute(self) -> None:
-        """Per-switch LP maximizing summed utility at fixed placement.
+        """Per-switch LPs maximizing summed utility at fixed placement.
 
-        Solves the switches marked since the last pass: an unmarked
-        switch would be handed the identical LP, and HiGHS is
-        deterministic, so its allocations would not change.
+        Solves the switches marked since the last pass.  A block's answer
+        (:func:`_trimmed`) ignores commit order and its program-mates, so
+        an unmarked switch would get back the allocations it holds.
         """
-        for n in sorted(self.touched):
-            state = self.states[n]
-            if state.residents:
-                self._redistribute_switch(state)
+        self._redistribute(self.touched)
         self.touched.clear()
 
-    def _redistribute_switch(self, state: _SwitchState) -> None:
-        problem = self.problem
+    def _redistribute(self, switches: AbstractSet[int]) -> None:
+        """One block per resident switch of ``switches``, in switch order,
+        stacked :data:`_BLOCKS_PER_PROGRAM` to a program."""
+        states = [self.states[n] for n in sorted(switches)
+                  if n in self.states and self.states[n].residents]
+        for start in range(0, len(states), _BLOCKS_PER_PROGRAM):
+            self._solve_blocks(states[start:start + _BLOCKS_PER_PROGRAM])
+
+    def _solve_blocks(self, states: Sequence[_SwitchState]) -> None:
+        """Solve ``states`` as one block-diagonal LP.
+
+        The blocks share no row or column, so the program is feasible
+        exactly when every block is.  When it is not, each block is
+        solved on its own, and a block that fails alone keeps the
+        allocations its residents hold, which are feasible.
+        """
         lp = LinProgram(maximize=True)
-        res_vars: Dict[Tuple[str, str], int] = {}
+        blocks = [self._add_block(lp, state) for state in states]
+        result = lp.solve_lp()
+        if not result.usable:
+            if len(states) > 1:
+                for state in states:
+                    self._solve_blocks([state])
+            return
+        values = result.values.tolist()
+        for state, columns in zip(states, blocks):
+            for sid, index in columns:
+                seed = self._seed_by_id[sid]
+                self.allocations[sid] = _trimmed(
+                    seed, seed.utility.pieces[self.piece_choice[sid]],
+                    {r: max(0.0, values[i]) for r, i in index.items()})
+            # Refresh accounting from the new allocations.
+            state.used = {r: sum(self.allocations[sid].get(r, 0.0)
+                                 for sid in state.residents)
+                          for r in self.problem.resource_types
+                          if r != self.problem.r_poll}
+            self._recompute_poll_rates(state)
+            self._mark(state.switch)
+
+    def _add_block(self, lp: LinProgram, state: _SwitchState
+                   ) -> List[Tuple[str, Dict[str, int]]]:
+        """Append ``state``'s Σu LP to ``lp``; its residents' columns.
+
+        Residents enter in seed-id order, so a block is the same program
+        whatever order they were committed in.
+        """
+        problem = self.problem
+        columns: List[Tuple[str, Dict[str, int]]] = []
         poll_vars: Dict[FrozenSet, int] = {}
         caps = {r: max(0.0, state.capacity.get(r, 0.0)
                        - state.residue.get(r, 0.0))
                 for r in problem.resource_types}
-        for sid in state.residents:
+        for sid in sorted(state.residents):
             seed = self._seed_by_id[sid]
             piece = seed.utility.pieces[self.piece_choice[sid]]
-            for r in problem.resource_types:
-                res_vars[(sid, r)] = lp.add_var(
-                    f"res[{sid},{r}]", 0.0, state.capacity.get(r, 0.0))
-            index = {r: res_vars[(sid, r)] for r in problem.resource_types}
+            index = {r: lp.add_var(0.0, state.capacity.get(r, 0.0))
+                     for r in problem.resource_types}
+            columns.append((sid, index))
             for constraint in piece.constraints:
                 row = _poly_row_named(constraint, index)
                 lp.add_constraint(row, lb=-constraint.const, ub=INF)
-            u_var = lp.add_var(f"u[{sid}]", 0.0, INF)
+            u_var = lp.add_var(0.0, INF)
             lp.add_objective_term(u_var, 1.0)
             for term in piece.utility.terms:
                 con = {u_var: 1.0}
@@ -493,21 +545,20 @@ class HeuristicPlacementSolver:
             for demand in seed.poll_demands:
                 poll_var = poll_vars.get(demand.subject)
                 if poll_var is None:
-                    poll_var = lp.add_var(
-                        f"pollres[{len(poll_vars)}]", 0.0, INF)
+                    poll_var = lp.add_var(0.0, INF)
                     poll_vars[demand.subject] = poll_var
                 scale = problem.alpha(state.switch) * demand.weight
                 inv = demand.inv_interval
                 con = {poll_var: 1.0}
                 for var, coeff in inv.coeffs.items():
-                    idx = res_vars[(sid, var)]
+                    idx = index[var]
                     con[idx] = con.get(idx, 0.0) - scale * coeff
                 lp.add_constraint(con, lb=scale * inv.const, ub=INF)
         # Capacity rows.
         for r in problem.resource_types:
             if r == problem.r_poll:
                 continue
-            row = {res_vars[(sid, r)]: 1.0 for sid in state.residents}
+            row = {index[r]: 1.0 for _sid, index in columns}
             lp.add_constraint(row, lb=-INF, ub=caps[r])
         if poll_vars:
             poll_cap = state.capacity.get(problem.r_poll, 0.0)
@@ -515,20 +566,7 @@ class HeuristicPlacementSolver:
                 poll_cap -= rate  # conservative: residue not aggregated
             lp.add_constraint({v: 1.0 for v in poll_vars.values()},
                               lb=-INF, ub=max(poll_cap, 0.0))
-        result = lp.solve_lp()
-        if not result.usable:
-            return  # keep minimal allocations; they were feasible
-        for sid in state.residents:
-            alloc = {r: max(0.0, result.value(res_vars[(sid, r)]))
-                     for r in problem.resource_types}
-            self.allocations[sid] = alloc
-        # Refresh accounting from the new allocations.
-        state.used = {r: sum(self.allocations[sid].get(r, 0.0)
-                             for sid in state.residents)
-                      for r in problem.resource_types
-                      if r != problem.r_poll}
-        self._recompute_poll_rates(state)
-        self._mark(state.switch)
+        return columns
 
     # ------------------------------------------------------------------
     # Steps 4-5: migration
@@ -665,6 +703,48 @@ class HeuristicPlacementSolver:
                          for sid, alloc in self.allocations.items()},
             objective=objective, solver="heuristic", runtime_s=runtime,
             placed_tasks=tuple(sorted(placed_tasks)), status="ok")
+
+
+def _trimmed(seed: SeedSpec, piece: UtilityPiece,
+             alloc: Dict[str, float]) -> Dict[str, float]:
+    """``alloc``, the Σu LP's answer for ``seed`` on ``piece``, cut down
+    to what its achieved utility ``u`` needs.
+
+    The LP leaves slack that buys no utility wherever its vertex happens
+    to put it.  A resource that only single-resource rows of the piece
+    name drops to the least value those rows allow at ``u``: the largest
+    of 0, each floor ``a·r + c >= 0`` (``-c/a``) and each utility term
+    ``a·r + c`` with ``a > 0`` (``(u - c)/a``, nudged up an ulp where
+    rounding would leave the term below ``u``).  That value is unique and
+    never above the LP's, and ``u`` is kept exactly.  A resource named in
+    a multi-resource row, or with a negative coefficient in a poll demand,
+    keeps its LP value; every other one only lowers usage and poll demand
+    by dropping, so the capacity and poll rows stay satisfied.
+    """
+    utility = piece.utility.evaluate(alloc)
+    pinned = {var for poly in (*piece.constraints, *piece.utility.terms)
+              if len(poly.coeffs) > 1 for var in poly.coeffs}
+    pinned.update(var for demand in seed.poll_demands
+                  for var, coeff in demand.inv_interval.coeffs.items()
+                  if coeff < 0)
+    for r in list(alloc):
+        if r in pinned:
+            continue
+        value = 0.0
+        for constraint in piece.constraints:
+            a = constraint.coeffs.get(r, 0.0)
+            if a > 0:
+                value = max(value, -constraint.const / a)
+        for term in piece.utility.terms:
+            a = term.coeffs.get(r, 0.0)
+            if a > 0:
+                need = (utility - term.const) / a
+                while a * need + term.const < utility:
+                    need = math.nextafter(need, INF)
+                value = max(value, need)
+        if value < alloc[r]:
+            alloc[r] = value
+    return alloc
 
 
 def _poly_row_named(poly: LinPoly,

@@ -13,9 +13,10 @@ bottleneck.  This module adds the incremental mode:
 * :class:`IncrementalPlacementSolver` — starts from the incumbent
   :class:`PlacementSolution`, warm-committing *clean* seeds straight
   into the heuristic's ``_SwitchState`` bookkeeping, then re-runs the
-  greedy phase, the per-switch LPs, and the migration-benefit pass only
-  over the *dirty set*: switches whose residual capacity or poll
-  aggregation changed, and the seeds living on (or newly aimed at) them.
+  greedy phase, the LP pass (one block per switch) and the
+  migration-benefit pass only over the *dirty set*: switches whose
+  residual capacity or poll aggregation changed, and the seeds living on
+  (or newly aimed at) them.
   Dirtiness propagates — committing or evicting a seed marks its switch
   touched, and touched switches join the LP/migration scope.
 * Fallback: when the delta's blast radius exceeds :data:`FALLBACK_RATIO`
@@ -521,9 +522,10 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
         nothing has marked it since: its residents, their order and
         their allocations are what they were then, and a per-switch
         fold only ever sees that switch's own residents.  A marked
-        switch is rebuilt rather than kept because its ``residents``
-        are in commit order and its pieces are the solver's choice, not
-        :meth:`_recover_piece`'s, and either changes the next LP.
+        switch is rebuilt rather than kept: its pieces are the solver's
+        choice, not :meth:`_recover_piece`'s, which changes the next LP,
+        and its ``residents`` are in commit order, which changes the
+        order its accounting folds in.
         """
         # Every residue sits on a marked switch, and nothing is in
         # transit relative to the incumbent.
@@ -556,11 +558,11 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
     def _reclaim_switch(self, state) -> bool:
         """Shrink a switch's residents back to minimal footprints.
 
-        The incumbent's per-switch LP poured every spare unit into the
-        residents; a newly arriving seed then sees no headroom even
-        though a from-scratch solve would fit it easily.  Reclaiming
-        (placements and piece choices untouched) restores the headroom;
-        the final LP pass re-pours whatever is genuinely spare.
+        The incumbent's LP pass poured every spare unit that buys
+        utility into the residents; a newly arriving seed then sees no
+        headroom even though a from-scratch solve would fit it easily.
+        Reclaiming (placements and piece choices untouched) restores the
+        headroom; the final LP pass re-pours whatever is genuinely spare.
         """
         changed = False
         for sid in state.residents:
@@ -656,15 +658,12 @@ class IncrementalPlacementSolver(HeuristicPlacementSolver):
     # Scoped LP + migration
     # ------------------------------------------------------------------
     def redistribute(self) -> None:
-        """Per-switch LPs on the dirty/touched switches only.
+        """One LP block per dirty/touched switch, none elsewhere.
 
         ``touched`` is not drained here: it also scopes the migration
         pass and the reported blast radius.
         """
-        for n in sorted(self.dirty_switches | self.touched):
-            state = self.states.get(n)
-            if state is not None and state.residents:
-                self._redistribute_switch(state)
+        self._redistribute(self.dirty_switches | self.touched)
 
     def _migration_eligible(self) -> Set[str]:
         """Seeds the benefit pass may move.

@@ -2,7 +2,7 @@
 
 Replaces the paper's Gurobi / rust ``lp-modeler`` dependencies.  Both the
 MILP solver and the heuristic's LP redistribution phase express their
-models through this builder; it keeps variable bookkeeping by name and
+models through this builder; variables are plain column indices, and it
 hands one CSR matrix of two-sided rows to HiGHS through
 :func:`scipy.optimize.milp`, with integrality for the MILP and without it
 for the LP.
@@ -44,8 +44,8 @@ class SolveResult:
 class LinProgram:
     """Incrementally-built linear (or mixed-integer) program.
 
-    Variables are referenced by integer index; ``name_index`` provides
-    lookup by name for diagnostics and solution extraction.
+    Variables are column indices, numbered in ``add_var`` order; callers
+    keep their own maps from what a column means to its index.
     """
 
     def __init__(self, maximize: bool = True) -> None:
@@ -53,8 +53,6 @@ class LinProgram:
         self._lb: List[float] = []
         self._ub: List[float] = []
         self._integer: List[bool] = []
-        self._names: List[str] = []
-        self.name_index: Dict[str, int] = {}
         self._objective: Dict[int, float] = {}
         # Constraint rows as (coeff dict, lb, ub)
         self._rows: List[Tuple[Dict[int, float], float, float]] = []
@@ -64,22 +62,18 @@ class LinProgram:
     # ------------------------------------------------------------------
     @property
     def num_vars(self) -> int:
-        return len(self._names)
+        return len(self._lb)
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
+    def add_var(self, lb: float = 0.0, ub: float = INF,
                 integer: bool = False) -> int:
-        if name in self.name_index:
-            raise PlacementError(f"duplicate variable {name!r}")
-        index = len(self._names)
-        self._names.append(name)
-        self.name_index[name] = index
+        index = len(self._lb)
         self._lb.append(lb)
         self._ub.append(ub)
         self._integer.append(integer)
         return index
 
-    def add_binary(self, name: str) -> int:
-        return self.add_var(name, 0.0, 1.0, integer=True)
+    def add_binary(self) -> int:
+        return self.add_var(0.0, 1.0, integer=True)
 
     def add_constraint(self, coeffs: Mapping[int, float],
                        lb: float = -INF, ub: float = INF) -> None:

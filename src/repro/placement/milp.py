@@ -86,8 +86,7 @@ class MilpPlacementSolver:
         lp = self.program
         for task in problem.tasks:
             lower = 1.0 if task.mandatory else 0.0
-            self._tplc[task.task_id] = lp.add_var(
-                f"tplc[{task.task_id}]", lb=lower, ub=1.0, integer=True)
+            self._tplc[task.task_id] = lp.add_var(lower, 1.0, integer=True)
         for task in problem.tasks:
             for seed in task.seeds:
                 self._build_seed(task.task_id, seed)
@@ -105,11 +104,11 @@ class MilpPlacementSolver:
             res_index: Dict[str, int] = {}
             for r in problem.resource_types:
                 cap = problem.available[n].get(r, 0.0)
-                res_index[(r)] = lp.add_var(f"res[{sid},{n},{r}]", 0.0, cap)
+                res_index[(r)] = lp.add_var(0.0, cap)
                 self._res[(sid, n, r)] = res_index[r]
             plc_here: List[int] = []
             for k, piece in enumerate(seed.utility.pieces):
-                plc = lp.add_binary(f"plc[{sid},{n},{k}]")
+                plc = lp.add_binary()
                 self._plc[(sid, n, k)] = plc
                 plc_here.append(plc)
                 plc_indices.append(plc)
@@ -123,7 +122,7 @@ class MilpPlacementSolver:
                     lp.add_constraint(row,
                                       lb=-constraint.const - big_m, ub=INF)
                 # Utility epigraph.
-                u_var = lp.add_var(f"u[{sid},{n},{k}]", 0.0, max(u_max, 0.0))
+                u_var = lp.add_var(0.0, max(u_max, 0.0))
                 self._u[(sid, n, k)] = u_var
                 lp.add_objective_term(u_var, 1.0)
                 # u <= Umax * plc
@@ -250,9 +249,7 @@ class MilpPlacementSolver:
     def _pollres_var(self, n: int, subject: FrozenSet) -> int:
         key = (n, subject)
         if key not in self._pollres:
-            self._pollres[key] = self.program.add_var(
-                f"pollres[{n},{hash(subject) & 0xffff:x}.{len(self._pollres)}]",
-                0.0, INF)
+            self._pollres[key] = self.program.add_var(0.0, INF)
         return self._pollres[key]
 
     # ------------------------------------------------------------------

@@ -313,9 +313,9 @@ class TestEngagement:
                                     "touched": len(resident & self.touched)})
                 super().redistribute()
 
-            def _redistribute_switch(self, state):
+            def _add_block(self, lp, state):
                 self.passes[-1]["solved"] += 1
-                super()._redistribute_switch(state)
+                return super()._add_block(lp, state)
 
         class SolveEverySwitch(HeuristicPlacementSolver):
             def redistribute(self):

@@ -17,7 +17,7 @@ from repro.almanac.poly import (
 )
 from repro.errors import PlacementError
 from repro.placement import incremental
-from repro.placement.heuristic import solve_heuristic
+from repro.placement.heuristic import HeuristicPlacementSolver, solve_heuristic
 from repro.placement.incremental import (
     ChurnDelta,
     apply_delta,
@@ -25,7 +25,6 @@ from repro.placement.incremental import (
     solve_incremental,
 )
 from repro.placement.instances import generate_problem
-from repro.placement.linprog_builder import LinProgram
 from repro.placement.model import (
     PollDemand,
     SeedSpec,
@@ -302,8 +301,8 @@ class TestSingleDeltaDifferential:
 class TestCanonicalSingleSwitchDeltas:
     """What a warm re-solve owes on a single-switch delta: a feasible,
     incremental answer within 1% of the full solve's utility for one LP
-    per touched switch — the count form of "incremental is >= 10x faster
-    than full" (throughput is farmbench ``placement_churn``)."""
+    block per touched switch — the count form of "incremental is >= 10x
+    faster than full" (throughput is farmbench ``placement_churn``)."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -321,13 +320,13 @@ class TestCanonicalSingleSwitchDeltas:
     def test_resolve_pays_one_lp_per_touched_switch(self, world, name,
                                                     touched, monkeypatch):
         problem, incumbent, deltas = world
-        solve_lp, calls = LinProgram.solve_lp, []
+        add_block, calls = HeuristicPlacementSolver._add_block, []
 
-        def counted(lp, *args, **kwargs):
+        def counted(solver, lp, state):
             calls.append(None)
-            return solve_lp(lp, *args, **kwargs)
+            return add_block(solver, lp, state)
 
-        monkeypatch.setattr(LinProgram, "solve_lp", counted)
+        monkeypatch.setattr(HeuristicPlacementSolver, "_add_block", counted)
         churned = apply_delta(problem, deltas[name], incumbent=incumbent)
         full = solve_heuristic(churned)
         full_lps = len(calls)

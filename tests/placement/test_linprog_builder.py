@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.errors import PlacementError
-from repro.placement.heuristic import solve_heuristic
+from repro.placement.heuristic import HeuristicPlacementSolver, solve_heuristic
 from repro.placement.instances import generate_problem
 from repro.placement.linprog_builder import INF, LinProgram
 
@@ -42,26 +42,21 @@ def split_rows_via_csr(lp):
 
 
 class TestConstruction:
-    def test_duplicate_variable_rejected(self):
+    def test_add_var_returns_consecutive_indices(self):
         lp = LinProgram()
-        lp.add_var("x")
-        with pytest.raises(PlacementError):
-            lp.add_var("x")
-
-    def test_name_index_lookup(self):
-        lp = LinProgram()
-        x = lp.add_var("x")
-        assert lp.name_index["x"] == x
-        assert lp.num_vars == 1
-        lp.add_constraint({x: 1.0}, ub=5.0)
+        assert [lp.add_var(), lp.add_binary(), lp.add_var(ub=2.0)] \
+            == [0, 1, 2]
+        assert lp.num_vars == 3
+        assert (lp._lb, lp._ub, lp._integer) == (
+            [0.0, 0.0, 0.0], [INF, 1.0, 2.0], [False, True, False])
 
 
 class TestLpSolving:
     def test_simple_maximization(self):
         # max x + 2y s.t. x + y <= 4, x <= 3, y <= 2
         lp = LinProgram(maximize=True)
-        x = lp.add_var("x", ub=3.0)
-        y = lp.add_var("y", ub=2.0)
+        x = lp.add_var(ub=3.0)
+        y = lp.add_var(ub=2.0)
         lp.add_objective_term(x, 1.0)
         lp.add_objective_term(y, 2.0)
         lp.add_constraint({x: 1.0, y: 1.0}, ub=4.0)
@@ -73,15 +68,15 @@ class TestLpSolving:
 
     def test_minimization(self):
         lp = LinProgram(maximize=False)
-        x = lp.add_var("x", lb=1.0)
+        x = lp.add_var(lb=1.0)
         lp.add_objective_term(x, 3.0)
         result = lp.solve_lp()
         assert result.objective == pytest.approx(3.0)
 
     def test_equality_constraint(self):
         lp = LinProgram(maximize=True)
-        x = lp.add_var("x", ub=10.0)
-        y = lp.add_var("y", ub=10.0)
+        x = lp.add_var(ub=10.0)
+        y = lp.add_var(ub=10.0)
         lp.add_objective_term(x, 1.0)
         lp.add_constraint({x: 1.0, y: 1.0}, lb=5.0, ub=5.0)
         result = lp.solve_lp()
@@ -89,7 +84,7 @@ class TestLpSolving:
 
     def test_infeasible_reported(self):
         lp = LinProgram()
-        x = lp.add_var("x", ub=1.0)
+        x = lp.add_var(ub=1.0)
         lp.add_constraint({x: 1.0}, lb=5.0)
         result = lp.solve_lp()
         assert result.status == "infeasible"
@@ -132,7 +127,7 @@ def assert_same_as_linprog(lp):
 class TestSolveLpMatchesLinprog:
     def test_mixed_rows(self):
         lp = LinProgram(maximize=True)
-        x, y, z = (lp.add_var(name, ub=10.0) for name in "xyz")
+        x, y, z = (lp.add_var(ub=10.0) for _ in range(3))
         lp.add_objective_term(x, 1.0)
         lp.add_constraint({z: 2.0, x: 1.0}, ub=8.0)          # ub only
         lp.add_constraint({y: 1.0, x: -0.5}, lb=1.0)         # lb only
@@ -144,8 +139,8 @@ class TestSolveLpMatchesLinprog:
 
     def test_all_equality_program(self):
         lp = LinProgram(maximize=True)
-        x = lp.add_var("x", ub=10.0)
-        y = lp.add_var("y", ub=10.0)
+        x = lp.add_var(ub=10.0)
+        y = lp.add_var(ub=10.0)
         lp.add_objective_term(x, 1.0)
         lp.add_constraint({x: 1.0, y: 1.0}, lb=5.0, ub=5.0)
         lp.add_constraint({x: 1.0, y: -1.0}, lb=1.0, ub=1.0)
@@ -155,15 +150,15 @@ class TestSolveLpMatchesLinprog:
 
     def test_program_without_constraints(self):
         lp = LinProgram(maximize=True)
-        x = lp.add_var("x", ub=2.5)
+        x = lp.add_var(ub=2.5)
         lp.add_objective_term(x, 2.0)
         assert lp._matrices()[1] is None
         assert assert_same_as_linprog(lp).objective == pytest.approx(5.0)
 
     def test_unbounded_program(self):
         lp = LinProgram(maximize=True)
-        x = lp.add_var("x")
-        y = lp.add_var("y", ub=1.0)
+        x = lp.add_var()
+        y = lp.add_var(ub=1.0)
         lp.add_objective_term(x, 1.0)
         lp.add_constraint({x: 1.0, y: -1.0}, lb=0.0)
         assert assert_same_as_linprog(lp).status == "unbounded"
@@ -172,18 +167,27 @@ class TestSolveLpMatchesLinprog:
                              ids=["fig7-smoke", "400-100-11"])
     def test_every_per_switch_lp_of_a_heuristic_solve(self, size,
                                                       monkeypatch):
-        checked = []
+        checked, blocks = [], []
+        add_block = HeuristicPlacementSolver._add_block
 
         def both_ways(lp):
             result = assert_same_as_linprog(lp)
             checked.append(result.status)
             return result
 
+        def counted(solver, lp, state):
+            blocks.append(state.switch)
+            return add_block(solver, lp, state)
+
         monkeypatch.setattr(LinProgram, "solve_lp", both_ways)
+        monkeypatch.setattr(HeuristicPlacementSolver, "_add_block", counted)
         seeds, switches, tasks, seed = size
         solve_heuristic(generate_problem(seeds, switches, num_tasks=tasks,
                                          seed=seed))
-        assert len(checked) >= switches
+        # Every per-switch LP is a block of a checked program, and the
+        # programs stack them: fewer programs than blocks.
+        assert len(blocks) >= switches
+        assert 0 < len(checked) < len(blocks)
         assert set(checked) == {"optimal"}
 
 
@@ -191,7 +195,7 @@ class TestMilpSolving:
     def test_knapsack(self):
         # values 6, 5, 4; weights 3, 2, 2; capacity 4 -> pick items 2+3.
         lp = LinProgram(maximize=True)
-        items = [lp.add_binary(f"i{k}") for k in range(3)]
+        items = [lp.add_binary() for _ in range(3)]
         for index, value in zip(items, (6.0, 5.0, 4.0)):
             lp.add_objective_term(index, value)
         lp.add_constraint({items[0]: 3.0, items[1]: 2.0, items[2]: 2.0},
@@ -203,15 +207,15 @@ class TestMilpSolving:
 
     def test_integrality_respected(self):
         lp = LinProgram(maximize=True)
-        x = lp.add_var("x", ub=2.5, integer=True)
+        x = lp.add_var(ub=2.5, integer=True)
         lp.add_objective_term(x, 1.0)
         result = lp.solve_milp()
         assert result.value(x) == pytest.approx(2.0)
 
     def test_mixed_integer_and_continuous(self):
         lp = LinProgram(maximize=True)
-        plc = lp.add_binary("plc")
-        res = lp.add_var("res", ub=4.0)
+        plc = lp.add_binary()
+        res = lp.add_var(ub=4.0)
         lp.add_objective_term(res, 1.0)
         # res <= 4 * plc; plc costs 3 in the shared budget of 1 -> plc=0?
         lp.add_constraint({res: 1.0, plc: -4.0}, ub=0.0)
@@ -221,7 +225,7 @@ class TestMilpSolving:
 
     def test_time_limit_accepted(self):
         lp = LinProgram(maximize=True)
-        x = lp.add_binary("x")
+        x = lp.add_binary()
         lp.add_objective_term(x, 1.0)
         result = lp.solve_milp(time_limit_s=0.5)
         assert result.usable
